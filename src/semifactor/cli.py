@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 
 from . import engine, paperlab
@@ -27,16 +28,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text):
+    try:
+        n = int(text)
+        if n > 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"want a positive integer, got {text!r}")
+
+
+def _rational(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _common_flags(p):
+    p.add_argument("--output", default="json", choices=["json", "csv", "pretty"])
+    p.add_argument("--out", default=None, help="write the report to this path")
+    # dest names are the Budgets fields they set
+    p.add_argument("--oracle-budget", dest="oracle_candidates", type=_positive_int)
+    p.add_argument("--z-budget", dest="z_nodes", type=_positive_int)
+    p.add_argument("--knapsack-budget", dest="knapsack_nodes", type=_positive_int)
+    p.add_argument("--degree-limit", dest="degree_limit", type=_positive_int)
+
+
+def _context_flags(p):
+    _common_flags(p)
     p.add_argument("--coeffs", default="nat", help="coefficient semiring: nat or quad:<d>")
     p.add_argument("--monoid", default="nat", help="exponent monoid: nat or gens:q1,q2,...")
     p.add_argument("--strategy", default="auto", choices=["auto", "oracle", "zx"])
-    p.add_argument("--output", default="json", choices=["json", "csv", "pretty"])
-    p.add_argument("--out", default=None, help="write the report to this path")
-    p.add_argument("--oracle-budget", type=int, default=None)
-    p.add_argument("--z-budget", type=int, default=None)
-    p.add_argument("--knapsack-budget", type=int, default=None)
-    p.add_argument("--degree-limit", type=int, default=None)
 
 
 def build_parser():
@@ -57,10 +80,10 @@ def build_parser():
         "lenfn",
     ):
         p = poly_sub.add_parser(op)
-        _common_flags(p)
+        _context_flags(p)
         p.add_argument("expr")
     fam = poly_sub.add_parser("expand-family")
-    _common_flags(fam)
+    _context_flags(fam)
     fam.add_argument("--n", type=int, required=True)
     fam.add_argument("--m", type=int, default=None, help="defaults to n")
     fam.add_argument("--k", type=int, default=0)
@@ -75,9 +98,9 @@ def build_parser():
         ("gcd", "+"),
     ):
         p = mon_sub.add_parser(op)
-        _common_flags(p)
+        _context_flags(p)
         if nargs:
-            p.add_argument("args", nargs=nargs)
+            p.add_argument("args", nargs=nargs, type=_rational, metavar="q")
 
     ver = sub.add_parser("verify", help="run the reference suite")
     ver_sub = ver.add_subparsers(dest="op", required=True)
@@ -96,14 +119,18 @@ def build_parser():
 
 
 def _budgets(args) -> Budgets:
+    """The budget flags given, else SEMIFACTOR_BUDGET for the three node
+    budgets, else the ``Budgets`` defaults."""
     env = os.environ.get("SEMIFACTOR_BUDGET")
-    node_default = int(env) if env else None
-    return Budgets(
-        oracle_candidates=args.oracle_budget or node_default or 10**6,
-        z_nodes=args.z_budget or node_default or 10**5,
-        knapsack_nodes=args.knapsack_budget or node_default or 10**6,
-        degree_limit=args.degree_limit or 24,
-    )
+    try:
+        node = _positive_int(env) if env else None
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"SEMIFACTOR_BUDGET: {exc}") from None
+    out = Budgets()
+    if node is not None:
+        out = replace(out, oracle_candidates=node, z_nodes=node, knapsack_nodes=node)
+    given = {f.name: getattr(args, f.name) for f in fields(Budgets)}
+    return replace(out, **{k: v for k, v in given.items() if v is not None})
 
 
 def _suite_config(args, only=None) -> SuiteConfig:
@@ -195,7 +222,7 @@ def _run_monoid(args):
             "monoid": M.literal(),
             "atoms": [_elem_jsonable(a) for a in sorted(M.atoms())],
         }
-    values = [Fraction(a) for a in args.args]
+    values = args.args
     if args.op == "member":
         return {"monoid": M.literal(), "q": str(values[0]), "member": M.member(values[0])}
     if args.op == "factorize":

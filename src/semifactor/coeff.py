@@ -2,9 +2,11 @@
 
 Values are plain data.  ``Nat`` works on ``int`` and ``Quad(d)`` on pairs
 ``(b, c)`` standing for ``b + c*sqrt(d)`` with both entries nonnegative.
-The semiring object carries the arithmetic, the divisibility theory and the
-embedding into its fraction field (``Fraction`` for Nat, pairs of
-``Fraction`` for Quad), which is where exact division is decided.
+Each semiring S sits inside an integral domain R (``Z`` for Nat, ``Z[sqrt(d)]``
+for Quad) whose values have the same shape with signed entries.  The
+semiring object carries the arithmetic, the divisibility theory and the one
+ring operation that leaves S, ``sub``; ``exact_div`` divides a ring value by
+a semiring value and answers only with a quotient back in S.
 
 All functions are pure; semiring objects are frozen and safe to share
 between threads.
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, LengthFunctionUnavailableError, UsageError
 
@@ -47,6 +48,10 @@ class CoeffSemiring:
     def mul(self, a, b):
         raise NotImplementedError
 
+    def sub(self, a, b):
+        """Difference in the ambient ring; the result may leave the semiring."""
+        raise NotImplementedError
+
     def is_zero(self, v):
         return v == self.zero
 
@@ -57,6 +62,10 @@ class CoeffSemiring:
         raise NotImplementedError
 
     def exact_div(self, a, b):
+        """The q in the semiring with q*b == a, or None.
+
+        b is a nonzero semiring value; a may be any value of the ambient ring.
+        """
         raise NotImplementedError
 
     def atom_factorizations(self, a):
@@ -94,29 +103,6 @@ class CoeffSemiring:
     def literal(self):
         raise NotImplementedError
 
-    # fraction-field arithmetic
-    def to_field(self, v):
-        raise NotImplementedError
-
-    def from_field(self, fv):
-        """Map a field value back into the semiring, or None."""
-        raise NotImplementedError
-
-    def f_add(self, a, b):
-        raise NotImplementedError
-
-    def f_sub(self, a, b):
-        raise NotImplementedError
-
-    def f_mul(self, a, b):
-        raise NotImplementedError
-
-    def f_div(self, a, b):
-        raise NotImplementedError
-
-    def f_is_zero(self, a):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Nat(CoeffSemiring):
@@ -136,6 +122,9 @@ class Nat(CoeffSemiring):
     def mul(self, a, b):
         return self.validate(a) * self.validate(b)
 
+    def sub(self, a, b):
+        return a - b
+
     def divisors_of(self, a):
         self.validate(a)
         if a == 0:
@@ -150,12 +139,11 @@ class Nat(CoeffSemiring):
         return out
 
     def exact_div(self, a, b):
-        self.validate(a)
         self.validate(b)
         if b == 0:
             raise DomainError("division by 0")
         q, r = divmod(a, b)
-        return q if r == 0 else None
+        return q if r == 0 and q >= 0 else None
 
     def atom_factorizations(self, a):
         self.validate(a)
@@ -197,29 +185,6 @@ class Nat(CoeffSemiring):
     def literal(self):
         return "nat"
 
-    def to_field(self, v):
-        return Fraction(self.validate(v))
-
-    def from_field(self, fv):
-        if fv.denominator == 1 and fv >= 0:
-            return int(fv)
-        return None
-
-    def f_add(self, a, b):
-        return a + b
-
-    def f_sub(self, a, b):
-        return a - b
-
-    def f_mul(self, a, b):
-        return a * b
-
-    def f_div(self, a, b):
-        return a / b
-
-    def f_is_zero(self, a):
-        return a == 0
-
 
 @dataclass(frozen=True)
 class Quad(CoeffSemiring):
@@ -259,6 +224,9 @@ class Quad(CoeffSemiring):
         self.validate(b)
         return (a[0] * b[0] + self.d * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
+    def sub(self, a, b):
+        return (a[0] - b[0], a[1] - b[1])
+
     def divisors_of(self, a):
         # Every divisor (b', c') of (b, c) satisfies b' + c' <= b + c: the
         # cofactor is nonzero, so each of its components contributes at least
@@ -278,18 +246,16 @@ class Quad(CoeffSemiring):
         return out
 
     def exact_div(self, a, b):
-        self.validate(a)
+        # a/b = a*conj(b)/N(b) with the norm N(b) = b0^2 - d*b1^2, which may
+        # be negative but is nonzero for b != 0 since d is not a square
         self.validate(b)
         if b == self.zero:
             raise DomainError("division by 0")
-        q = self._field_quot(self.to_field(a), self.to_field(b))
-        return self.from_field(q)
-
-    def _field_quot(self, a, b):
         n = b[0] * b[0] - self.d * b[1] * b[1]
-        # n == 0 would force b = 0 since d is not a square
-        p = (a[0] * b[0] - self.d * a[1] * b[1]) / n
-        q = (a[1] * b[0] - a[0] * b[1]) / n
+        p, rp = divmod(a[0] * b[0] - self.d * a[1] * b[1], n)
+        q, rq = divmod(a[1] * b[0] - a[0] * b[1], n)
+        if rp or rq or p < 0 or q < 0:
+            return None
         return (p, q)
 
     def _is_atom(self, v):
@@ -383,31 +349,6 @@ class Quad(CoeffSemiring):
 
     def literal(self):
         return f"quad:{self.d}"
-
-    def to_field(self, v):
-        self.validate(v)
-        return (Fraction(v[0]), Fraction(v[1]))
-
-    def from_field(self, fv):
-        p, q = fv
-        if p.denominator == 1 and q.denominator == 1 and p >= 0 and q >= 0:
-            return (int(p), int(q))
-        return None
-
-    def f_add(self, a, b):
-        return (a[0] + b[0], a[1] + b[1])
-
-    def f_sub(self, a, b):
-        return (a[0] - b[0], a[1] - b[1])
-
-    def f_mul(self, a, b):
-        return (a[0] * b[0] + self.d * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-    def f_div(self, a, b):
-        return self._field_quot(a, b)
-
-    def f_is_zero(self, a):
-        return a[0] == 0 and a[1] == 0
 
 
 def semiring_from_literal(text: str) -> CoeffSemiring:

@@ -30,7 +30,7 @@ from itertools import combinations, product
 
 from .coeff import Nat
 from .errors import BudgetError, DomainError, UsageError
-from .intfactor import IntPoly, factor_int_poly
+from .intfactor import IntPoly, _mul, factor_int_poly
 from .polyexpr import PolyExpr, ambient_exact_div
 
 STRATEGY_AUTO = "auto"
@@ -158,9 +158,9 @@ def _zx_divisors(f, budgets):
         h = [1]
         for (coeffs, mult), e in zip(entries, exps):
             for _ in range(e):
-                g = _list_mul(g, list(coeffs))
+                g = _mul(g, list(coeffs))
             for _ in range(mult - e):
-                h = _list_mul(h, list(coeffs))
+                h = _mul(h, list(coeffs))
         gp = _poly_from_dense(g, S, M)
         if gp is None:
             continue
@@ -168,15 +168,6 @@ def _zx_divisors(f, budgets):
             continue
         found.add(gp)
     return found
-
-
-def _list_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _poly_from_dense(coeffs, S, M):

@@ -88,40 +88,31 @@ def _primitive(a):
 
 
 def _div_exact(a, b):
-    """Quotient of a by b over the rationals when it is an integer
-    polynomial and the remainder vanishes; otherwise None."""
+    """Quotient of a by b when it is an integer polynomial and the remainder
+    vanishes; otherwise None."""
     if not b:
         raise DomainError("division by the zero polynomial")
-    rem = [Fraction(x) for x in a]
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    blc = Fraction(b[-1])
+    rem = list(a)
     db = _deg(b)
-    while len(rem) - 1 >= db and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        q = rem[-1] / blc
-        pos = len(rem) - 1 - db
+    blc = b[-1]
+    quo = [0] * max(len(a) - db, 0)
+    for pos in range(len(rem) - 1 - db, -1, -1):
+        q, r = divmod(rem[pos + db], blc)
+        if r:
+            return None
         quo[pos] = q
-        for j in range(len(b)):
+        # rem[pos + db] cancels against q * b[db] and is never read again
+        for j in range(db):
             rem[pos + j] -= q * b[j]
-    if any(rem):
+    if any(rem[:db]):
         return None
-    if any(x.denominator != 1 for x in quo):
-        return None
-    return _trim([int(x) for x in quo])
+    return _trim(quo)
 
 
 def _gcd_z(a, b):
     """Primitive gcd with positive leading coefficient (Euclid over Q)."""
     fa = [Fraction(x) for x in a]
     fb = [Fraction(x) for x in b]
-
-    def trimf(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
 
     def remf(u, v):
         u = u[:]
@@ -132,13 +123,13 @@ def _gcd_z(a, b):
             pos = len(u) - 1 - dv
             for j in range(len(v)):
                 u[pos + j] -= q * v[j]
-            trimf(u)
+            _trim(u)
             if not u:
                 break
         return u
 
-    trimf(fa)
-    trimf(fb)
+    _trim(fa)
+    _trim(fb)
     while fb:
         fa, fb = fb, remf(fa, fb)
     if not fa:
@@ -613,9 +604,7 @@ def _factor_primitive(prim):
     return result
 
 
-def factor_int_poly(
-    F: IntPoly, degree_limit: int = DEFAULT_DEGREE_LIMIT, use_cache: bool = True
-) -> IntFactorization:
+def factor_int_poly(F: IntPoly, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> IntFactorization:
     """Complete factorization of F into sign, prime content and irreducibles."""
     if F.is_zero:
         raise DomainError("the zero polynomial has no factorization")
@@ -625,17 +614,7 @@ def factor_int_poly(
     cont, prim = _primitive(coeffs)
     sign = -1 if cont < 0 else 1
     cont = abs(cont)
-    if _deg(prim) == 0:
-        pairs = ()
-    elif use_cache:
-        pairs = _factor_primitive(prim)
-    else:
-        counts = {}
-        for part, mult in squarefree_decompose(IntPoly(tuple(prim))):
-            for irr in _zassenhaus(list(part.coeffs)):
-                t = tuple(irr)
-                counts[t] = counts.get(t, 0) + mult
-        pairs = tuple(sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0])))
+    pairs = _factor_primitive(prim) if _deg(prim) > 0 else ()
     result = IntFactorization(
         sign=sign,
         content=tuple(prime_factors(cont)) if cont > 1 else (),

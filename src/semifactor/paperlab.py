@@ -26,10 +26,10 @@ SUITE_VERSION = "1.0"
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    degree_limit: int = 24
-    oracle_candidates: int = 10**6
-    z_nodes: int = 10**5
-    knapsack_nodes: int = 10**6
+    degree_limit: int = Budgets.degree_limit
+    oracle_candidates: int = Budgets.oracle_candidates
+    z_nodes: int = Budgets.z_nodes
+    knapsack_nodes: int = Budgets.knapsack_nodes
     only: tuple = None
 
     def budgets(self) -> Budgets:

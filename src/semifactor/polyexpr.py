@@ -5,11 +5,12 @@ exponent a member of the monoid.  The zero polynomial is the empty term
 list.  Because the coefficient semirings are additively reduced there is
 never cancellation: the support of a product is the sumset of the supports.
 
-Exact division of f by g is performed in the fraction field after the
-substitution y = x^(1/D), which turns all exponents into integers; the
-quotient is accepted only when the remainder vanishes, every quotient
-coefficient lies back in the semiring and every quotient exponent is a
-member of the monoid.
+Exact division of f by g is long division in the ambient ring (``Z`` or
+``Z[sqrt(d)]``) after the substitution y = x^(1/D), which turns all
+exponents into integers.  Each quotient term is final once computed, so the
+division stops with no quotient at the first term whose coefficient is not
+in the semiring or whose exponent is not in the monoid; the remainder, which
+may leave the semiring, must vanish.
 """
 from __future__ import annotations
 
@@ -179,9 +180,9 @@ def inspect(f: PolyExpr) -> PolyFacts:
 def ambient_exact_div(f: PolyExpr, g: PolyExpr):
     """Quotient f/g inside the semiring, or None when it does not exist there.
 
-    Long division runs over the fraction field with integer exponents
-    (y = x^(1/D)); the candidate quotient is then filtered back through the
-    semiring and the monoid.
+    Long division runs over the ambient ring with integer exponents
+    (y = x^(1/D)).  A quotient term outside the semiring or the monoid ends
+    it: the quotient in the ring is unique, so no later step can repair it.
     """
     f._same_context(g)
     if g.is_zero:
@@ -190,32 +191,28 @@ def ambient_exact_div(f: PolyExpr, g: PolyExpr):
         raise DomainError("division of the zero polynomial")
     S = f.semiring
     M = f.monoid
-    rem = dict(zip(f.exponent_nums(), (S.to_field(c) for _, c in f.terms)))
-    gterms = list(zip(g.exponent_nums(), (S.to_field(c) for _, c in g.terms)))
-    gdeg = gterms[0][0]
-    glc = gterms[0][1]
-    quo = {}
+    rem = dict(zip(f.exponent_nums(), (c for _, c in f.terms)))
+    gterms = list(zip(g.exponent_nums(), (c for _, c in g.terms)))
+    gdeg, glc = gterms[0]
+    terms = []
     while rem:
         rdeg = max(rem)
-        if rdeg < gdeg:
-            return None
-        qc = S.f_div(rem[rdeg], glc)
         qe = rdeg - gdeg
-        quo[qe] = qc
+        if not M.member_num(qe):
+            return None
+        # a leading remainder with a negative component has no quotient in S
+        # either: products of semiring values are never negative
+        qc = S.exact_div(rem[rdeg], glc)
+        if qc is None:
+            return None
+        terms.append((M.elem_of_num(qe), qc))
         for e, c in gterms:
             ne = qe + e
-            nv = S.f_sub(rem.get(ne, S.to_field(S.zero)), S.f_mul(qc, c))
-            if S.f_is_zero(nv):
+            nv = S.sub(rem.get(ne, S.zero), S.mul(qc, c))
+            if S.is_zero(nv):
                 rem.pop(ne, None)
             else:
                 rem[ne] = nv
-    terms = []
-    for e, fv in quo.items():
-        v = S.from_field(fv)
-        if v is None or not M.member_num(e):
-            return None
-        terms.append((M.elem_of_num(e), v))
-    terms.sort(key=lambda t: t[0].value, reverse=True)
     return PolyExpr(S, M, tuple(terms))
 
 

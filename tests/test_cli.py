@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 import semifactor as sf
-from semifactor.cli import main
+from semifactor.cli import _budgets, build_parser, main
 from semifactor.polyexpr import parse
 
 
@@ -9,6 +11,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_usage_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error[usage]: "), err
+    return err
 
 
 def run_json(capsys, *argv):
@@ -193,3 +203,53 @@ class TestExitCodes:
         code, out, err = run(capsys, "poly", "lengths", "--output", "csv", "x")
         assert code == 1
         assert "csv" in err
+
+    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
+    @pytest.mark.parametrize(
+        "flag", ["--oracle-budget", "--z-budget", "--knapsack-budget", "--degree-limit"]
+    )
+    def test_non_positive_budget_flag(self, capsys, flag, value):
+        err = run_usage_error(capsys, "poly", "divisors", flag, value, "x+1")
+        assert flag in err
+
+    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
+    def test_bad_env_budget(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SEMIFACTOR_BUDGET", value)
+        err = run_usage_error(capsys, "poly", "divisors", "x+1")
+        assert "SEMIFACTOR_BUDGET" in err
+
+    def test_budget_defaults_and_precedence(self, monkeypatch):
+        parser = build_parser()
+        monkeypatch.delenv("SEMIFACTOR_BUDGET", raising=False)
+        assert _budgets(parser.parse_args(["poly", "lenfn", "x"])) == sf.Budgets()
+        monkeypatch.setenv("SEMIFACTOR_BUDGET", "7")
+        args = parser.parse_args(["poly", "lenfn", "--z-budget", "9", "x"])
+        assert _budgets(args) == sf.Budgets(
+            oracle_candidates=7, z_nodes=9, knapsack_nodes=7, degree_limit=24
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["member", "abc"],
+            ["member", "1/0"],
+            ["factorize", "--monoid", "gens:2,3", "x"],
+            ["mcd", "2", "1/0"],
+            ["gcd", "abc", "2"],
+        ],
+    )
+    def test_bad_rational(self, capsys, argv):
+        err = run_usage_error(capsys, "monoid", *argv)
+        assert "not a rational number" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "paper", "--coeffs", "quad:6"],
+            ["verify", "paper", "--strategy", "oracle"],
+            ["sweep", "elasticity", "--n", "2", "--k", "1", "--monoid", "gens:2,3"],
+        ],
+    )
+    def test_suite_commands_take_no_context_flags(self, capsys, argv):
+        err = run_usage_error(capsys, *argv)
+        assert "unrecognized arguments" in err

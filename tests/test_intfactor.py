@@ -6,7 +6,13 @@ from itertools import product
 import pytest
 
 from semifactor.errors import BudgetError, DomainError
-from semifactor.intfactor import IntPoly, factor_int_poly, squarefree_decompose
+from semifactor.intfactor import (
+    IntPoly,
+    _div_exact,
+    _mul,
+    factor_int_poly,
+    squarefree_decompose,
+)
 
 
 def ip(*coeffs_low_first):
@@ -152,6 +158,43 @@ def _mul_frac(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def rational_quotient(a, b):
+    """a/b over the rationals, lowest degree first, or None on a remainder."""
+    rem = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for pos in range(len(quo) - 1, -1, -1):
+        q = quo[pos] = rem[pos + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            rem[pos + j] -= q * c
+    return None if any(rem) else quo
+
+
+class TestExactDivision:
+    def test_matches_rational_division(self):
+        rng = random.Random(37)
+        hits = 0
+        for i in range(600):
+            b = [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]
+            b.append(rng.choice([-3, -2, -1, 1, 2, 3]))
+            a = [rng.randint(-6, 6) for _ in range(rng.randint(0, 4))] + [rng.randint(1, 6)]
+            if i % 3 == 0:
+                a = _mul(a, b)
+            quo = rational_quotient(a, b)
+            want = None
+            if quo is not None and all(x.denominator == 1 for x in quo):
+                want = [int(x) for x in quo]
+                while want and want[-1] == 0:
+                    want.pop()
+            assert _div_exact(a, b) == want, (a, b)
+            hits += want is not None
+        assert 0 < hits < 600
+
+    def test_non_integral_leading_quotient(self):
+        # (3x+1)/(2x+1): floor division would leave a zero remainder
+        assert _div_exact([1, 3], [1, 2]) is None
+        assert _div_exact([2, 4], [1, 2]) == [2]
 
 
 class TestSquarefree:

@@ -30,6 +30,15 @@ class TestSuite:
         assert a == b
         assert a.encode() == b.encode()
 
+    def test_default_config_report(self):
+        assert SuiteConfig().to_jsonable() == {
+            "degree_limit": 24,
+            "knapsack_nodes": 10**6,
+            "only": None,
+            "oracle_candidates": 10**6,
+            "z_nodes": 10**5,
+        }
+
     def test_only_filter(self):
         results = run_paper_suite(SuiteConfig(only=("lfs-witness",)))
         assert len(results) == 1

@@ -22,6 +22,52 @@ def P(text, S=NAT, M=None):
     return parse(text, S, M or sf.nat_monoid())
 
 
+def fraction_reference_div(f, g):
+    """f/g by long division in the fraction field, kept only when the
+    remainder vanishes and every quotient term lies in the semiring and the
+    monoid.  Values are pairs (a, b) for a + b*sqrt(d); Nat uses d = 0."""
+    S, M = f.semiring, f.monoid
+    quad = isinstance(S, sf.Quad)
+    d = S.d if quad else 0
+
+    def field(c):
+        return (Fraction(c[0]), Fraction(c[1])) if quad else (Fraction(c), Fraction(0))
+
+    def mul(a, b):
+        return (a[0] * b[0] + d * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def div(a, b):
+        n = b[0] * b[0] - d * b[1] * b[1]
+        return ((a[0] * b[0] - d * a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
+
+    rem = {n: field(c) for n, (_, c) in zip(f.exponent_nums(), f.terms)}
+    gterms = [(n, field(c)) for n, (_, c) in zip(g.exponent_nums(), g.terms)]
+    gdeg, glc = gterms[0]
+    quo = {}
+    while rem:
+        top = max(rem)
+        if top < gdeg:
+            return None
+        qe, qc = top - gdeg, div(rem[top], glc)
+        quo[qe] = qc
+        for e, c in gterms:
+            p = mul(qc, c)
+            v = rem.get(qe + e, (0, 0))
+            v = (v[0] - p[0], v[1] - p[1])
+            if v == (0, 0):
+                rem.pop(qe + e, None)
+            else:
+                rem[qe + e] = v
+    terms = []
+    for e, (a, b) in quo.items():
+        if min(a, b) < 0 or a.denominator != 1 or b.denominator != 1:
+            return None
+        if not M.member_num(e):
+            return None
+        terms.append((Fraction(e, M.denom), (int(a), int(b)) if quad else int(a)))
+    return sf.PolyExpr.from_terms(S, M, terms)
+
+
 class TestParse:
     def test_sorts_terms(self):
         f = P("x^2+x^3")
@@ -228,3 +274,54 @@ class TestAmbientDivision:
         h = parse("x^3", NAT, M)
         # field quotient x exists but 1 is not a member of <2,3>
         assert ambient_exact_div(parse("x^4", NAT, M), h) is None
+
+
+class TestDivisionKernelAgainstFractions:
+    def test_random_pairs(self):
+        rng = random.Random(29)
+        contexts = [
+            (NAT, sf.nat_monoid()),
+            (NAT, sf.make_monoid([Fraction(1, 2), Fraction(3, 4)])),
+            (Q6, sf.nat_monoid()),
+        ]
+        hits = [0, 0, 0]
+        for i in range(900):
+            k = i % len(contexts)
+            S, M = contexts[k]
+            g = random_poly(rng, S, M, max_num=5, max_terms=3, max_coeff=3)
+            f = random_poly(rng, S, M, max_num=10, max_terms=5, max_coeff=6)
+            if i % 10 < 2:
+                f = f * g
+            want = fraction_reference_div(f, g)
+            assert ambient_exact_div(f, g) == want, (str(f), str(g))
+            hits[k] += want is not None
+        # mostly non-dividing pairs, with some quotients in every context
+        assert all(0 < h < 150 for h in hits), hits
+
+    def test_quad_divisor_with_negative_norm(self):
+        # N(1 + r) = 1 - 6 = -5 over quad:6
+        M = sf.nat_monoid()
+        g = sf.PolyExpr.from_terms(Q6, M, [(0, (1, 1))])
+        for a in [(0, 1), (2, 3), (5, 0), (7, 7)]:
+            assert Q6.exact_div(Q6.mul(a, (1, 1)), (1, 1)) == a
+        # 5/(1+r) = -1+r lies in the ring but not the semiring; 1/(1+r) is not integral
+        assert Q6.exact_div((5, 0), (1, 1)) is None
+        assert Q6.exact_div((1, 0), (1, 1)) is None
+        for text in ["(5,0)x+(7,1)", "(6,1)x^2+(5,0)", "(7,1)x+(1,0)"]:
+            f = P(text, Q6)
+            assert ambient_exact_div(f, g) == fraction_reference_div(f, g)
+        assert ambient_exact_div(P("(7,1)x+(1,0)", Q6), g) is None
+        assert ambient_exact_div(P("(1,1)x+(7,7)", Q6), g) == P("x+(7,0)", Q6)
+
+    def test_quad_remainder_turns_negative(self):
+        # x^2+x divided by x+r: the first step leaves (1-r)x, outside the semiring
+        f, g = P("x^2+x", Q6), P("x+(0,1)", Q6)
+        assert fraction_reference_div(f, g) is None
+        assert ambient_exact_div(f, g) is None
+        # the first quotient term x lies in the semiring, but the remainder
+        # it leaves, (2-r)x^2+6x+(6,1), leads with a negative component
+        f = P("x^3+(2,0)x^2+(6,0)x+(6,1)", Q6)
+        assert fraction_reference_div(f, g) is None
+        assert ambient_exact_div(f, g) is None
+        h = P("x^2+x+1", Q6)
+        assert ambient_exact_div(h * g, g) == h
