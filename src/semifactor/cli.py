@@ -45,8 +45,8 @@ def _rational(text):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _common_flags(p):
-    p.add_argument("--output", default="json", choices=["json", "csv", "pretty"])
+def _report_flags(p):
+    """--out and the budget flags; ``verify paper`` takes only these."""
     p.add_argument("--out", default=None, help="write the report to this path")
     # dest names are the Budgets fields they set
     p.add_argument("--oracle-budget", dest="oracle_candidates", type=_positive_int)
@@ -55,10 +55,19 @@ def _common_flags(p):
     p.add_argument("--degree-limit", dest="degree_limit", type=_positive_int)
 
 
+def _common_flags(p):
+    _report_flags(p)
+    p.add_argument("--output", default="json", choices=["json", "csv", "pretty"])
+
+
+def _monoid_flag(p):
+    p.add_argument("--monoid", default="nat", help="exponent monoid: nat or gens:q1,q2,...")
+
+
 def _context_flags(p):
     _common_flags(p)
     p.add_argument("--coeffs", default="nat", help="coefficient semiring: nat or quad:<d>")
-    p.add_argument("--monoid", default="nat", help="exponent monoid: nat or gens:q1,q2,...")
+    _monoid_flag(p)
     p.add_argument("--strategy", default="auto", choices=["auto", "oracle", "zx"])
 
 
@@ -98,14 +107,15 @@ def build_parser():
         ("gcd", "+"),
     ):
         p = mon_sub.add_parser(op)
-        _context_flags(p)
+        _common_flags(p)
+        _monoid_flag(p)
         if nargs:
             p.add_argument("args", nargs=nargs, type=_rational, metavar="q")
 
     ver = sub.add_parser("verify", help="run the reference suite")
     ver_sub = ver.add_subparsers(dest="op", required=True)
     vp = ver_sub.add_parser("paper")
-    _common_flags(vp)
+    _report_flags(vp)
     vp.add_argument("--only", action="append", default=None, help="run only this check id")
 
     sw = sub.add_parser("sweep", help="parameter sweeps")
@@ -216,7 +226,7 @@ def _run_poly(args):
 
 
 def _run_monoid(args):
-    _, M = _context(args)
+    M = monoid_from_literal(args.monoid)
     if args.op == "atoms":
         return {
             "monoid": M.literal(),

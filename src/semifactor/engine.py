@@ -2,11 +2,14 @@
 
 Two divisor strategies are available and kept deliberately independent:
 
-* ``zx_fastpath`` (Nat coefficients only): substitute y = x^(1/D), factor the
-  resulting integer polynomial completely, then walk all sub-multisets of
-  the content primes and irreducible factors, keeping a product exactly when
-  it and its cofactor both have nonnegative coefficients and supports inside
-  the exponent monoid.
+* ``zx_fastpath`` (Nat coefficients only): substitute y = x^(1/D) and
+  factor the resulting integer polynomial completely.  Z[y] factors
+  uniquely, so every divisor of f is the product of the content primes and
+  irreducible factors taken with a multiplicity vector e <= m, where m is
+  f's own vector.  The box of vectors is walked depth-first, one product
+  per point, and e is kept exactly when its product and the product of
+  m - e both have nonnegative coefficients and supports inside the exponent
+  monoid.
 
 * ``oracle``: enumerate candidate divisors directly.  A candidate support is
   a set of monoid members that each additively divide some support element
@@ -19,14 +22,26 @@ Two divisor strategies are available and kept deliberately independent:
   additively reduced: every coefficient product of a splitting contributes
   to a coefficient of f without cancellation.
 
+``divisors`` indexes a divisor set once: its members in ``sort_key`` order
+and, for zx, the vector of each.  Atoms, Z(f), ``is_monolithic`` and
+``monolithic_decompose`` work on positions in that order, and every
+divisibility question among them goes through one quotient kernel,
+``_quot``: for g, h in D(f), h divides g exactly when g/h is again in D(f).
+For zx that is the vector e_g - e_h, found by a subtraction and a lookup
+with no polynomial division; for the oracle it is one ``ambient_exact_div``.
+``monolithic_decompose`` splits each part inside the list of f, because
+D(g) = {h in D(f) : g/h in D(f)} and filtering keeps the order.
+
 Results are cached per canonical form; all values are immutable.
 """
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
+from operator import sub
 
 from .coeff import Nat
 from .errors import BudgetError, DomainError, UsageError
@@ -49,11 +64,26 @@ class Budgets:
 DEFAULT_BUDGETS = Budgets()
 
 
+@dataclass(frozen=True, eq=False)
+class _Lattice:
+    """Positions of a divisor set: ``ordered`` is the set in ``sort_key``
+    order; ``vecs`` holds each divisor's multiplicity vector (zx) or is None
+    (oracle); ``pos`` maps a vector (zx) or a divisor (oracle) to its
+    position; ``unit`` and ``base`` are the positions of 1 and of f."""
+
+    ordered: tuple
+    vecs: tuple | None
+    pos: dict
+    unit: int
+    base: int
+
+
 @dataclass(frozen=True)
 class DivisorSet:
     base: PolyExpr
     divisors: frozenset
     strategy_used: str
+    _lattice: _Lattice = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -109,10 +139,19 @@ def divisors(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None
     if hit is not None:
         return hit
     if strat == STRATEGY_ZX:
-        found = _zx_divisors(f, budgets)
+        by_vec = sorted(_zx_divisors(f, budgets).items(), key=lambda kv: sort_key(kv[1]))
+        ordered = tuple(g for _, g in by_vec)
+        vecs = tuple(e for e, _ in by_vec)
+        pos = {e: i for i, e in enumerate(vecs)}
+        # f's vector is the componentwise, hence lexicographic, maximum
+        unit, base = pos[(0,) * len(vecs[0])], pos[max(vecs)]
     else:
-        found = _oracle_divisors(f, budgets)
-    result = DivisorSet(base=f, divisors=frozenset(found), strategy_used=strat)
+        ordered = tuple(sorted(_oracle_divisors(f, budgets), key=sort_key))
+        vecs = None
+        pos = {g: i for i, g in enumerate(ordered)}
+        unit, base = pos[PolyExpr.one(f.semiring, f.monoid)], pos[f]
+    lattice = _Lattice(ordered, vecs, pos, unit, base)
+    result = DivisorSet(f, frozenset(ordered), strat, lattice)
     with _DIV_LOCK:
         _DIV_CACHE[key] = result
     return result
@@ -131,43 +170,56 @@ def _resolve_strategy(f, strategy):
 
 
 def _zx_divisors(f, budgets):
+    """Multiplicity vector -> divisor, over the box of sub-multisets of the
+    content primes and irreducible factors of f(y^D) in Z[y].
+
+    The box is walked depth-first along the tree in which a point's parent
+    lowers its last nonzero entry by one, so every point costs one product
+    of its parent with one factor.  A point is kept when it and its cofactor
+    (the complementary point) both lie in the semidomain; a point outside it
+    can still have children inside, e.g. (y^2-y+1)(y+1) = y^3+1.
+    """
     S, M = f.semiring, f.monoid
     nums = f.exponent_nums()
+    if nums[0] > budgets.degree_limit:
+        raise BudgetError(
+            f"degree {nums[0]} exceeds the factorization limit {budgets.degree_limit}"
+        )
     dense = [0] * (nums[0] + 1)
     for n, (_, c) in zip(nums, f.terms):
         dense[n] = c
     fac = factor_int_poly(IntPoly.of(dense), degree_limit=budgets.degree_limit)
-    items = [([p], 1) for p in fac.content] + [
-        (list(poly.coeffs), mult) for poly, mult in fac.factors
-    ]
     # collapse duplicate content primes into (prime, multiplicity)
     grouped: dict = {}
-    for coeffs, mult in items:
-        t = tuple(coeffs)
-        grouped[t] = grouped.get(t, 0) + mult
+    for p in fac.content:
+        grouped[(p,)] = grouped.get((p,), 0) + 1
+    for poly, mult in fac.factors:
+        grouped[poly.coeffs] = grouped.get(poly.coeffs, 0) + mult
     entries = sorted(grouped.items())
-    found = set()
-    count = 0
-    for exps in product(*(range(m + 1) for _, m in entries)):
-        count += 1
-        if count > budgets.oracle_candidates:
-            raise BudgetError(
-                f"fast-path divisor enumeration exceeded {budgets.oracle_candidates} candidates"
-            )
-        g = [1]
-        h = [1]
-        for (coeffs, mult), e in zip(entries, exps):
-            for _ in range(e):
-                g = _mul(g, list(coeffs))
-            for _ in range(mult - e):
-                h = _mul(h, list(coeffs))
+    factors = [list(coeffs) for coeffs, _ in entries]
+    top = tuple(mult for _, mult in entries)
+    if prod(m + 1 for m in top) > budgets.oracle_candidates:
+        raise BudgetError(
+            f"fast-path divisor enumeration exceeded {budgets.oracle_candidates} candidates"
+        )
+    inside = {}
+    # (point, its parent's y-polynomial, index of the factor raised; -1 at the root)
+    stack = [((0,) * len(top), [1], -1)]
+    while stack:
+        e, g, j = stack.pop()
+        if j >= 0:
+            g = _mul(g, factors[j])
         gp = _poly_from_dense(g, S, M)
-        if gp is None:
-            continue
-        if _poly_from_dense(h, S, M) is None:
-            continue
-        found.add(gp)
-    return found
+        if gp is not None:
+            inside[e] = gp
+        for k in range(max(j, 0), len(top)):
+            if e[k] < top[k]:
+                stack.append((e[:k] + (e[k] + 1,) + e[k + 1 :], g, k))
+    return {
+        e: gp
+        for e, gp in inside.items()
+        if tuple(map(sub, top, e)) in inside
+    }
 
 
 def _poly_from_dense(coeffs, S, M):
@@ -250,19 +302,40 @@ def is_atom(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None)
     return len(divisors(f, strategy, budgets).divisors) == 2
 
 
+def _quot(lat: _Lattice, i: int, j: int):
+    """Position of ordered[i] / ordered[j], or None when ordered[j] does not
+    divide ordered[i].  Both lie in D(f), so any quotient does too.
+
+    zx: Z[y] factors uniquely, so h | g exactly when e_g - e_h is the vector
+    of a divisor (a vector with a negative entry is never a key).
+    """
+    if lat.vecs is not None:
+        return lat.pos.get(tuple(map(sub, lat.vecs[i], lat.vecs[j])))
+    q = ambient_exact_div(lat.ordered[i], lat.ordered[j])
+    return None if q is None else lat.pos[q]
+
+
+def _split(lat: _Lattice, t: int):
+    """The first (i, k), in sort_key order of i, with ordered[t] =
+    ordered[i] * ordered[k] and neither side a monomial; None if there is
+    none.  The divisors of ordered[t] are {h in D(f) : ordered[t]/h in D(f)}
+    in the same order, so this is the split that divisors(ordered[t]) gives."""
+    for i, g in enumerate(lat.ordered):
+        if len(g.terms) >= 2:
+            k = _quot(lat, t, i)
+            if k is not None and len(lat.ordered[k].terms) >= 2:
+                return i, k
+    return None
+
+
 def is_monolithic(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None) -> bool:
     """True when every splitting f = g*h has a monomial side."""
     if f.is_zero:
         raise DomainError("0 is not eligible for monolithic testing")
     if len(f.terms) == 1:
         return True
-    for g in divisors(f, strategy, budgets).divisors:
-        if len(g.terms) < 2:
-            continue
-        h = ambient_exact_div(f, g)
-        if len(h.terms) >= 2:
-            return False
-    return True
+    lat = divisors(f, strategy, budgets)._lattice
+    return _split(lat, lat.base) is None
 
 
 def monolithic_decompose(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None):
@@ -271,28 +344,28 @@ def monolithic_decompose(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Bu
         raise DomainError("monolithic decomposition needs a nonzero nonunit")
     if len(f.terms) == 1:
         return [f]
-    for g in sorted(divisors(f, strategy, budgets).divisors, key=sort_key):
-        if len(g.terms) < 2:
-            continue
-        h = ambient_exact_div(f, g)
-        if len(h.terms) >= 2:
-            # both sides have strictly smaller support; recurse
-            return monolithic_decompose(g, strategy, budgets) + monolithic_decompose(
-                h, strategy, budgets
-            )
-    return [f]
+    lat = divisors(f, strategy, budgets)._lattice
+
+    def parts(t):
+        # both sides of a split have strictly smaller support
+        split = _split(lat, t)
+        return [lat.ordered[t]] if split is None else parts(split[0]) + parts(split[1])
+
+    return parts(lat.base)
 
 
-def _atoms_within(dset, one):
-    """Atoms among a cofactor-closed divisor set, canonically ordered."""
-    ordered = sorted(dset, key=sort_key)
+def _atoms_within(lat: _Lattice):
+    """Positions of the atoms of a divisor set, in sort_key order."""
     out = []
-    for g in ordered:
-        if g == one:
+    for i in range(len(lat.ordered)):
+        if i == lat.unit:
             continue
-        if any(h != one and h != g and s_divides(h, g) for h in ordered):
+        if any(
+            j != lat.unit and j != i and _quot(lat, i, j) is not None
+            for j in range(len(lat.ordered))
+        ):
             continue
-        out.append(g)
+        out.append(i)
     return out
 
 
@@ -303,9 +376,8 @@ def factorizations(
     budgets = budgets or DEFAULT_BUDGETS
     if f.is_zero or f.is_one:
         raise DomainError("factorization sets are defined for nonzero nonunits")
-    dset = divisors(f, strategy, budgets).divisors
-    one = PolyExpr.one(f.semiring, f.monoid)
-    atoms = _atoms_within(dset, one)
+    lat = divisors(f, strategy, budgets)._lattice
+    atoms = _atoms_within(lat)
     memo = {}
     nodes = 0
 
@@ -318,12 +390,12 @@ def factorizations(
         nodes += 1
         if nodes > budgets.z_nodes:
             raise BudgetError(f"factorization recursion exceeded {budgets.z_nodes} nodes")
-        if target == one:
+        if target == lat.unit:
             out = frozenset({()})
         else:
             acc = set()
             for j in range(start, len(atoms)):
-                q = ambient_exact_div(target, atoms[j])
+                q = _quot(lat, target, atoms[j])
                 if q is None:
                     continue
                 for rest in rec(q, j):
@@ -332,8 +404,10 @@ def factorizations(
         memo[key] = out
         return out
 
-    tuples = rec(f, 0)
-    return frozenset(Factorization(tuple(atoms[j] for j in tup)) for tup in tuples)
+    tuples = rec(lat.base, 0)
+    return frozenset(
+        Factorization(tuple(lat.ordered[atoms[j]] for j in tup)) for tup in tuples
+    )
 
 
 def length_profile(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None):

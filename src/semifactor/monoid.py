@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import BudgetError, DomainError, UsageError
 
@@ -134,8 +134,8 @@ class ExpMonoid:
         return ExpElem(q.numerator, q.denominator)
 
     def elem_of_num(self, n: int) -> ExpElem:
-        q = Fraction(n, self.denom)
-        return ExpElem(q.numerator, q.denominator)
+        g = gcd(n, self.denom)
+        return ExpElem(n // g, self.denom // g)
 
     def num_of(self, e: ExpElem) -> int:
         scaled = e.value * self.denom

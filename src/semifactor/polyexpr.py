@@ -109,7 +109,8 @@ class PolyExpr:
     def exponent_nums(self) -> tuple[int, ...]:
         """Exponent numerators over the monoid denominator, descending."""
         d = self.monoid.denom
-        return tuple(int(e.value * d) for e, _ in self.terms)
+        # in canonical form every exponent's denominator divides d
+        return tuple(e.num * (d // e.denom) for e, _ in self.terms)
 
     # arithmetic ----------------------------------------------------------
 
@@ -131,12 +132,11 @@ class PolyExpr:
     def __mul__(self, other):
         self._same_context(other)
         S = self.semiring
-        d = self.monoid.denom
         acc = {}
-        for ea, ca in self.terms:
-            na = int(ea.value * d)
-            for eb, cb in other.terms:
-                n = na + int(eb.value * d)
+        nbs = other.exponent_nums()
+        for na, (_, ca) in zip(self.exponent_nums(), self.terms):
+            for nb, (_, cb) in zip(nbs, other.terms):
+                n = na + nb
                 prod = S.mul(ca, cb)
                 acc[n] = S.add(acc.get(n, S.zero), prod)
         terms = tuple(

@@ -253,3 +253,18 @@ class TestExitCodes:
     def test_suite_commands_take_no_context_flags(self, capsys, argv):
         err = run_usage_error(capsys, *argv)
         assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "paper", "--output", "csv"],
+            ["verify", "paper", "--output", "pretty"],
+            ["monoid", "atoms", "--coeffs", "quad:6"],
+            ["monoid", "member", "--coeffs", "nat", "2"],
+            ["monoid", "factorize", "--strategy", "oracle", "6"],
+            ["monoid", "mcd", "--strategy", "zx", "2", "3"],
+            ["monoid", "gcd", "--coeffs", "quad:6", "--monoid", "gens:2,3", "4", "6"],
+        ],
+    )
+    def test_ignored_options_are_rejected(self, capsys, argv):
+        run_usage_error(capsys, *argv)

@@ -335,3 +335,167 @@ class TestStrategyEquivalence:
             assert (
                 sf.divisors(f, "oracle").divisors == sf.divisors(f, "zx_fastpath").divisors
             )
+
+
+# The computations below are the divisor-lattice operations written with
+# ambient_exact_div on polynomial expressions; the engine must agree.
+
+
+def ref_atoms(dset):
+    one = next(g for g in dset if g.is_one)
+    ordered = sorted(dset, key=engine.sort_key)
+    return [
+        g
+        for g in ordered
+        if g != one
+        and not any(
+            h != one and h != g and sf.ambient_exact_div(g, h) is not None for h in ordered
+        )
+    ]
+
+
+def ref_factorizations(f, dset):
+    """(Z(f), number of recursion nodes)."""
+    atoms = ref_atoms(dset)
+    memo = {}
+
+    def rec(target, start):
+        key = (target, start)
+        if key not in memo:
+            if target.is_one:
+                memo[key] = frozenset({()})
+            else:
+                acc = set()
+                for j in range(start, len(atoms)):
+                    q = sf.ambient_exact_div(target, atoms[j])
+                    if q is not None:
+                        acc.update((j,) + rest for rest in rec(q, j))
+                memo[key] = frozenset(acc)
+        return memo[key]
+
+    zs = frozenset(
+        sf.Factorization(tuple(atoms[j] for j in tup)) for tup in rec(f, 0)
+    )
+    return zs, len(memo)
+
+
+def ref_is_monolithic(f, dset):
+    return len(f.terms) == 1 or not any(
+        len(g.terms) >= 2 and len(sf.ambient_exact_div(f, g).terms) >= 2 for g in dset
+    )
+
+
+def ref_decompose(f, strategy):
+    if len(f.terms) == 1:
+        return [f]
+    for g in sorted(sf.divisors(f, strategy).divisors, key=engine.sort_key):
+        h = sf.ambient_exact_div(f, g)
+        if len(g.terms) >= 2 and len(h.terms) >= 2:
+            return ref_decompose(g, strategy) + ref_decompose(h, strategy)
+    return [f]
+
+
+def ref_certificate(f, strategy):
+    parts = ref_decompose(f, strategy)
+    per = []
+    for p in parts:
+        cm = frozenset(p.semiring.mcd_set([c for _, c in p.terms]))
+        em = p.monoid.mcd([e for e, _ in p.terms])
+        per.append(engine.PartCertificate(p, cm, em, bool(cm) and bool(em)))
+    return engine.CertificateReport(
+        f, tuple(parts), tuple(per), all(p.passes for p in per)
+    )
+
+
+NAT_ATOMS = (
+    "x", "2", "3", "x+1", "x+2", "2x+1", "x^2+1", "x^2+x+1", "x^2+3x+1",
+    "x^3+1", "x^3+x+1", "x^4+x^2+1", "x^4+x+1",
+)
+
+
+def lattice_corpus():
+    rng = random.Random(40)
+    atoms = [P(t) for t in NAT_ATOMS]
+    for _ in range(30):
+        f = P("1")
+        for a in rng.choices(atoms, k=rng.randint(2, 5)):
+            f = f * a
+        yield f, f.exponent_nums()[0] <= 8
+    M = sf.make_monoid([Fraction(1, 2), Fraction(3, 4)])
+    for _ in range(15):
+        f = P("1", M=M)
+        for _ in range(rng.randint(2, 3)):
+            f = f * random_poly(rng, NAT, M, max_num=6, max_terms=3, max_coeff=2)
+        if not f.is_one:
+            yield f, f.exponent_nums()[0] <= 12
+
+
+class TestDivisorLattice:
+    def test_matches_exact_division(self):
+        assert all(sf.is_atom(P(t)) for t in NAT_ATOMS)
+        for f, small in lattice_corpus():
+            ds = sf.divisors(f)
+            assert ds.strategy_used == "zx_fastpath"
+            zs, _ = ref_factorizations(f, ds.divisors)
+            lat = ds._lattice
+            assert [lat.ordered[i] for i in engine._atoms_within(lat)] == ref_atoms(ds.divisors)
+            assert sf.factorizations(f) == zs
+            assert sf.is_monolithic(f) == ref_is_monolithic(f, ds.divisors)
+            assert sf.monolithic_decompose(f) == ref_decompose(f, "zx_fastpath")
+            assert sf.atomic_certificate(f) == ref_certificate(f, "zx_fastpath")
+            if small:
+                assert sf.factorizations(f, "oracle") == zs
+                assert sf.is_monolithic(f, "oracle") == sf.is_monolithic(f)
+                assert sf.monolithic_decompose(f, "oracle") == sf.monolithic_decompose(f)
+                assert sf.atomic_certificate(f, "oracle") == sf.atomic_certificate(f)
+
+    def test_quad_oracle_matches_exact_division(self):
+        rng = random.Random(41)
+        for _ in range(12):
+            f = random_poly(rng, Q6, sf.nat_monoid(), max_num=3, max_terms=3, max_coeff=2)
+            if f.is_one:
+                continue
+            ds = sf.divisors(f)
+            zs, _ = ref_factorizations(f, ds.divisors)
+            assert sf.factorizations(f) == zs
+            assert sf.is_monolithic(f) == ref_is_monolithic(f, ds.divisors)
+            assert sf.monolithic_decompose(f) == ref_decompose(f, "auto")
+
+    def test_negative_parent_nonnegative_child(self):
+        # over Z, x^3+1 = (x+1)(x^2-x+1): the box point of x^2-x+1 lies
+        # outside N0[x], its child x^3+1 inside
+        f = P("x^3+1") * P("x+2")
+        ds = sf.divisors(f)
+        assert strs(ds.divisors) == strs(P(t) for t in ("1", "x+2", "x^3+1", str(f)))
+        assert z_strs(sf.factorizations(f)) == [["x+2", "x^3+1"]]
+        assert sf.monolithic_decompose(f) == [P("x+2"), P("x^3+1")]
+        assert sf.divisors(f, "oracle").divisors == ds.divisors
+
+    def test_z_budget_counts_the_same_nodes(self):
+        f = P("x^5+x^4+x^3+x^2+x+1") * P("x^2+x+1") * P("x+1")
+        zs, nodes = ref_factorizations(f, sf.divisors(f).divisors)
+        assert sf.factorizations(f, budgets=sf.Budgets(z_nodes=nodes)) == zs
+        with pytest.raises(BudgetError):
+            sf.factorizations(f, budgets=sf.Budgets(z_nodes=nodes - 1))
+
+    def test_zx_box_budget(self):
+        # 36 = 2^2 * 3^2 and (x+1)^2: a box of 3 * 3 * 3 = 27 points
+        f = P("36") * P("x+1") ** 2
+        assert len(sf.divisors(f, budgets=sf.Budgets(oracle_candidates=27)).divisors) == 27
+        with pytest.raises(BudgetError) as err:
+            sf.divisors(f, budgets=sf.Budgets(oracle_candidates=26))
+        assert "26" in str(err.value)
+
+    def test_degree_limit_before_allocation(self):
+        import tracemalloc
+
+        f = P("x^20000000+1")
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError) as err:
+                sf.divisors(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "degree 20000000" in str(err.value)
+        assert peak < 4 * 2**20
