@@ -32,7 +32,9 @@ with no polynomial division; for the oracle it is one ``ambient_exact_div``.
 ``monolithic_decompose`` splits each part inside the list of f, because
 D(g) = {h in D(f) : g/h in D(f)} and filtering keeps the order.
 
-Results are cached per canonical form; all values are immutable.
+Results are cached per canonical form and budgets; the cached lattice also
+keeps its atom positions and Z(f) once computed.  All returned values are
+immutable.
 """
 from __future__ import annotations
 
@@ -64,18 +66,23 @@ class Budgets:
 DEFAULT_BUDGETS = Budgets()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Lattice:
     """Positions of a divisor set: ``ordered`` is the set in ``sort_key``
     order; ``vecs`` holds each divisor's multiplicity vector (zx) or is None
     (oracle); ``pos`` maps a vector (zx) or a divisor (oracle) to its
-    position; ``unit`` and ``base`` are the positions of 1 and of f."""
+    position; ``unit`` and ``base`` are the positions of 1 and of f.
+    ``atoms`` and ``z`` keep the atom positions and Z(f) once computed;
+    the lattice is cached per budgets, so Z(f) is kept only for the
+    budgets it was computed under."""
 
     ordered: tuple
     vecs: tuple | None
     pos: dict
     unit: int
     base: int
+    atoms: tuple | None = None
+    z: frozenset | None = None
 
 
 @dataclass(frozen=True)
@@ -181,10 +188,7 @@ def _zx_divisors(f, budgets):
     """
     S, M = f.semiring, f.monoid
     nums = f.exponent_nums()
-    if nums[0] > budgets.degree_limit:
-        raise BudgetError(
-            f"degree {nums[0]} exceeds the factorization limit {budgets.degree_limit}"
-        )
+    _check_degree(nums[0], budgets)
     dense = [0] * (nums[0] + 1)
     for n, (_, c) in zip(nums, f.terms):
         dense[n] = c
@@ -222,6 +226,15 @@ def _zx_divisors(f, budgets):
     }
 
 
+def _check_degree(deg_num, budgets):
+    """Refuse a scaled degree above ``degree_limit`` before any work that
+    grows with it."""
+    if deg_num > budgets.degree_limit:
+        raise BudgetError(
+            f"degree {deg_num} exceeds the factorization limit {budgets.degree_limit}"
+        )
+
+
 def _poly_from_dense(coeffs, S, M):
     """Dense y-coefficients back to a polynomial expression, or None when a
     coefficient is negative or an exponent falls outside the monoid."""
@@ -240,6 +253,7 @@ def _oracle_divisors(f, budgets):
     S, M = f.semiring, f.monoid
     nums = f.exponent_nums()
     deg_num, trail_num = nums[0], nums[-1]
+    _check_degree(deg_num, budgets)
     lc, tc = f.leading_coeff, f.trailing_coeff
     maxcomp = max(S.max_component(c) for _, c in f.terms)
     half = deg_num // 2
@@ -356,6 +370,8 @@ def monolithic_decompose(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Bu
 
 def _atoms_within(lat: _Lattice):
     """Positions of the atoms of a divisor set, in sort_key order."""
+    if lat.atoms is not None:
+        return lat.atoms
     out = []
     for i in range(len(lat.ordered)):
         if i == lat.unit:
@@ -366,7 +382,8 @@ def _atoms_within(lat: _Lattice):
         ):
             continue
         out.append(i)
-    return out
+    lat.atoms = tuple(out)
+    return lat.atoms
 
 
 def factorizations(
@@ -377,6 +394,8 @@ def factorizations(
     if f.is_zero or f.is_one:
         raise DomainError("factorization sets are defined for nonzero nonunits")
     lat = divisors(f, strategy, budgets)._lattice
+    if lat.z is not None:
+        return lat.z
     atoms = _atoms_within(lat)
     memo = {}
     nodes = 0
@@ -405,9 +424,10 @@ def factorizations(
         return out
 
     tuples = rec(lat.base, 0)
-    return frozenset(
+    lat.z = frozenset(
         Factorization(tuple(lat.ordered[atoms[j]] for j in tup)) for tup in tuples
     )
+    return lat.z
 
 
 def length_profile(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None):

@@ -1,9 +1,13 @@
 """Complete factorization of univariate integer polynomials.
 
-Pipeline: integer content and sign extraction, Yun squarefree decomposition,
-Berlekamp factorization modulo a small deterministic prime, quadratic Hensel
-lifting to a Landau-Mignotte bound, and subset recombination with exact
-trial division.  Every factorization is re-multiplied before it is returned.
+Pipeline: integer content and sign extraction, Yun squarefree decomposition
+(gcds by the primitive polynomial remainder sequence), Berlekamp
+factorization modulo a small deterministic prime, quadratic Hensel lifting
+to a Landau-Mignotte bound, and subset recombination with exact trial
+division.  All arithmetic is on integers, no rationals: divisions are
+pseudo-divisions, exact divisions, or divisions modulo p^k by a monic or
+invertible leading coefficient.  Every factorization is re-multiplied
+before it is returned.
 
 Dense representation throughout: a polynomial is a list of ints, lowest
 degree first, no trailing zeros (the zero polynomial is the empty list).
@@ -13,7 +17,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .coeff import prime_factors
@@ -109,34 +112,28 @@ def _div_exact(a, b):
     return _trim(quo)
 
 
+def _prem(a, b):
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, over Z."""
+    rem = list(a)
+    db = _deg(b)
+    blc = b[-1]
+    for pos in range(len(rem) - 1 - db, -1, -1):
+        t = rem[pos + db]
+        for i in range(pos + db):
+            rem[i] *= blc
+        for j in range(db):
+            rem[pos + j] -= t * b[j]
+    return _trim(rem[:db])
+
+
 def _gcd_z(a, b):
-    """Primitive gcd with positive leading coefficient (Euclid over Q)."""
-    fa = [Fraction(x) for x in a]
-    fb = [Fraction(x) for x in b]
-
-    def remf(u, v):
-        u = u[:]
-        dv = len(v) - 1
-        vl = v[-1]
-        while len(u) - 1 >= dv:
-            q = u[-1] / vl
-            pos = len(u) - 1 - dv
-            for j in range(len(v)):
-                u[pos + j] -= q * v[j]
-            _trim(u)
-            if not u:
-                break
-        return u
-
-    _trim(fa)
-    _trim(fb)
-    while fb:
-        fa, fb = fb, remf(fa, fb)
-    if not fa:
-        return []
-    scale = math.lcm(*(x.denominator for x in fa))
-    ints = [int(x * scale) for x in fa]
-    return _primitive(ints)[1]
+    """Primitive gcd with positive leading coefficient, [] for two zero
+    inputs: the primitive polynomial remainder sequence, integers only."""
+    a = _primitive(_trim(list(a)))[1]
+    b = _primitive(_trim(list(b)))[1]
+    while b:
+        a, b = b, _primitive(_prem(a, b))[1]
+    return a
 
 
 # -- public types -----------------------------------------------------------
@@ -293,17 +290,13 @@ def _p_divmod(a, b, p):
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
     quo = [0] * max(len(a) - db, 0)
-    while True:
-        while a and a[-1] % p == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        q = (a[-1] * inv) % p
-        pos = len(a) - 1 - db
-        quo[pos] = q
-        for j in range(len(b)):
-            a[pos + j] = (a[pos + j] - q * b[j]) % p
-    return _p_trim(quo, p), _p_trim(a, p)
+    for pos in range(len(a) - 1 - db, -1, -1):
+        q = (a[pos + db] * inv) % p
+        if q:
+            quo[pos] = q
+            for j in range(db):
+                a[pos + j] -= q * b[j]
+    return _p_trim(quo, p), _p_trim(a[:db], p)
 
 
 def _p_rem(a, b, p):
@@ -447,20 +440,21 @@ def _tr(c, m):
 
 
 def _divmod_monic(a, b, m):
-    """Division by a monic b with coefficient arithmetic mod m."""
-    a = list(a)
+    """Division by a monic b with coefficient arithmetic mod m; quotient and
+    remainder in the symmetric range."""
+    a = _tr(a, m)
     db = _deg(b)
+    half = m // 2
     quo = [0] * max(len(a) - db, 0)
-    while True:
-        a = _tr(a, m)
-        if len(a) - 1 < db:
-            break
-        q = a[-1]
-        pos = len(a) - 1 - db
-        quo[pos] = q
-        for j in range(len(b)):
-            a[pos + j] -= q * b[j]
-    return _tr(quo, m), a
+    for pos in range(len(a) - 1 - db, -1, -1):
+        q = a[pos + db] % m
+        if q > half:
+            q -= m
+        if q:
+            quo[pos] = q
+            for j in range(db):
+                a[pos + j] -= q * b[j]
+    return _trim(quo), _tr(a[:db], m)
 
 
 def _hensel_step(m, f, g, h, s, t):

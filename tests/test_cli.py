@@ -268,3 +268,21 @@ class TestExitCodes:
     )
     def test_ignored_options_are_rejected(self, capsys, argv):
         run_usage_error(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--strategy", "oracle", "--oracle-budget", "1000", "x^2000000+1"],
+            ["--coeffs", "quad:6", "x^2000000+(1,1)"],
+        ],
+    )
+    def test_oracle_degree_limit_before_enumeration(self, capsys, argv):
+        import time
+
+        start = time.perf_counter()
+        code, out, err = run(capsys, "poly", "divisors", *argv)
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert out == ""
+        assert err == "error[budget]: degree 2000000 exceeds the factorization limit 24\n"
+        assert elapsed < 0.5

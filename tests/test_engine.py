@@ -478,6 +478,21 @@ class TestDivisorLattice:
         with pytest.raises(BudgetError):
             sf.factorizations(f, budgets=sf.Budgets(z_nodes=nodes - 1))
 
+    @pytest.mark.parametrize("strategy", ["zx_fastpath", "oracle"])
+    def test_z_is_kept_on_the_lattice(self, monkeypatch, strategy):
+        f = expand_family(2, 2, 1)
+        engine.clear_caches()
+        zs = sf.factorizations(f, strategy)
+        calls = []
+        quot = engine._quot
+        monkeypatch.setattr(engine, "_quot", lambda *a: calls.append(a) or quot(*a))
+        assert sf.factorizations(f, strategy) == zs
+        assert sf.length_profile(f, strategy) == (frozenset({2, 3}), Fraction(3, 2))
+        assert calls == []
+        # other budgets index another lattice and recompute
+        assert sf.factorizations(f, strategy, sf.Budgets(z_nodes=999)) == zs
+        assert calls
+
     def test_zx_box_budget(self):
         # 36 = 2^2 * 3^2 and (x+1)^2: a box of 3 * 3 * 3 = 27 points
         f = P("36") * P("x+1") ** 2

@@ -9,7 +9,10 @@ from semifactor.errors import BudgetError, DomainError
 from semifactor.intfactor import (
     IntPoly,
     _div_exact,
+    _divmod_monic,
+    _gcd_z,
     _mul,
+    _p_divmod,
     factor_int_poly,
     squarefree_decompose,
 )
@@ -348,3 +351,148 @@ class TestFactor:
         fac = factor_int_poly(ip(0, 0, 0, 5))
         assert fac.content == (5,)
         assert [(p.coeffs, m) for p, m in fac.factors] == [((0, 1), 3)]
+
+
+def rational_gcd(a, b):
+    """Primitive gcd with positive leading coefficient by Euclid over Q."""
+
+    def trim(u):
+        while u and u[-1] == 0:
+            u.pop()
+        return u
+
+    def rem(u, v):
+        u = list(u)
+        while len(u) >= len(v):
+            q = u[-1] / v[-1]
+            for j, c in enumerate(v):
+                u[len(u) - len(v) + j] -= q * c
+            trim(u)
+        return u
+
+    u = trim([Fraction(x) for x in a])
+    v = trim([Fraction(x) for x in b])
+    while v:
+        u, v = v, rem(u, v)
+    if not u:
+        return []
+    from math import lcm
+
+    scale = lcm(*(x.denominator for x in u))
+    return list(math_gcd_content(IntPoly.of([int(x * scale) for x in u])).coeffs)
+
+
+def random_int_poly(rng, deg, lo=-5, hi=5):
+    return [rng.randint(lo, hi) for _ in range(deg)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+
+
+def poly_sub(a, b):
+    n = max(len(a), len(b))
+    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+class TestGcdKernel:
+    def test_matches_rational_euclid(self):
+        rng = random.Random(51)
+        nontrivial = 0
+        for i in range(300):
+            common = random_int_poly(rng, rng.randint(0, 4))
+            a = _mul(common, random_int_poly(rng, rng.randint(0, 5)))
+            b = _mul(common, random_int_poly(rng, rng.randint(0, 5)))
+            ka, kb = rng.choice([1, 2, -3, 6]), rng.choice([1, -1, 4, 10])
+            a, b = [x * ka for x in a], [x * kb for x in b]
+            want = rational_gcd(a, b)
+            assert _gcd_z(a, b) == want, (a, b)
+            assert _gcd_z(b, a) == want, (a, b)
+            nontrivial += len(want) > 1
+        assert nontrivial > 150
+
+    def test_zero_operand(self):
+        assert _gcd_z([], []) == []
+        assert _gcd_z([], [-4, 0, -6]) == [2, 0, 3]
+        assert _gcd_z([3, -6], []) == [-1, 2]
+
+    def test_constant_operand(self):
+        assert _gcd_z([6], [2, 4, 2]) == [1]
+        assert _gcd_z([1, 2, 1], [-5]) == [1]
+        assert _gcd_z([4], [6]) == [1]
+
+    def test_negative_leading_coefficients_and_content(self):
+        # -6(x+1)(x-2) and 4(x+1)(2x+3)
+        a = [12, 6, -6]
+        b = [12, 20, 8]
+        assert _gcd_z(a, b) == [1, 1]
+        assert _gcd_z([-2, -2], [3, 3]) == [1, 1]
+        assert _gcd_z([4, 8], [6, 12]) == [1, 2]
+
+
+class TestModularDivision:
+    def test_divmod_monic(self):
+        rng = random.Random(52)
+        for _ in range(300):
+            m = rng.choice([2, 3, 5, 7]) ** rng.randint(1, 9)
+            b = [rng.randint(-m, m) for _ in range(rng.randint(0, 5))] + [1]
+            a = [rng.randint(-(m**2), m**2) for _ in range(rng.randint(0, 12))]
+            q, r = _divmod_monic(a, b, m)
+            assert len(r) < len(b)
+            for c in q + r:
+                assert -m < 2 * c <= m
+            assert q[-1:] != [0] and r[-1:] != [0]
+            diff = poly_sub(poly_sub(_mul(q, b), a), [-x for x in r])
+            assert all(x % m == 0 for x in diff), (a, b, m)
+
+    def test_p_divmod(self):
+        rng = random.Random(53)
+        for _ in range(300):
+            p = rng.choice([2, 3, 5, 7, 11, 13])
+            b = [rng.randint(-20, 20) for _ in range(rng.randint(0, 5))]
+            b.append(rng.choice([x for x in range(1, 40) if x % p]))
+            a = [rng.randint(-50, 50) for _ in range(rng.randint(0, 12))]
+            q, r = _p_divmod(a, b, p)
+            assert len(r) < len(b)
+            for c in q + r:
+                assert 0 <= c < p
+            assert q[-1:] != [0] and r[-1:] != [0]
+            diff = poly_sub(poly_sub(_mul(q, b), a), [-x for x in r])
+            assert all(x % p == 0 for x in diff), (a, b, p)
+
+
+class TestSympyCrossCheck:
+    def test_products_of_cubics(self):
+        sympy = pytest.importorskip("sympy")
+        y = sympy.Symbol("y")
+        rng = random.Random(54)
+
+        def normal(coeffs):
+            """(sign, primitive coefficients with positive leading one)."""
+            poly = math_gcd_content(IntPoly.of(coeffs))
+            sign = 1 if poly.coeffs[-1] * coeffs[-1] > 0 else -1
+            return sign * (coeffs[-1] // poly.coeffs[-1]), poly.coeffs
+
+        for _ in range(40):
+            pool = [
+                [rng.randint(-4, 4) for _ in range(3)] + [rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])]
+                for _ in range(rng.randint(3, 6))
+            ]
+            cubics = pool + [rng.choice(pool) for _ in range(rng.randint(5, 9) - len(pool))]
+            f = [1]
+            for c in cubics:
+                f = _mul(f, c)
+            fac = factor_int_poly(IntPoly.of(f), degree_limit=27)
+            unit = fac.sign
+            for q in fac.content:
+                unit *= q
+            got = {p.coeffs: m for p, m in fac.factors}
+
+            const, pairs = sympy.Poly(list(reversed(f)), y).factor_list()
+            want = {}
+            want_unit = int(const)
+            for poly, mult in pairs:
+                scale, coeffs = normal([int(c) for c in reversed(poly.all_coeffs())])
+                want_unit *= scale**mult
+                want[coeffs] = want.get(coeffs, 0) + mult
+            assert got == want, f
+            assert unit == want_unit, f
