@@ -71,7 +71,15 @@ def _context_flags(p):
     p.add_argument("--strategy", default="auto", choices=["auto", "oracle", "zx"])
 
 
+_PARSER = None
+
+
 def build_parser():
+    """The argument parser, built at the first call and returned again by
+    every later one (``parse_args`` leaves it unchanged)."""
+    global _PARSER
+    if _PARSER is not None:
+        return _PARSER
     top = _Parser(prog="semifactor", description="factorization invariants, exactly")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -125,6 +133,7 @@ def build_parser():
     se.add_argument("--n", required=True, help="comma-separated values, each >= 2")
     se.add_argument("--k", required=True, help="comma-separated values, each >= 1")
 
+    _PARSER = top
     return top
 
 
@@ -235,9 +244,9 @@ def _run_monoid(args):
     values = args.args
     if args.op == "member":
         return {"monoid": M.literal(), "q": str(values[0]), "member": M.member(values[0])}
+    budget = _budgets(args).knapsack_nodes
     if args.op == "factorize":
-        b = _budgets(args)
-        zs = M.factorizations(values[0], node_budget=b.knapsack_nodes)
+        zs = M.factorizations(values[0], node_budget=budget)
         ordered = sorted(zs, key=lambda z: tuple(e.value for e in z))
         z_out = [[_elem_jsonable(e) for e in z] for z in ordered]
         return {
@@ -247,10 +256,10 @@ def _run_monoid(args):
             "L": sorted({len(z) for z in zs}),
         }
     if args.op == "mcd":
-        out = sorted(M.mcd(values))
+        out = sorted(M.mcd(values, node_budget=budget))
         return {"monoid": M.literal(), "mcd": [_elem_jsonable(e) for e in out]}
     if args.op == "gcd":
-        g = M.gcd(values)
+        g = M.gcd(values, node_budget=budget)
         return {"monoid": M.literal(), "gcd": None if g is None else _elem_jsonable(g)}
     raise UsageError(f"unknown monoid operation {args.op!r}")
 

@@ -4,7 +4,16 @@ A monoid is stored scaled: with D the least common denominator of its
 generators, D*M is a submonoid of the nonnegative integers and every
 computation reduces to integer arithmetic.  Membership is answered in O(1)
 from the Apery table of D*M (least member in each residue class modulo the
-smallest generator), built once at construction with a Dijkstra sweep.
+smallest generator a), built once at construction with a Dijkstra sweep.
+
+The greatest factorization length is answered in O(1) from a second table
+with one entry per residue class mod a, built by the same sweep at the
+first ``length`` call.  A factorization of n whose parts other than a are
+g_1, ..., g_k has length (n - w)/a with w = sum(g_i - a), so the longest
+one minimizes w.  For each class the table keeps the lexicographically
+least pair (w, r) over the sums r of the other minimal generators in that
+class; then L(n) = (n - w)/a exactly when n >= r.  Below that threshold
+(r <= (a - 1) * max generator, independent of n) a DP up to n answers.
 """
 from __future__ import annotations
 
@@ -39,9 +48,9 @@ class ExpElem:
         return str(self.num) if self.denom == 1 else f"{self.num}/{self.denom}"
 
 
-def _apery_table(gens: tuple[int, ...]) -> tuple[int, list]:
-    """Least monoid element in each residue class mod min(gens); None = empty class."""
-    a = min(gens)
+def _least_sums(a: int, steps) -> list:
+    """Least sum of a multiset of ``steps`` in each residue class mod a
+    (Dijkstra over the classes); None = no sum lies in that class."""
     dist = [None] * a
     dist[0] = 0
     heap = [(0, 0)]
@@ -49,13 +58,36 @@ def _apery_table(gens: tuple[int, ...]) -> tuple[int, list]:
         d, r = heapq.heappop(heap)
         if dist[r] != d:
             continue
-        for g in gens:
+        for g in steps:
             nd = d + g
             nr = nd % a
             if dist[nr] is None or nd < dist[nr]:
                 dist[nr] = nd
                 heapq.heappush(heap, (nd, nr))
-    return a, dist
+    return dist
+
+
+def _apery_table(gens: tuple[int, ...]) -> tuple[int, list]:
+    """Least monoid element in each residue class mod min(gens); None = empty class."""
+    a = min(gens)
+    return a, _least_sums(a, gens)
+
+
+def _length_table(gens: tuple[int, ...]) -> list:
+    """Per residue class mod a = min(gens): the lexicographically least
+    (w, r) over sums r of the other generators in that class, where
+    w = sum(g - a); None = no such sum.
+
+    The pair is packed as w*K + r with K a multiple of a above every r the
+    sweep compares (a settled sum has at most a - 1 parts, and the sweep
+    looks one part further), so each packed step is congruent to its
+    generator, packed sums order lexicographically, and one sweep of
+    ``_least_sums`` builds the table.
+    """
+    a = min(gens)
+    K = 2 * a * max(gens)
+    packed = _least_sums(a, [(g - a) * K + g for g in gens if g != a])
+    return [None if p is None else divmod(p, K) for p in packed]
 
 
 def _member_int(apery, amin, n):
@@ -68,7 +100,7 @@ def _member_int(apery, amin, n):
 class ExpMonoid:
     """A reduced, finitely generated submonoid of (Q>=0, +)."""
 
-    __slots__ = ("denom", "gens", "min_gens", "_amin", "_apery")
+    __slots__ = ("denom", "gens", "min_gens", "_amin", "_apery", "_lengths")
 
     def __init__(self, denom: int, gens):
         gens = frozenset(gens)
@@ -78,6 +110,7 @@ class ExpMonoid:
         self.gens = gens
         self.min_gens = frozenset(self._minimal(sorted(gens)))
         self._amin, self._apery = _apery_table(tuple(sorted(self.min_gens)))
+        self._lengths = None  # built by the first length() call
 
     @staticmethod
     def _minimal(sorted_gens):
@@ -153,50 +186,58 @@ class ExpMonoid:
         return self.member_num(self.num_of(b) - self.num_of(a))
 
     def factorizations(self, m, node_budget: int = DEFAULT_KNAPSACK_BUDGET):
-        """All multisets of atoms summing to m, as ascending tuples of ExpElem."""
+        """All multisets of atoms summing to m, as ascending tuples of ExpElem.
+
+        Depth-first over atoms in descending order with an explicit stack;
+        every visited node counts against ``node_budget``.  A node keeps its
+        chosen atoms as a linked list (atom, parent list), smallest first.
+        """
         n = self.num_of(self.elem(m))
         atoms_desc = sorted(self.min_gens, reverse=True)
         results = []
         nodes = 0
-
-        def rec(rem, start, stack):
-            nonlocal nodes
+        todo = [(n, 0, None)]
+        while todo:
+            rem, start, chosen = todo.pop()
             nodes += 1
             if nodes > node_budget:
                 raise BudgetError(f"factorization search exceeded {node_budget} nodes")
             if rem == 0:
-                results.append(tuple(reversed(stack)))
-                return
+                results.append(chosen)
+                continue
             for j in range(start, len(atoms_desc)):
                 g = atoms_desc[j]
-                if g > rem or not self.member_num(rem - g):
-                    continue
-                stack.append(g)
-                rec(rem - g, j, stack)
-                stack.pop()
+                if g <= rem and self.member_num(rem - g):
+                    todo.append((rem - g, j, (g, chosen)))
+        out = set()
+        for chosen in results:
+            fac = []
+            while chosen is not None:
+                g, chosen = chosen
+                fac.append(self.elem_of_num(g))
+            out.add(tuple(fac))
+        return frozenset(out)
 
-        rec(n, 0, [])
-        return frozenset(tuple(self.elem_of_num(g) for g in fac) for fac in results)
+    def mcd(self, elems, node_budget: int = DEFAULT_KNAPSACK_BUDGET) -> frozenset[ExpElem]:
+        """All divisibility-maximal common divisors of a nonempty collection.
 
-    def mcd(self, elems) -> frozenset[ExpElem]:
-        """All divisibility-maximal common divisors of a nonempty collection."""
-        nums = self._common_input(elems)
-        commons = self._common_divisors(nums)
-        maximal = [
-            d
-            for d in commons
-            if not any(d2 != d and self.member_num(d2 - d) for d2 in commons)
-        ]
+        A common divisor d is maximal exactly when no d + g, g an atom, is
+        one: if a common divisor d' has d' - d a nonzero member, then for an
+        atom g in a factorization of d' - d, d + g divides d' and so is a
+        common divisor too.
+        """
+        commons = self._common_divisors(self._common_input(elems), node_budget)
+        maximal = [d for d in commons if not any(d + g in commons for g in self.min_gens)]
         return frozenset(self.elem_of_num(d) for d in maximal)
 
-    def gcd(self, elems):
-        """The common divisor divisible by all others, when one exists."""
-        nums = self._common_input(elems)
-        commons = self._common_divisors(nums)
-        for d in commons:
-            if all(self.member_num(d - d2) for d2 in commons):
-                return self.elem_of_num(d)
-        return None
+    def gcd(self, elems, node_budget: int = DEFAULT_KNAPSACK_BUDGET):
+        """The common divisor divisible by all others, when one exists.
+
+        The common divisors are finite, so every one lies below a maximal
+        one; the gcd exists exactly when there is a single maximal one.
+        """
+        maximal = self.mcd(elems, node_budget)
+        return next(iter(maximal)) if len(maximal) == 1 else None
 
     def _common_input(self, elems):
         elems = list(elems)
@@ -204,17 +245,33 @@ class ExpMonoid:
             raise UsageError("common divisors of an empty list")
         return [self.num_of(self.elem(e)) for e in elems]
 
-    def _common_divisors(self, nums):
-        mn = min(nums)
-        return [
+    def _common_divisors(self, nums, node_budget) -> set:
+        candidates = min(nums) + 1
+        if candidates > node_budget:
+            raise BudgetError(
+                f"common-divisor search needs {candidates} candidates, "
+                f"over the budget of {node_budget}"
+            )
+        return {
             d
-            for d in range(mn + 1)
+            for d in range(candidates)
             if self.member_num(d) and all(self.member_num(x - d) for x in nums)
-        ]
+        }
 
     def length(self, m) -> int:
-        """Greatest factorization length of m; superadditive and 0 only at 0."""
+        """Greatest factorization length of m; superadditive and 0 only at 0.
+
+        With a the smallest atom and (w, r) the length-table entry of the
+        class of n = D*m mod a, L(n) = (n - w)/a once n >= r; below r a DP
+        over 0..n answers (r, and so the DP, is bounded by the generators).
+        """
         n = self.num_of(self.elem(m))
+        if self._lengths is None:
+            self._lengths = _length_table(tuple(sorted(self.min_gens)))
+        # n is a member, so its class holds a sum of the other atoms
+        w, r = self._lengths[n % self._amin]
+        if n >= r:
+            return (n - w) // self._amin
         best = [None] * (n + 1)
         best[0] = 0
         mins = sorted(self.min_gens)

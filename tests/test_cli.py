@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -68,6 +69,19 @@ class TestPolyCommands:
         payload = run_json(capsys, "poly", "lenfn", "2x^3+2")
         assert payload["length"] == 5
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["x^5000000"], 5_000_000),
+            (["--monoid", "gens:6,9,20", "x^5000000"], 833_331),
+        ],
+    )
+    def test_lenfn_large_exponent(self, capsys, argv, expected):
+        start = time.perf_counter()
+        payload = run_json(capsys, "poly", "lenfn", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert payload["length"] == expected
+
     def test_expand_family(self, capsys):
         payload = run_json(capsys, "poly", "expand-family", "--n", "2", "--k", "1")
         assert payload["expr"] == "x^5+4x^4+4x^3+x^2+4x+4"
@@ -115,6 +129,32 @@ class TestMonoidCommands:
         payload = run_json(capsys, "monoid", "gcd", "--monoid", "gens:2,3", "4", "6")
         assert payload["gcd"] == 4
 
+    def test_factorize_deep(self, capsys):
+        payload = run_json(capsys, "monoid", "factorize", "5000")
+        assert payload["L"] == [5000]
+        assert payload["Z"] == [[1] * 5000]
+
+    def test_factorize_budget(self, capsys):
+        code, out, err = run(capsys, "monoid", "factorize", "--knapsack-budget", "100", "5000")
+        assert code == 2
+        assert out == ""
+        assert err == "error[budget]: factorization search exceeded 100 nodes\n"
+
+    @pytest.mark.parametrize("op", ["mcd", "gcd"])
+    def test_common_divisor_budget(self, capsys, op):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "monoid", op, "--monoid", "gens:2,3", "100000000", "100000001"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error[budget]: "), err
+        # min(4, 6) + 1 = 5 candidates: a budget of 5 answers, 4 does not
+        argv = ["monoid", op, "--monoid", "gens:2,3", "--knapsack-budget"]
+        assert run(capsys, *argv, "5", "4", "6")[0] == 0
+        assert run(capsys, *argv, "4", "4", "6")[0] == 2
+
 
 class TestVerifyAndSweep:
     def test_verify_single_check(self, capsys):
@@ -154,6 +194,25 @@ class TestVerifyAndSweep:
     def test_sweep_json(self, capsys):
         payload = run_json(capsys, "sweep", "elasticity", "--n", "2", "--k", "1")
         assert payload["rows"][0]["elasticity"] == "3/2"
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_only_does_not_stick(self, capsys):
+        code, out, err = run(capsys, "verify", "paper", "--only", "membership-family")
+        assert code == 0
+        assert [r["check_id"] for r in json.loads(out)["results"]] == ["membership-family"]
+        code, out, err = run(capsys, "verify", "paper")
+        assert code == 0
+        assert len(json.loads(out)["results"]) == 9
+
+    def test_usage_error_then_valid_command(self, capsys):
+        run_usage_error(capsys, "poly", "lengths", "--frobnicate", "x")
+        run_usage_error(capsys, "monoid", "member")
+        payload = run_json(capsys, "monoid", "member", "--monoid", "gens:2,3", "7")
+        assert payload["member"] is True
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,18 @@ def brute_factorizations(gens, target):
 
     rec(target, 0, [])
     return out
+
+
+def dp_max_lengths(atoms, limit):
+    """Reference: greatest factorization length of every n <= limit by a DP
+    over the atoms, None where n is not a sum of them."""
+    best = [None] * (limit + 1)
+    best[0] = 0
+    for i in range(1, limit + 1):
+        cands = [best[i - g] for g in atoms if g <= i and best[i - g] is not None]
+        if cands:
+            best[i] = max(cands) + 1
+    return best
 
 
 class TestMakeMonoid:
@@ -159,6 +172,13 @@ class TestFactorizations:
         with pytest.raises(BudgetError):
             m.factorizations(50, node_budget=10)
 
+    def test_budget_counts_every_node(self):
+        # 6 in <2,3>: root, 6-3, 6-2, 3-3, 4-2, 2-2 -> six nodes
+        m = sf.make_monoid([2, 3])
+        assert len(m.factorizations(6, node_budget=6)) == 2
+        with pytest.raises(BudgetError):
+            m.factorizations(6, node_budget=5)
+
     @pytest.mark.parametrize("gens", [[1], [2, 3], [3, 5, 7], [4, 6, 9]])
     def test_exhaustive_cross_check(self, gens):
         m = sf.make_monoid(gens)
@@ -189,6 +209,34 @@ class TestMcdGcd:
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             sf.make_monoid([2, 3]).mcd([])
+
+    @pytest.mark.parametrize("gens", [[2, 3], [3, 5, 7], [4, 6], [5, 6, 13], [6, 9, 20]])
+    def test_against_definition(self, gens):
+        # mcd: common divisors with no other common divisor above them;
+        # gcd: the common divisor above all others, checked pairwise
+        m = sf.make_monoid(gens)
+        members = [n for n in range(0, 41) if m.member_num(n)]
+        for pair in itertools.combinations(members, 2):
+            commons = [d for d in members if all(m.member_num(x - d) for x in pair)]
+            above = {d: [d2 for d2 in commons if m.member_num(d2 - d)] for d in commons}
+            maximal = {d for d in commons if above[d] == [d]}
+            greatest = [d for d in commons if all(m.member_num(d - d2) for d2 in commons)]
+            assert {e.num for e in m.mcd(pair)} == maximal, (gens, pair)
+            g = m.gcd(pair)
+            assert (None if g is None else g.num) == (greatest[0] if greatest else None)
+
+    def test_budget_counts_candidates(self):
+        # min(4, 6) + 1 = 5 candidate divisors 0..4
+        m = sf.make_monoid([2, 3])
+        assert m.gcd([4, 6], node_budget=5).value == 4
+        assert {e.value for e in m.mcd([4, 6], node_budget=5)} == {4}
+        for op in (m.mcd, m.gcd):
+            with pytest.raises(BudgetError):
+                op([4, 6], node_budget=4)
+
+    def test_default_budget_stops_huge_inputs(self):
+        with pytest.raises(BudgetError):
+            sf.make_monoid([2, 3]).mcd([10**8, 10**8 + 1])
 
     def test_maximality_property(self):
         m = sf.make_monoid([3, 5, 7])
@@ -236,6 +284,66 @@ class TestLength:
                     continue
                 assert m.length(a + b) >= m.length(a) + m.length(b)
                 assert (m.length(a) == 0) == (a == 0)
+
+
+class TestLengthTable:
+    FIXED = [
+        [4, 6],
+        [Fraction(1, 2), Fraction(3, 4)],
+        [6, 9, 20],
+        [5, 6, 13],  # 13 is below the threshold 18 = 6+6+6 of its class
+        [1],
+        [7],
+    ]
+
+    def monoids(self):
+        rng = random.Random(20240501)
+        for gens in self.FIXED:
+            yield sf.make_monoid(gens)
+        for _ in range(80):
+            yield sf.make_monoid([rng.randint(1, 25) for _ in range(rng.randint(1, 4))])
+
+    def test_matches_dp_on_both_sides_of_each_threshold(self):
+        limit = 600
+        below = 0
+        for m in self.monoids():
+            a = min(m.min_gens)
+            best = dp_max_lengths(sorted(m.min_gens), limit)
+            for n in range(limit + 1):
+                assert m.member_num(n) == (best[n] is not None), (m, n)
+                if best[n] is None:
+                    continue
+                assert m.length(Fraction(n, m.denom)) == best[n], (m, n)
+                # the closed form holds exactly from the threshold r up
+                w, r = m._lengths[n % a]
+                assert r <= (a - 1) * max(m.min_gens) <= limit
+                if n >= r:
+                    assert a * best[n] == n - w, (m, n)
+                else:
+                    below += 1
+                    assert a * best[n] < n - w, (m, n)
+        assert below > 0
+
+    def test_table_is_built_at_the_first_length_call(self):
+        m = sf.make_monoid([6, 9, 20])
+        assert m._lengths is None
+        m.member(7)
+        m.factorizations(12)
+        assert m._lengths is None
+        assert m.length(20) == 1
+        # classes mod 6: 0 empty, 9+20+20, 20, 9, 20+20, 9+20
+        assert m._lengths == [(0, 0), (31, 49), (14, 20), (3, 9), (28, 40), (17, 29)]
+
+    @pytest.mark.parametrize(
+        "gens, n, expected",
+        [
+            ([1], 5_000_000, 5_000_000),
+            ([6, 9, 20], 5_000_000, 833_331),
+            ([2, 3], 10**30, 5 * 10**29),
+        ],
+    )
+    def test_large_members(self, gens, n, expected):
+        assert sf.make_monoid(gens).length(n) == expected
 
 
 class TestScalingInvariance:
