@@ -247,7 +247,7 @@ def _run_monoid(args):
     budget = _budgets(args).knapsack_nodes
     if args.op == "factorize":
         zs = M.factorizations(values[0], node_budget=budget)
-        ordered = sorted(zs, key=lambda z: tuple(e.value for e in z))
+        ordered = sorted(zs, key=lambda z: tuple(map(M.num_of, z)))
         z_out = [[_elem_jsonable(e) for e in z] for z in ordered]
         return {
             "monoid": M.literal(),

@@ -206,13 +206,19 @@ class Quad(CoeffSemiring):
             raise UsageError(f"quadratic radicand must not be a perfect square, got {self.d}")
 
     def validate(self, v):
-        if (
-            not isinstance(v, tuple)
-            or len(v) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in v)
-        ):
-            raise UsageError(f"not a nonnegative (b, c) pair: {v!r}")
-        return v
+        # unrolled: this runs on both arguments of every add and mul
+        if isinstance(v, tuple) and len(v) == 2:
+            b, c = v
+            if (
+                isinstance(b, int)
+                and isinstance(c, int)
+                and not isinstance(b, bool)
+                and not isinstance(c, bool)
+                and b >= 0
+                and c >= 0
+            ):
+                return v
+        raise UsageError(f"not a nonnegative (b, c) pair: {v!r}")
 
     def add(self, a, b):
         self.validate(a)

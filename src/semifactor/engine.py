@@ -238,15 +238,15 @@ def _check_degree(deg_num, budgets):
 def _poly_from_dense(coeffs, S, M):
     """Dense y-coefficients back to a polynomial expression, or None when a
     coefficient is negative or an exponent falls outside the monoid."""
-    terms = []
+    items = []
     for n, c in enumerate(coeffs):
         if c == 0:
             continue
         if c < 0 or not M.member_num(n):
             return None
-        terms.append((M.elem_of_num(n), c))
-    terms.reverse()
-    return PolyExpr(S, M, tuple(terms))
+        items.append((n, c))
+    items.reverse()
+    return PolyExpr._of_nums(S, M, items)
 
 
 def _oracle_divisors(f, budgets):
@@ -262,6 +262,7 @@ def _oracle_divisors(f, budgets):
         for m in range(half + 1)
         if M.member_num(m) and any(sn >= m and M.member_num(sn - m) for sn in nums)
     ]
+    elems = {m: M.elem_of_num(m) for m in admissible}
     lc_divs = sorted(S.divisors_of(lc), key=S.sort_key)
     tc_divs = sorted(S.divisors_of(tc), key=S.sort_key)
     both_divs = [v for v in lc_divs if v in set(tc_divs)]
@@ -291,10 +292,8 @@ def _oracle_divisors(f, budgets):
                 g = PolyExpr(
                     S,
                     M,
-                    tuple(
-                        (M.elem_of_num(n), c)
-                        for n, c in zip(reversed(support), reversed(combo))
-                    ),
+                    tuple((elems[n], c) for n, c in zip(reversed(support), reversed(combo))),
+                    support[::-1],
                 )
                 q = ambient_exact_div(f, g)
                 if q is not None:

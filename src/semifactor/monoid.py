@@ -2,9 +2,15 @@
 
 A monoid is stored scaled: with D the least common denominator of its
 generators, D*M is a submonoid of the nonnegative integers and every
-computation reduces to integer arithmetic.  Membership is answered in O(1)
-from the Apery table of D*M (least member in each residue class modulo the
-smallest generator a), built once at construction with a Dijkstra sweep.
+computation reduces to integer arithmetic.  Between parsing and rendering an
+exponent is handled as its scaled numerator n = num * (D // denom): ``num_of``
+checks that denom divides D and that n is a member with integers only, and
+``Fraction`` appears only where the input is a rational (``elem``,
+``member``, ``make_monoid``) and in ``ExpElem.value``.  Membership is
+answered in O(1) from the Apery table of D*M (least member in each residue
+class modulo the smallest generator a), built once at construction with a
+Dijkstra sweep.  Both tables have one entry per class, so a is checked
+against ``DEFAULT_KNAPSACK_BUDGET`` before either is allocated.
 
 The greatest factorization length is answered in O(1) from a second table
 with one entry per residue class mod a, built by the same sweep at the
@@ -13,7 +19,8 @@ g_1, ..., g_k has length (n - w)/a with w = sum(g_i - a), so the longest
 one minimizes w.  For each class the table keeps the lexicographically
 least pair (w, r) over the sums r of the other minimal generators in that
 class; then L(n) = (n - w)/a exactly when n >= r.  Below that threshold
-(r <= (a - 1) * max generator, independent of n) a DP up to n answers.
+(r <= (a - 1) * max generator, independent of n) a DP up to n answers,
+its n + 1 cells counted against a node budget.
 """
 from __future__ import annotations
 
@@ -48,9 +55,16 @@ class ExpElem:
         return str(self.num) if self.denom == 1 else f"{self.num}/{self.denom}"
 
 
-def _least_sums(a: int, steps) -> list:
+def _least_sums(a: int, steps, table: str) -> list:
     """Least sum of a multiset of ``steps`` in each residue class mod a
-    (Dijkstra over the classes); None = no sum lies in that class."""
+    (Dijkstra over the classes); None = no sum lies in that class.  The a
+    classes are checked against ``DEFAULT_KNAPSACK_BUDGET`` before the
+    ``table`` is allocated."""
+    if a > DEFAULT_KNAPSACK_BUDGET:
+        raise BudgetError(
+            f"{table} table needs {a} residue classes, "
+            f"over the budget of {DEFAULT_KNAPSACK_BUDGET}"
+        )
     dist = [None] * a
     dist[0] = 0
     heap = [(0, 0)]
@@ -70,7 +84,7 @@ def _least_sums(a: int, steps) -> list:
 def _apery_table(gens: tuple[int, ...]) -> tuple[int, list]:
     """Least monoid element in each residue class mod min(gens); None = empty class."""
     a = min(gens)
-    return a, _least_sums(a, gens)
+    return a, _least_sums(a, gens, "Apery")
 
 
 def _length_table(gens: tuple[int, ...]) -> list:
@@ -86,7 +100,7 @@ def _length_table(gens: tuple[int, ...]) -> list:
     """
     a = min(gens)
     K = 2 * a * max(gens)
-    packed = _least_sums(a, [(g - a) * K + g for g in gens if g != a])
+    packed = _least_sums(a, [(g - a) * K + g for g in gens if g != a], "length")
     return [None if p is None else divmod(p, K) for p in packed]
 
 
@@ -114,11 +128,12 @@ class ExpMonoid:
 
     @staticmethod
     def _minimal(sorted_gens):
-        # g is an atom of <gens> exactly when the other generators cannot sum to it
+        # g is an atom of <gens> exactly when the other generators cannot sum
+        # to it; below the least of them that needs no table
         out = []
         for g in sorted_gens:
             others = tuple(h for h in sorted_gens if h != g)
-            if not others:
+            if not others or g < others[0]:
                 out.append(g)
                 continue
             amin, apery = _apery_table(others)
@@ -160,7 +175,8 @@ class ExpMonoid:
 
     def elem(self, q) -> ExpElem:
         if isinstance(q, ExpElem):
-            q = q.value
+            self.num_of(q)
+            return q
         q = Fraction(q)
         if q < 0 or not self.member(q):
             raise DomainError(f"{q} is not a member of {self.literal()}")
@@ -171,10 +187,17 @@ class ExpMonoid:
         return ExpElem(n // g, self.denom // g)
 
     def num_of(self, e: ExpElem) -> int:
-        scaled = e.value * self.denom
-        if scaled.denominator != 1 or not self.member_num(int(scaled)):
+        """Scaled numerator of a member given in lowest terms; DomainError
+        when its denominator does not divide D or it is not a member."""
+        scale, rest = divmod(self.denom, e.denom)
+        n = e.num * scale
+        if rest or not self.member_num(n):
             raise DomainError(f"{e} is not a member of {self.literal()}")
-        return int(scaled)
+        return n
+
+    def _num(self, m) -> int:
+        """Scaled numerator of a member given as an ExpElem or a rational."""
+        return self.num_of(m if isinstance(m, ExpElem) else self.elem(m))
 
     # structure ----------------------------------------------------------
 
@@ -183,7 +206,7 @@ class ExpMonoid:
 
     def divides(self, a: ExpElem, b: ExpElem) -> bool:
         """Additive divisibility: b - a is a member."""
-        return self.member_num(self.num_of(b) - self.num_of(a))
+        return self.member_num(self._num(b) - self._num(a))
 
     def factorizations(self, m, node_budget: int = DEFAULT_KNAPSACK_BUDGET):
         """All multisets of atoms summing to m, as ascending tuples of ExpElem.
@@ -192,8 +215,9 @@ class ExpMonoid:
         every visited node counts against ``node_budget``.  A node keeps its
         chosen atoms as a linked list (atom, parent list), smallest first.
         """
-        n = self.num_of(self.elem(m))
+        n = self._num(m)
         atoms_desc = sorted(self.min_gens, reverse=True)
+        member = self.member_num
         results = []
         nodes = 0
         todo = [(n, 0, None)]
@@ -207,14 +231,15 @@ class ExpMonoid:
                 continue
             for j in range(start, len(atoms_desc)):
                 g = atoms_desc[j]
-                if g <= rem and self.member_num(rem - g):
+                if g <= rem and member(rem - g):
                     todo.append((rem - g, j, (g, chosen)))
+        elems = {g: self.elem_of_num(g) for g in atoms_desc}
         out = set()
         for chosen in results:
             fac = []
             while chosen is not None:
                 g, chosen = chosen
-                fac.append(self.elem_of_num(g))
+                fac.append(elems[g])
             out.add(tuple(fac))
         return frozenset(out)
 
@@ -243,7 +268,7 @@ class ExpMonoid:
         elems = list(elems)
         if not elems:
             raise UsageError("common divisors of an empty list")
-        return [self.num_of(self.elem(e)) for e in elems]
+        return [self._num(e) for e in elems]
 
     def _common_divisors(self, nums, node_budget) -> set:
         candidates = min(nums) + 1
@@ -258,20 +283,24 @@ class ExpMonoid:
             if self.member_num(d) and all(self.member_num(x - d) for x in nums)
         }
 
-    def length(self, m) -> int:
+    def length(self, m, node_budget: int = DEFAULT_KNAPSACK_BUDGET) -> int:
         """Greatest factorization length of m; superadditive and 0 only at 0.
 
         With a the smallest atom and (w, r) the length-table entry of the
         class of n = D*m mod a, L(n) = (n - w)/a once n >= r; below r a DP
         over 0..n answers (r, and so the DP, is bounded by the generators).
+        The DP's n + 1 cells count against ``node_budget`` before any is
+        allocated.
         """
-        n = self.num_of(self.elem(m))
+        n = self._num(m)
         if self._lengths is None:
             self._lengths = _length_table(tuple(sorted(self.min_gens)))
         # n is a member, so its class holds a sum of the other atoms
         w, r = self._lengths[n % self._amin]
         if n >= r:
             return (n - w) // self._amin
+        if n + 1 > node_budget:
+            raise BudgetError(f"length DP needs {n + 1} cells, over the budget of {node_budget}")
         best = [None] * (n + 1)
         best[0] = 0
         mins = sorted(self.min_gens)

@@ -5,6 +5,13 @@ exponent a member of the monoid.  The zero polynomial is the empty term
 list.  Because the coefficient semirings are additively reduced there is
 never cancellation: the support of a product is the sumset of the supports.
 
+Exponents are handled as scaled numerators n = num * (D // denom), D the
+monoid's denominator, from ``from_terms`` to ``format_poly``: products,
+division and the divisor code add and compare integers and check them with
+``ExpMonoid.member_num``.  ``Fraction`` remains only for exponents that
+arrive as rationals: the parser, and ``from_terms`` given a ``Fraction`` or
+a ``str``.  A ``PolyExpr`` keeps its numerators once computed.
+
 Exact division of f by g is long division in the ambient ring (``Z`` or
 ``Z[sqrt(d)]``) after the substitution y = x^(1/D), which turns all
 exponents into integers.  Each quotient term is final once computed, so the
@@ -14,7 +21,7 @@ may leave the semiring, must vanish.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeff import CoeffSemiring, Quad
@@ -27,26 +34,46 @@ class PolyExpr:
     semiring: CoeffSemiring
     monoid: ExpMonoid
     terms: tuple  # ((ExpElem, coeff), ...) with strictly descending exponents
+    # the exponents' scaled numerators, set by the first exponent_nums() call
+    # or by a constructor that already holds them
+    _nums: tuple = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_terms(cls, semiring, monoid, terms):
         """Build canonical form: validate, merge like terms, sort, drop zeros."""
+        D = monoid.denom
         acc = {}
         for exp, coeff in terms:
             coeff = semiring.validate(coeff)
             if isinstance(exp, ExpElem):
-                exp = exp.value
-            q = Fraction(exp)
-            if q < 0 or not monoid.member(q):
-                raise DomainError(f"exponent {q} is not a member of {monoid.literal()}")
-            n = int(q * monoid.denom)
-            acc[n] = semiring.add(acc.get(n, semiring.zero), coeff)
-        cleaned = tuple(
-            (monoid.elem_of_num(n), c)
-            for n, c in sorted(acc.items(), reverse=True)
-            if not semiring.is_zero(c)
+                scale, rest = divmod(D, exp.denom)
+                n = None if rest else exp.num * scale
+            elif type(exp) is int:
+                n = exp * D
+            else:
+                exp = Fraction(exp)
+                scaled = exp * D
+                n = scaled.numerator if scaled.denominator == 1 else None
+            if n is None or not monoid.member_num(n):
+                raise DomainError(f"exponent {exp} is not a member of {monoid.literal()}")
+            prev = acc.get(n)
+            acc[n] = coeff if prev is None else semiring.add(prev, coeff)
+        return cls._of_nums(
+            semiring,
+            monoid,
+            [(n, c) for n, c in sorted(acc.items(), reverse=True) if not semiring.is_zero(c)],
         )
-        return cls(semiring, monoid, cleaned)
+
+    @classmethod
+    def _of_nums(cls, semiring, monoid, items):
+        """Canonical form from (numerator, coeff) pairs, already descending,
+        nonzero and inside the monoid."""
+        return cls(
+            semiring,
+            monoid,
+            tuple((monoid.elem_of_num(n), c) for n, c in items),
+            tuple(n for n, _ in items),
+        )
 
     @classmethod
     def zero(cls, semiring, monoid):
@@ -108,9 +135,13 @@ class PolyExpr:
 
     def exponent_nums(self) -> tuple[int, ...]:
         """Exponent numerators over the monoid denominator, descending."""
-        d = self.monoid.denom
-        # in canonical form every exponent's denominator divides d
-        return tuple(e.num * (d // e.denom) for e, _ in self.terms)
+        nums = self._nums
+        if nums is None:
+            d = self.monoid.denom
+            # in canonical form every exponent's denominator divides d
+            nums = tuple(e.num * (d // e.denom) for e, _ in self.terms)
+            object.__setattr__(self, "_nums", nums)
+        return nums
 
     # arithmetic ----------------------------------------------------------
 
@@ -138,13 +169,11 @@ class PolyExpr:
             for nb, (_, cb) in zip(nbs, other.terms):
                 n = na + nb
                 prod = S.mul(ca, cb)
-                acc[n] = S.add(acc.get(n, S.zero), prod)
-        terms = tuple(
-            (self.monoid.elem_of_num(n), c)
-            for n, c in sorted(acc.items(), reverse=True)
-            if not S.is_zero(c)
+                prev = acc.get(n)
+                acc[n] = prod if prev is None else S.add(prev, prod)
+        return PolyExpr._of_nums(
+            S, self.monoid, [(n, c) for n, c in sorted(acc.items(), reverse=True) if not S.is_zero(c)]
         )
-        return PolyExpr(S, self.monoid, terms)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -205,7 +234,7 @@ def ambient_exact_div(f: PolyExpr, g: PolyExpr):
         qc = S.exact_div(rem[rdeg], glc)
         if qc is None:
             return None
-        terms.append((M.elem_of_num(qe), qc))
+        terms.append((qe, qc))
         for e, c in gterms:
             ne = qe + e
             nv = S.sub(rem.get(ne, S.zero), S.mul(qc, c))
@@ -213,7 +242,7 @@ def ambient_exact_div(f: PolyExpr, g: PolyExpr):
                 rem.pop(ne, None)
             else:
                 rem[ne] = nv
-    return PolyExpr(S, M, tuple(terms))
+    return PolyExpr._of_nums(S, M, terms)
 
 
 # text form ---------------------------------------------------------------
@@ -339,12 +368,12 @@ def format_poly(f: PolyExpr) -> str:
     for e, c in f.terms:
         if e.num == 0:
             xpart = ""
-        elif e.value == 1:
-            xpart = "x"
-        elif e.denom == 1:
-            xpart = f"x^{e.num}"
-        else:
+        elif e.denom != 1:
             xpart = f"x^{{{e.num}/{e.denom}}}"
+        elif e.num == 1:
+            xpart = "x"
+        else:
+            xpart = f"x^{e.num}"
         if quad:
             cpart = "" if c == S.one and xpart else f"({c[0]},{c[1]})"
             sep = "*" if cpart and xpart else ""

@@ -155,6 +155,19 @@ class TestMonoidCommands:
         assert run(capsys, *argv, "5", "4", "6")[0] == 0
         assert run(capsys, *argv, "4", "4", "6")[0] == 2
 
+    def test_large_smallest_generator_budget(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "monoid", "member", "--monoid", "gens:20000000,20000001", "7"
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error[budget]: Apery table needs 20000000 residue classes, "
+            "over the budget of 1000000\n"
+        )
+
 
 class TestVerifyAndSweep:
     def test_verify_single_check(self, capsys):

@@ -52,6 +52,22 @@ class TestSemiringOps:
         with pytest.raises(UsageError):
             Q6.validate((1, -1))
 
+    @pytest.mark.parametrize(
+        "v", [True, (1, -1), (-1, 1), [1, 0], (1, 0, 0), (1,), (1.0, 0), (0, 1.0),
+              (True, 0), (0, False), 7, None]
+    )
+    def test_quad_validate_rejects(self, v):
+        with pytest.raises(UsageError, match="not a nonnegative"):
+            Q6.validate(v)
+        with pytest.raises(UsageError):
+            Q6.add(v, (1, 0))
+        with pytest.raises(UsageError):
+            Q6.mul((1, 0), v)
+
+    @pytest.mark.parametrize("v", [(0, 0), (1, 0), (0, 1), (3, 4), (10**30, 2)])
+    def test_quad_validate_accepts(self, v):
+        assert Q6.validate(v) is v
+
     def test_quad_requires_nonsquare(self):
         with pytest.raises(UsageError):
             sf.Quad(9)

@@ -1,10 +1,13 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import semifactor as sf
+from semifactor import monoid
 from semifactor.errors import BudgetError, DomainError, UsageError
 
 
@@ -344,6 +347,97 @@ class TestLengthTable:
     )
     def test_large_members(self, gens, n, expected):
         assert sf.make_monoid(gens).length(n) == expected
+
+
+class TestIntegerEntryPoints:
+    """num_of, length, divides and elem on ExpElem inputs against a reference
+    that scales by D with Fraction and decides membership by its own DP."""
+
+    GENS = [[1], [Fraction(1, 2), Fraction(3, 4)], [6, 9, 20], [Fraction(2, 3), Fraction(5, 6)]]
+    LIMIT = 40 * 6  # num < 40 and D <= 6 bound every scaled numerator
+
+    def elems(self):
+        for num in range(-3, 40):
+            for den in range(1, 13):
+                if gcd(num, den) == 1:
+                    yield sf.ExpElem(num, den)
+
+    @pytest.mark.parametrize("gens", GENS)
+    def test_against_fraction_reference(self, gens):
+        m = sf.make_monoid(gens)
+        best = dp_max_lengths(sorted(m.min_gens), self.LIMIT)
+        members = []
+        for e in self.elems():
+            q = Fraction(e.num, e.denom)
+            scaled = q * m.denom
+            n = scaled.numerator
+            if scaled.denominator == 1 and 0 <= n <= self.LIMIT and best[n] is not None:
+                assert m.num_of(e) == n
+                assert m.elem(e) == e
+                assert m.length(e) == best[n]
+                members.append((e, n))
+            else:
+                msg = f"{q} is not a member of {m.literal()}"
+                for call in (m.num_of, m.elem, m.length):
+                    with pytest.raises(DomainError) as info:
+                        call(e)
+                    assert str(info.value) == msg
+        assert len(members) > 10
+        for a, na in members[:40]:
+            for b, nb in members[:40]:
+                assert m.divides(a, b) == (nb >= na and best[nb - na] is not None), (a, b)
+
+    def test_matches_rational_inputs(self):
+        m = sf.make_monoid([Fraction(1, 2), Fraction(3, 4)])
+        for num in range(0, 30):
+            q = Fraction(num, 4)
+            if not m.member(q):
+                continue
+            e = m.elem(q)
+            assert m.length(e) == m.length(q) == m.length(str(q))
+            assert m.factorizations(e) == m.factorizations(q)
+            assert m.mcd([e, m.elem(Fraction(3, 2))]) == m.mcd([q, Fraction(3, 2)])
+
+
+class TestTableBudgets:
+    def test_table_size_checked_before_allocation(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="Apery table needs 20000000 residue classes"):
+            sf.make_monoid([20000000, 20000001])
+        assert time.perf_counter() - start < 0.5
+
+    def test_table_at_the_budget(self, monkeypatch):
+        monkeypatch.setattr(monoid, "DEFAULT_KNAPSACK_BUDGET", 50)
+        m = sf.make_monoid([50, 51])
+        assert m.member(101) and not m.member(52)
+        assert m.length(101) == 2
+        with pytest.raises(BudgetError, match="Apery table needs 51 residue classes"):
+            sf.make_monoid([51, 52])
+
+    def test_small_generator_needs_no_large_table(self):
+        # only the smallest generator sizes a table, whatever the others are
+        m = sf.make_monoid([2, 20000001])
+        assert m.min_gens == frozenset({2, 20000001})
+        assert m.member(20000003) and not m.member(19999999)
+        # a redundant generator between the others is still dropped
+        assert sf.make_monoid([2, 4, 20000001]).min_gens == frozenset({2, 20000001})
+
+    def test_length_dp_budget_counts_cells(self):
+        m = sf.make_monoid([5, 6, 13])
+        # 13 is below the threshold of its class: the DP fills cells 0..13
+        assert m.length(13, node_budget=14) == 1
+        with pytest.raises(BudgetError, match="length DP needs 14 cells"):
+            m.length(13, node_budget=13)
+        # at or above the threshold the table answers, with no DP
+        assert m.length(18, node_budget=1) == 3
+
+    def test_length_dp_budget_before_allocation(self):
+        m = sf.make_monoid([500, 501, 999])
+        assert m.length(0) == 0
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="248999 cells, over the budget of 248998"):
+            m.length(248998, node_budget=248998)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestScalingInvariance:

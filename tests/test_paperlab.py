@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,14 @@ class TestSuite:
         b = report_json(run_paper_suite(cfg), cfg)
         assert a == b
         assert a.encode() == b.encode()
+
+    def test_golden_report(self):
+        # sha256 of the default report as first recorded for SUITE_VERSION
+        # 1.0; any change to a check's output must bump the version
+        text = report_json(run_paper_suite())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a6b6a5d0fa48ef24c31e910bf645a9bd629f0c55a7a1de88b4ae7e3b2d0fad1e"
+        )
 
     def test_default_config_report(self):
         assert SuiteConfig().to_jsonable() == {

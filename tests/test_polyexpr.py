@@ -325,3 +325,66 @@ class TestDivisionKernelAgainstFractions:
         assert ambient_exact_div(f, g) is None
         h = P("x^2+x+1", Q6)
         assert ambient_exact_div(h * g, g) == h
+
+
+class TestFromTermsExponentKinds:
+    """ExpElem and int exponents take the integer path of from_terms;
+    Fraction and str exponents the rational one.  All must agree."""
+
+    MONOIDS = ["nat", "gens:1/2,3/4", "gens:6,9,20"]
+
+    @staticmethod
+    def kinds(q):
+        q = Fraction(q)
+        out = [sf.ExpElem(q.numerator, q.denominator), q, str(q)]
+        if q.denominator == 1:
+            out.append(q.numerator)
+        return out
+
+    @pytest.mark.parametrize("literal", MONOIDS)
+    def test_every_kind_builds_the_same_polynomial(self, literal):
+        M = sf.monoid_from_literal(literal)
+        rng = random.Random(literal)
+        members = [Fraction(n, M.denom) for n in range(60) if M.member_num(n)]
+        for _ in range(40):
+            exps = [rng.choice(members) for _ in range(rng.randint(1, 5))]
+            coeffs = [rng.randint(1, 9) for _ in exps]
+            built = []
+            for pick in range(4):
+                terms = []
+                for q, c in zip(exps, coeffs):
+                    ks = self.kinds(q)
+                    terms.append((ks[pick % len(ks)], c))
+                built.append(sf.PolyExpr.from_terms(NAT, M, terms))
+            assert all(f == built[0] and f.terms == built[0].terms for f in built)
+            f = built[0]
+            assert f.exponent_nums() == tuple(int(e.value * M.denom) for e, _ in f.terms)
+            assert f == sf.PolyExpr(NAT, M, f.terms)
+            assert hash(f) == hash(sf.PolyExpr(NAT, M, f.terms))
+            # like terms merged, exponents descending
+            want = {}
+            for q, c in zip(exps, coeffs):
+                want[q] = want.get(q, 0) + c
+            assert [(e.value, c) for e, c in f.terms] == sorted(want.items(), reverse=True)
+
+    @pytest.mark.parametrize(
+        "literal, bad",
+        [
+            ("nat", Fraction(-1)),  # negative
+            ("nat", Fraction(1, 2)),  # denominator does not divide D
+            ("gens:1/2,3/4", Fraction(-1, 2)),
+            ("gens:1/2,3/4", Fraction(1, 3)),
+            ("gens:1/2,3/4", Fraction(1, 8)),
+            ("gens:1/2,3/4", Fraction(1, 4)),  # gap
+            ("gens:6,9,20", Fraction(7)),  # gap
+            ("gens:6,9,20", Fraction(43)),  # the Frobenius number
+            ("gens:6,9,20", Fraction(-6)),
+        ],
+    )
+    def test_same_error_for_every_kind(self, literal, bad):
+        M = sf.monoid_from_literal(literal)
+        msg = f"exponent {bad} is not a member of {M.literal()}"
+        for exp in self.kinds(bad):
+            with pytest.raises(DomainError) as info:
+                sf.PolyExpr.from_terms(NAT, M, [(0, 1), (exp, 2)])
+            assert str(info.value) == msg, exp
