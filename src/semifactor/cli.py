@@ -230,7 +230,7 @@ def _run_poly(args):
             ],
         }
     if args.op == "lenfn":
-        return {"expr": str(f), "length": engine.length_fn(f)}
+        return {"expr": str(f), "length": engine.length_fn(f, b)}
     raise UsageError(f"unknown poly operation {args.op!r}")
 
 

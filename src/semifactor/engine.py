@@ -289,7 +289,7 @@ def _oracle_divisors(f, budgets):
                         f"oracle divisor enumeration exceeded "
                         f"{budgets.oracle_candidates} candidates"
                     )
-                g = PolyExpr(
+                g = PolyExpr._with_nums(
                     S,
                     M,
                     tuple((elems[n], c) for n, c in zip(reversed(support), reversed(combo))),
@@ -461,14 +461,16 @@ def atomic_certificate(
     )
 
 
-def length_fn(f: PolyExpr) -> int:
+def length_fn(f: PolyExpr, budgets: Budgets = None) -> int:
     """Length function built from the coefficient and exponent lengths plus
-    the support size; zero exactly at the unit, superadditive under products."""
+    the support size; zero exactly at the unit, superadditive under products.
+    The exponent length's DP counts against ``budgets.knapsack_nodes``."""
+    budgets = budgets or DEFAULT_BUDGETS
     if f.is_zero:
         raise DomainError("the zero polynomial has no length")
     return (
         f.semiring.length(f.leading_coeff)
-        + f.monoid.length(f.degree)
+        + f.monoid.length(f.degree, budgets.knapsack_nodes)
         + len(f.terms)
         - 1
     )

@@ -3,8 +3,8 @@
 A monoid is stored scaled: with D the least common denominator of its
 generators, D*M is a submonoid of the nonnegative integers and every
 computation reduces to integer arithmetic.  Between parsing and rendering an
-exponent is handled as its scaled numerator n = num * (D // denom): ``num_of``
-checks that denom divides D and that n is a member with integers only, and
+exponent is handled as its scaled numerator n = D * num / denom: ``num_of``
+checks that n is an integer and a member with integers only, and
 ``Fraction`` appears only where the input is a rational (``elem``,
 ``member``, ``make_monoid``) and in ``ExpElem.value``.  Membership is
 answered in O(1) from the Apery table of D*M (least member in each residue
@@ -168,15 +168,19 @@ class ExpMonoid:
         q = Fraction(q)
         if q < 0:
             raise DomainError(f"membership is only defined for nonnegative rationals, got {q}")
-        scaled = q * self.denom
-        return scaled.denominator == 1 and self.member_num(int(scaled))
+        return self._scale(q.numerator, q.denominator) is not None
+
+    def _scale(self, num: int, denom: int):
+        """Scaled numerator D * num/denom of a member, the fraction in any
+        form; None when it is not a member."""
+        n, rest = divmod(num * self.denom, denom)
+        return None if rest or not self.member_num(n) else n
 
     # element handling ---------------------------------------------------
 
     def elem(self, q) -> ExpElem:
         if isinstance(q, ExpElem):
-            self.num_of(q)
-            return q
+            return self.elem_of_num(self.num_of(q))
         q = Fraction(q)
         if q < 0 or not self.member(q):
             raise DomainError(f"{q} is not a member of {self.literal()}")
@@ -187,11 +191,10 @@ class ExpMonoid:
         return ExpElem(n // g, self.denom // g)
 
     def num_of(self, e: ExpElem) -> int:
-        """Scaled numerator of a member given in lowest terms; DomainError
-        when its denominator does not divide D or it is not a member."""
-        scale, rest = divmod(self.denom, e.denom)
-        n = e.num * scale
-        if rest or not self.member_num(n):
+        """Scaled numerator of a member; DomainError when D * e is not an
+        integer or not a member."""
+        n = self._scale(e.num, e.denom)
+        if n is None:
             raise DomainError(f"{e} is not a member of {self.literal()}")
         return n
 

@@ -274,6 +274,7 @@ def _check_puiseux_demo(cfg):
 
 
 def _check_length_function_suite(cfg):
+    b = cfg.budgets()
     rng = random.Random(74025)
     failures = []
     contexts = [
@@ -288,7 +289,7 @@ def _check_length_function_suite(cfg):
             g = _random_poly(rng, S, M)
             pairs += 1
             fg = f * g
-            lf, lg, lfg = engine.length_fn(f), engine.length_fn(g), engine.length_fn(fg)
+            lf, lg, lfg = (engine.length_fn(h, b) for h in (f, g, fg))
             if lfg < lf + lg:
                 failures.append(f"{label}: l({f} * {g}) = {lfg} < {lf} + {lg}")
             # scaling by D is a bijection, so numerators compare as exponents

@@ -5,7 +5,7 @@ exponent a member of the monoid.  The zero polynomial is the empty term
 list.  Because the coefficient semirings are additively reduced there is
 never cancellation: the support of a product is the sumset of the supports.
 
-Exponents are handled as scaled numerators n = num * (D // denom), D the
+Exponents are handled as scaled numerators n = D * num / denom, D the
 monoid's denominator, from ``from_terms`` to ``format_poly``: products,
 division and the divisor code add and compare integers and check them with
 ``ExpMonoid.member_num``.  ``Fraction`` remains only for exponents that
@@ -35,26 +35,21 @@ class PolyExpr:
     monoid: ExpMonoid
     terms: tuple  # ((ExpElem, coeff), ...) with strictly descending exponents
     # the exponents' scaled numerators, set by the first exponent_nums() call
-    # or by a constructor that already holds them
-    _nums: tuple = field(default=None, compare=False, repr=False)
+    # or by a constructor that already holds them (``_with_nums``)
+    _nums: tuple = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_terms(cls, semiring, monoid, terms):
         """Build canonical form: validate, merge like terms, sort, drop zeros."""
-        D = monoid.denom
         acc = {}
         for exp, coeff in terms:
             coeff = semiring.validate(coeff)
             if isinstance(exp, ExpElem):
-                scale, rest = divmod(D, exp.denom)
-                n = None if rest else exp.num * scale
-            elif type(exp) is int:
-                n = exp * D
+                n = monoid._scale(exp.num, exp.denom)
             else:
                 exp = Fraction(exp)
-                scaled = exp * D
-                n = scaled.numerator if scaled.denominator == 1 else None
-            if n is None or not monoid.member_num(n):
+                n = monoid._scale(exp.numerator, exp.denominator)
+            if n is None:
                 raise DomainError(f"exponent {exp} is not a member of {monoid.literal()}")
             prev = acc.get(n)
             acc[n] = coeff if prev is None else semiring.add(prev, coeff)
@@ -68,12 +63,19 @@ class PolyExpr:
     def _of_nums(cls, semiring, monoid, items):
         """Canonical form from (numerator, coeff) pairs, already descending,
         nonzero and inside the monoid."""
-        return cls(
+        return cls._with_nums(
             semiring,
             monoid,
             tuple((monoid.elem_of_num(n), c) for n, c in items),
             tuple(n for n, _ in items),
         )
+
+    @classmethod
+    def _with_nums(cls, semiring, monoid, terms, nums):
+        """A polynomial from canonical ``terms`` and their numerators ``nums``."""
+        f = cls(semiring, monoid, terms)
+        object.__setattr__(f, "_nums", nums)
+        return f
 
     @classmethod
     def zero(cls, semiring, monoid):
@@ -137,9 +139,8 @@ class PolyExpr:
         """Exponent numerators over the monoid denominator, descending."""
         nums = self._nums
         if nums is None:
-            d = self.monoid.denom
-            # in canonical form every exponent's denominator divides d
-            nums = tuple(e.num * (d // e.denom) for e, _ in self.terms)
+            scale = self.monoid._scale
+            nums = tuple(scale(e.num, e.denom) for e, _ in self.terms)
             object.__setattr__(self, "_nums", nums)
         return nums
 

@@ -82,6 +82,22 @@ class TestPolyCommands:
         assert time.perf_counter() - start < 1.0
         assert payload["length"] == expected
 
+    def test_lenfn_budget(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "poly", "lenfn", "--monoid", "gens:500,501,999", "--knapsack-budget", "10",
+            "x^248998",
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert err == "error[budget]: length DP needs 248999 cells, over the budget of 10\n"
+        # x^13 over <5,6,13> is below its class threshold: a DP of 14 cells
+        argv = ["poly", "lenfn", "--monoid", "gens:5,6,13", "--knapsack-budget"]
+        assert run(capsys, *argv, "14", "x^13")[0] == 0
+        assert run(capsys, *argv, "13", "x^13")[0] == 2
+
     def test_expand_family(self, capsys):
         payload = run_json(capsys, "poly", "expand-family", "--n", "2", "--k", "1")
         assert payload["expr"] == "x^5+4x^4+4x^3+x^2+4x+4"

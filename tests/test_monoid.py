@@ -387,6 +387,26 @@ class TestIntegerEntryPoints:
             for b, nb in members[:40]:
                 assert m.divides(a, b) == (nb >= na and best[nb - na] is not None), (a, b)
 
+    @pytest.mark.parametrize("gens", GENS)
+    def test_fraction_not_in_lowest_terms(self, gens):
+        m = sf.make_monoid(gens)
+        members = [m.elem_of_num(n) for n in range(60) if m.member_num(n)]
+        for e in members:
+            for k in (2, 3, 7):
+                wide = sf.ExpElem(e.num * k, e.denom * k)
+                assert m.num_of(wide) == m.num_of(e)
+                assert m.length(wide) == m.length(e)
+                # elem hands back the canonical element
+                assert m.elem(wide) == e
+                assert m.divides(wide, e) and m.divides(e, wide)
+        gaps = [Fraction(n, m.denom) for n in range(60) if not m.member_num(n)]
+        for q in gaps + [Fraction(1, 5 * m.denom)]:
+            wide = sf.ExpElem(q.numerator * 2, q.denominator * 2)
+            for call in (m.num_of, m.elem, m.length):
+                with pytest.raises(DomainError) as info:
+                    call(wide)
+                assert str(info.value) == f"{wide} is not a member of {m.literal()}"
+
     def test_matches_rational_inputs(self):
         m = sf.make_monoid([Fraction(1, 2), Fraction(3, 4)])
         for num in range(0, 30):

@@ -328,8 +328,8 @@ class TestDivisionKernelAgainstFractions:
 
 
 class TestFromTermsExponentKinds:
-    """ExpElem and int exponents take the integer path of from_terms;
-    Fraction and str exponents the rational one.  All must agree."""
+    """ExpElem exponents are scaled without Fraction in from_terms; int,
+    Fraction and str exponents become a Fraction first.  All must agree."""
 
     MONOIDS = ["nat", "gens:1/2,3/4", "gens:6,9,20"]
 
@@ -388,3 +388,27 @@ class TestFromTermsExponentKinds:
             with pytest.raises(DomainError) as info:
                 sf.PolyExpr.from_terms(NAT, M, [(0, 1), (exp, 2)])
             assert str(info.value) == msg, exp
+
+    @pytest.mark.parametrize("literal", MONOIDS)
+    def test_exp_elem_not_in_lowest_terms(self, literal):
+        M = sf.monoid_from_literal(literal)
+        members = [Fraction(n, M.denom) for n in range(40) if M.member_num(n)]
+        for q in members:
+            for k in (2, 3):
+                wide = sf.ExpElem(q.numerator * k, q.denominator * k)
+                f = sf.PolyExpr.from_terms(NAT, M, [(wide, 2), (0, 1)])
+                assert f == sf.PolyExpr.from_terms(NAT, M, [(q, 2), (0, 1)])
+                assert f.terms[0][0] == M.elem(q)
+        wide = sf.ExpElem(2, 2 * M.denom + 2)
+        with pytest.raises(DomainError) as info:
+            sf.PolyExpr.from_terms(NAT, M, [(wide, 1)])
+        assert str(info.value) == f"exponent {wide} is not a member of {M.literal()}"
+
+    def test_cached_numerators_are_not_a_constructor_argument(self):
+        M = sf.monoid_from_literal("gens:1/2,3/4")
+        f = sf.PolyExpr.from_terms(NAT, M, [(Fraction(3, 2), 1), (0, 2)])
+        with pytest.raises(TypeError):
+            sf.PolyExpr(NAT, M, f.terms, (6, 0))
+        g = sf.PolyExpr(NAT, M, f.terms)
+        assert g.exponent_nums() == f.exponent_nums() == (6, 0)
+        assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
