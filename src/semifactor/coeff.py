@@ -14,23 +14,109 @@ between threads.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
-from .errors import DomainError, LengthFunctionUnavailableError, UsageError
+from .errors import (
+    BudgetError,
+    DomainError,
+    InternalError,
+    LengthFunctionUnavailableError,
+    UsageError,
+)
+
+
+# Trial division runs over the primes below _TRIAL_BOUND; what is left is
+# tested with Miller-Rabin and split by Pollard-Brent rho, which may take
+# _RHO_BUDGET iterations per factorization (a few tenths of a second).
+_TRIAL_BOUND = 1000
+_SMALL_PRIMES = [
+    q for q in range(2, _TRIAL_BOUND) if all(q % r for r in range(2, math.isqrt(q) + 1))
+]
+_RHO_BUDGET = 2 * 10**5
+# Miller-Rabin to these bases is a proof of primality below 3.3 * 10**24
+# (Sorenson and Webster 2015); above it, a strong probable-prime test.
+_MR_BASES = _SMALL_PRIMES[:13]
 
 
 def prime_factors(n: int) -> list[int]:
-    """Prime factors of n >= 1 with multiplicity, ascending."""
+    """Prime factors of n >= 1 with multiplicity, ascending.
+
+    BudgetError when Pollard-Brent rho runs out of iterations."""
     out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    for q in _SMALL_PRIMES:
+        if q * q > n:
+            break
+        while n % q == 0:
+            out.append(q)
+            n //= q
+    todo = [n] if n > 1 else []
+    budget = _RHO_BUDGET
+    while todo:
+        m = todo.pop()
+        # every prime factor of m is at least _TRIAL_BOUND
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or _is_prime(m):
+            out.append(m)
+            continue
+        d, budget = _rho_divisor(m, budget)
+        todo += [d, m // d]
+    return sorted(out)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES, for odd n > the largest base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_divisor(n: int, budget: int):
+    """A proper divisor of an odd composite n by Pollard-Brent rho, and the
+    iterations left of ``budget``."""
+    batch = 128  # steps between gcds
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                steps = min(batch, r - k)
+                budget -= steps
+                if budget < 0:
+                    raise BudgetError(
+                        f"no factor of a {n.bit_length()}-bit cofactor within "
+                        f"{_RHO_BUDGET} Pollard rho iterations"
+                    )
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += steps
+            r *= 2
+        if g == n:
+            # the batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g, budget
+    raise InternalError(f"Pollard rho found no divisor of the composite {n}")
 
 
 class CoeffSemiring:
@@ -129,14 +215,10 @@ class Nat(CoeffSemiring):
         self.validate(a)
         if a == 0:
             raise DomainError("0 has no divisor set")
-        out = set()
-        i = 1
-        while i * i <= a:
-            if a % i == 0:
-                out.add(i)
-                out.add(a // i)
-            i += 1
-        return out
+        divs = [1]
+        for q, e in Counter(prime_factors(a)).items():
+            divs = [d * q**i for d in divs for i in range(e + 1)]
+        return set(divs)
 
     def exact_div(self, a, b):
         self.validate(b)

@@ -1,12 +1,15 @@
 """Complete factorization of univariate integer polynomials.
 
 Pipeline: integer content and sign extraction, Yun squarefree decomposition
-(gcds by the primitive polynomial remainder sequence), Berlekamp
-factorization modulo a small deterministic prime, quadratic Hensel lifting
-to a Landau-Mignotte bound, and subset recombination with exact trial
-division.  All arithmetic is on integers, no rationals: divisions are
-pseudo-divisions, exact divisions, or divisions modulo p^k by a monic or
-invertible leading coefficient.  Every factorization is re-multiplied
+(gcds by the primitive polynomial remainder sequence), factorization modulo
+a small deterministic prime by distinct-degree factorization and
+Cantor-Zassenhaus equal-degree splitting (a seeded local random source),
+quadratic Hensel lifting to exactly p^l, the least prime power above twice
+a Landau-Mignotte bound, and subset recombination that prunes candidates by
+their trailing coefficient before exact trial division.  All arithmetic is
+on integers, no rationals: divisions are pseudo-divisions, exact divisions,
+or divisions modulo p^k by a monic or invertible leading coefficient.  Long
+products use Kronecker substitution.  Every factorization is re-multiplied
 before it is returned.
 
 Dense representation throughout: a polynomial is a list of ints, lowest
@@ -15,9 +18,10 @@ degree first, no trailing zeros (the zero polynomial is the empty list).
 from __future__ import annotations
 
 import math
+import random
 import threading
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from .coeff import prime_factors
 from .errors import BudgetError, DomainError, InternalError, UsageError
@@ -38,24 +42,48 @@ def _deg(c):
 
 
 def _add(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+    return _trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _sub(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
+    return _trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _mul(a, b):
     if not a or not b:
         return []
+    if len(a) * len(b) >= _KRONECKER_MIN_TERMS:
+        return _mul_kronecker(a, b)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _trim(out)
+
+
+# Below this many coefficient products the schoolbook loop is faster than
+# packing and unpacking (both about 20 us at 10 x 10 terms on CPython 3.11).
+_KRONECKER_MIN_TERMS = 100
+
+
+def _mul_kronecker(a, b):
+    """Kronecker substitution: evaluate both at 2^k, one big-integer
+    product, read the product's coefficients back as signed k-bit digits."""
+    n = len(a) + len(b) - 1
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    kb = bound.bit_length() // 8 + 1  # bytes per digit, one bit to spare for the sign
+    k = 8 * kb
+    A = B = 0
+    for c in reversed(a):
+        A = (A << k) + c
+    for c in reversed(b):
+        B = (B << k) + c
+    # adding 2^(k-1) to every digit makes them all nonnegative
+    half = 1 << (k - 1)
+    halves = int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")
+    raw = (A * B + halves).to_bytes(kb * n, "little")
+    return _trim([int.from_bytes(raw[i:i + kb], "little") - half for i in range(0, kb * n, kb)])
 
 
 def _scale(a, k):
@@ -253,6 +281,9 @@ def squarefree_decompose(F: IntPoly):
 
 
 # -- GF(p) arithmetic --------------------------------------------------------
+#
+# Products are formed over Z and reduced once; the remainder kernel reads
+# every leading coefficient mod p and reduces the rest once, at the end.
 
 def _p_trim(c, p):
     c = [x % p for x in c]
@@ -262,21 +293,11 @@ def _p_trim(c, p):
 
 
 def _p_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _p_trim(
-        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)], p
-    )
+    return _p_trim(_sub(a, b), p)
 
 
 def _p_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _p_trim(out, p)
+    return _p_trim(_mul(a, b), p)
 
 
 def _p_monic(a, p):
@@ -284,121 +305,121 @@ def _p_monic(a, p):
     return [(x * inv) % p for x in a]
 
 
+def _p_rem(a, b, p):
+    """Remainder of an integer list a by a reduced b with b[-1] != 0 mod p,
+    reduced and trimmed.  Works in place on a, which the caller gives up."""
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    for pos in range(len(a) - 1 - db, -1, -1):
+        q = a[pos + db] * inv % p
+        if q:
+            a[pos:pos + db] = [x - q * y for x, y in zip(a[pos:pos + db], b)]
+    return _p_trim(a[:db], p)
+
+
 def _p_divmod(a, b, p):
-    a = [x % p for x in a]
     b = _p_trim(list(b), p)
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
+    a = [x % p for x in a]
     quo = [0] * max(len(a) - db, 0)
     for pos in range(len(a) - 1 - db, -1, -1):
-        q = (a[pos + db] * inv) % p
+        q = a[pos + db] * inv % p
         if q:
             quo[pos] = q
-            for j in range(db):
-                a[pos + j] -= q * b[j]
+            a[pos:pos + db] = [x - q * y for x, y in zip(a[pos:pos + db], b)]
     return _p_trim(quo, p), _p_trim(a[:db], p)
 
 
-def _p_rem(a, b, p):
-    return _p_divmod(a, b, p)[1]
-
-
 def _p_gcd(a, b, p):
-    a = _p_trim(list(a), p)
-    b = _p_trim(list(b), p)
+    """Monic gcd of reduced a and b over GF(p); [] when both are zero."""
+    a, b = list(a), list(b)
     while b:
         a, b = b, _p_rem(a, b, p)
     return _p_monic(a, p) if a else []
 
 
 def _p_powmod(base, e, mod, p):
-    result = [1]
-    b = _p_rem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _p_rem(_p_mul(result, b, p), mod, p)
-        b = _p_rem(_p_mul(b, b, p), mod, p)
-        e >>= 1
+    """base^e mod `mod` over GF(p), for e >= 1 and a reduced base."""
+    result = base
+    for bit in bin(e)[3:]:
+        result = _p_rem(_mul(result, result), mod, p)
+        if bit == "1":
+            result = _p_rem(_mul(result, base), mod, p)
     return result
 
 
-def _nullspace(A, p):
-    """Basis of the nullspace of the n x n matrix A over GF(p)."""
-    n = len(A)
-    A = [[x % p for x in row] for row in A]
-    pivots = {}
-    row = 0
-    for col in range(n):
-        pr = next((r for r in range(row, n) if A[r][col]), None)
-        if pr is None:
-            continue
-        A[row], A[pr] = A[pr], A[row]
-        inv = pow(A[row][col], -1, p)
-        A[row] = [(x * inv) % p for x in A[row]]
-        for r in range(n):
-            if r != row and A[r][col]:
-                c = A[r][col]
-                A[r] = [(A[r][j] - c * A[row][j]) % p for j in range(n)]
-        pivots[col] = row
-        row += 1
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [0] * n
-        v[fc] = 1
-        for pc, pr in pivots.items():
-            v[pc] = (-A[pr][fc]) % p
-        basis.append(v)
-    return basis
+def _ddf(f, p):
+    """Distinct-degree factorization of a monic squarefree f over GF(p):
+    pairs (g, d), g the product of the monic irreducible factors of degree d."""
+    out = []
+    h = [0, 1]  # x^(p^d) mod f
+    d = 0
+    while 2 * (d + 1) <= _deg(f):
+        d += 1
+        h = _p_powmod(h, p, f, p)
+        g = _p_gcd(f, _p_sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _p_divmod(f, g, p)[0]
+            h = _p_rem(h, f, p)
+    if len(f) > 1:
+        out.append((f, _deg(f)))
+    return out
 
 
-def _berlekamp(f, p):
-    """Monic irreducible factors of a monic squarefree f over GF(p)."""
-    n = _deg(f)
-    if n == 1:
-        return [f]
-    xp = _p_powmod([0, 1], p, f, p)
-    rows = []
-    cur = [1]
-    for _ in range(n):
-        rows.append(cur + [0] * (n - len(cur)))
-        cur = _p_rem(_p_mul(cur, xp, p), f, p)
-    # v with v^p = v mod f <=> sum_i v_i x^(p i) = v, i.e. A v = 0
-    A = [
-        [(rows[i][j] - (1 if i == j else 0)) % p for i in range(n)]
-        for j in range(n)
-    ]
-    basis = _nullspace(A, p)
-    r = len(basis)
-    if r == 1:
-        return [f]
-    factors = [f]
-    for v in basis:
-        vpoly = _p_trim(list(v), p)
-        if _deg(vpoly) < 1:
+# A Cantor-Zassenhaus draw fails to split with probability below 3/4 (the
+# worst case is two linear factors over GF(3)), so this many failures in one
+# factorization mean a broken invariant, not bad luck.
+_EDF_MAX_FAILURES = 100
+_EDF_SEED = 0
+
+
+def _edf(g, d, p, rng):
+    """Cantor-Zassenhaus equal-degree splitting of a monic squarefree g over
+    GF(p) whose irreducible factors all have degree d."""
+    e = (p**d - 1) // 2
+    out = []
+    todo = [g]
+    failures = 0
+    while todo:
+        u = todo.pop()
+        if _deg(u) == d:
+            out.append(u)
             continue
-        for s in range(p):
-            if len(factors) == r:
-                break
-            vs = _p_sub(vpoly, [s], p)
-            next_factors = []
-            for u in factors:
-                if _deg(u) == 1:
-                    next_factors.append(u)
-                    continue
-                g = _p_gcd(u, _p_rem(vs, u, p), p)
-                if 0 < _deg(g) < _deg(u):
-                    next_factors.append(g)
-                    next_factors.append(_p_monic(_p_divmod(u, g, p)[0], p))
-                else:
-                    next_factors.append(u)
-            factors = next_factors
-        if len(factors) == r:
-            break
-    if len(factors) != r:
-        raise InternalError("modular factor count disagrees with the Berlekamp nullity")
-    return sorted(factors, key=lambda u: (len(u), u))
+        a = _p_trim([rng.randrange(p) for _ in range(_deg(u))], p)
+        if len(a) > 1:
+            if p == 2:
+                # trace a + a^2 + ... + a^(2^(d-1)) lies in GF(2) mod each factor
+                b = t = a
+                for _ in range(d - 1):
+                    t = _p_rem(_mul(t, t), u, p)
+                    b = _p_trim(_add(b, t), p)
+            else:
+                # a^((p^d-1)/2) is +1 or -1 mod each factor prime to a
+                b = _p_sub(_p_powmod(a, e, u, p), [1], p)
+            s = _p_gcd(u, b, p)
+            if 0 < _deg(s) < _deg(u):
+                todo += [s, _p_divmod(u, s, p)[0]]
+                continue
+        failures += 1
+        if failures > _EDF_MAX_FAILURES:
+            raise InternalError(f"equal-degree splitting failed {failures} times over GF({p})")
+        todo.append(u)
+    return out
+
+
+def _factor_mod_p(f, p):
+    """Monic irreducible factors of a monic squarefree f over GF(p), sorted:
+    distinct-degree factorization, then equal-degree splitting with a
+    seeded local random source."""
+    rng = random.Random(_EDF_SEED)
+    out = []
+    for g, d in _ddf(f, p):
+        out += _edf(g, d, p, rng)
+    if sum(len(u) - 1 for u in out) != _deg(f):
+        raise InternalError(f"modular factor degrees do not add up to {_deg(f)}")
+    return sorted(out, key=lambda u: (len(u), u))
 
 
 def _primes():
@@ -429,14 +450,8 @@ def _choose_prime(f):
 
 def _tr(c, m):
     """Reduce coefficients into the symmetric range (-m/2, m/2]."""
-    out = []
     half = m // 2
-    for x in c:
-        r = x % m
-        if r > half:
-            r -= m
-        out.append(r)
-    return _trim(out)
+    return _trim([half - (half - x) % m for x in c])
 
 
 def _divmod_monic(a, b, m):
@@ -452,23 +467,27 @@ def _divmod_monic(a, b, m):
             q -= m
         if q:
             quo[pos] = q
-            for j in range(db):
-                a[pos + j] -= q * b[j]
+            a[pos:pos + db] = [x - q * y for x, y in zip(a[pos:pos + db], b)]
     return _trim(quo), _tr(a[:db], m)
 
 
-def _hensel_step(m, f, g, h, s, t):
-    """Lift f = g*h and s*g + t*h = 1 from mod m to mod m^2 (h monic)."""
-    M = m * m
+def _lift_factors(M, f, g, h, s, t):
+    """Lift f = g*h mod m to mod M, for M dividing m^2, given
+    s*g + t*h = 1 mod m (h monic)."""
     e = _tr(_sub(_tr(f, M), _mul(g, h)), M)
     q, r = _divmod_monic(_mul(s, e), h, M)
     g1 = _tr(_add(g, _add(_mul(t, e), _mul(q, g))), M)
     h1 = _tr(_add(h, r), M)
+    return g1, h1
+
+
+def _lift_bezout(M, g1, h1, s, t):
+    """Lift s*g + t*h = 1 from mod m to mod M for the lifted g1, h1."""
     b = _tr(_sub(_add(_mul(s, g1), _mul(t, h1)), [1]), M)
     c, d = _divmod_monic(_mul(s, b), h1, M)
     s1 = _tr(_sub(s, d), M)
     t1 = _tr(_sub(t, _add(_mul(t, b), _mul(c, g1))), M)
-    return g1, h1, s1, t1
+    return s1, t1
 
 
 def _hensel_lift(p, f, fs, l):
@@ -488,10 +507,15 @@ def _hensel_lift(p, f, fs, l):
         h = _p_mul(h, u, p)
     s, t = _bezout_pair(g, h, p)
     g, h, s, t = (_tr(u, p) for u in (g, h, s, t))
+    # quadratic steps, the last one only to p^l; the Bezout pair of the
+    # last step would never be used
     m = p
     while m < pl:
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
+        M = min(m * m, pl)
+        g, h = _lift_factors(M, f, g, h, s, t)
+        if M < pl:
+            s, t = _lift_bezout(M, g, h, s, t)
+        m = M
     return _hensel_lift(p, g, fs[:k], l) + _hensel_lift(p, h, fs[k:], l)
 
 
@@ -534,7 +558,7 @@ def _zassenhaus(f):
     while pl <= 2 * bound:
         l += 1
         pl *= p
-    fs = _berlekamp(_p_monic(_p_trim(list(f), p), p), p)
+    fs = _factor_mod_p(_p_monic(_p_trim(list(f), p), p), p)
     if len(fs) == 1:
         return [f]
     lifted = sorted(_hensel_lift(p, f, fs, l), key=lambda u: (len(u), u))
@@ -545,6 +569,17 @@ def _zassenhaus(f):
     while 2 * s <= len(factors):
         found = False
         for subset in combinations(range(len(factors)), s):
+            if rest[0]:
+                # trailing-coefficient test (Abbott, Shoup and Zimmermann):
+                # a true factor's constant term, times lc(rest)/lc(factor),
+                # divides lc(rest) * rest(0)
+                tc = rest[-1]
+                for i in subset:
+                    tc = tc * factors[i][0] % pl
+                if tc > pl // 2:
+                    tc -= pl
+                if not tc or rest[-1] * rest[0] % tc:
+                    continue
             g = [rest[-1]]
             for i in subset:
                 g = _mul(g, factors[i])

@@ -41,7 +41,7 @@ class PolyExpr:
     @classmethod
     def from_terms(cls, semiring, monoid, terms):
         """Build canonical form: validate, merge like terms, sort, drop zeros."""
-        acc = {}
+        pairs = []
         for exp, coeff in terms:
             coeff = semiring.validate(coeff)
             if isinstance(exp, ExpElem):
@@ -51,6 +51,15 @@ class PolyExpr:
                 n = monoid._scale(exp.numerator, exp.denominator)
             if n is None:
                 raise DomainError(f"exponent {exp} is not a member of {monoid.literal()}")
+            pairs.append((n, coeff))
+        return cls._merge_nums(semiring, monoid, pairs)
+
+    @classmethod
+    def _merge_nums(cls, semiring, monoid, pairs):
+        """Canonical form from (numerator, coeff) pairs of members and
+        valid coefficients, in any order: merge like terms, drop zeros."""
+        acc = {}
+        for n, coeff in pairs:
             prev = acc.get(n)
             acc[n] = coeff if prev is None else semiring.add(prev, coeff)
         return cls._of_nums(
@@ -155,25 +164,25 @@ class PolyExpr:
 
     def __add__(self, other):
         self._same_context(other)
-        return PolyExpr.from_terms(
+        return PolyExpr._merge_nums(
             self.semiring,
             self.monoid,
-            [(e, c) for e, c in self.terms] + [(e, c) for e, c in other.terms],
+            [*zip(self.exponent_nums(), (c for _, c in self.terms)),
+             *zip(other.exponent_nums(), (c for _, c in other.terms))],
         )
 
     def __mul__(self, other):
         self._same_context(other)
         S = self.semiring
-        acc = {}
         nbs = other.exponent_nums()
-        for na, (_, ca) in zip(self.exponent_nums(), self.terms):
-            for nb, (_, cb) in zip(nbs, other.terms):
-                n = na + nb
-                prod = S.mul(ca, cb)
-                prev = acc.get(n)
-                acc[n] = prod if prev is None else S.add(prev, prod)
-        return PolyExpr._of_nums(
-            S, self.monoid, [(n, c) for n, c in sorted(acc.items(), reverse=True) if not S.is_zero(c)]
+        return PolyExpr._merge_nums(
+            S,
+            self.monoid,
+            [
+                (na + nb, S.mul(ca, cb))
+                for na, (_, ca) in zip(self.exponent_nums(), self.terms)
+                for nb, (_, cb) in zip(nbs, other.terms)
+            ],
         )
 
     def __pow__(self, n):
@@ -308,10 +317,13 @@ def parse(text: str, semiring: CoeffSemiring, monoid: ExpMonoid) -> PolyExpr:
         if sc.at_end():
             break
         sc.take("+")
-    for exp, _ in raw_terms:
-        if not monoid.member(exp):
+    pairs = []
+    for exp, coeff in raw_terms:
+        n = monoid._scale(exp.numerator, exp.denominator)
+        if n is None:
             raise ExponentNotInMonoidError(exp, monoid.literal())
-    return PolyExpr.from_terms(semiring, monoid, [(e, c) for e, c in raw_terms])
+        pairs.append((n, coeff))
+    return PolyExpr._merge_nums(semiring, monoid, [(n, semiring.validate(c)) for n, c in pairs])
 
 
 def _parse_term(sc: _Scanner, semiring):

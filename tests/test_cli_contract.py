@@ -1,11 +1,18 @@
 """Property test of the CLI contract: every command line either answers or
 prints exactly one ``error[<kind>]`` line, with exit code 0-3 and no
 traceback.  Inputs stay small enough (generators <= 1000, numbers <= 10**6,
-small budgets) that no known unbudgeted path is reached."""
+small budgets) that no known unbudgeted path is reached.  Inputs that once
+hung run in a child process with CPU-time and address-space limits."""
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import semifactor
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -69,3 +76,45 @@ def test_answer_or_one_error_line(argv):
         assert lines == [] and out.getvalue()
     else:
         assert lines and lines[0].startswith("error["), (argv, lines)
+
+
+SRC = str(Path(semifactor.__file__).resolve().parent.parent)
+# The limits apply to the child alone, set by the child before it imports
+# the library: a hang dies of SIGXCPU, unbounded memory of MemoryError.
+LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from semifactor.cli import entrypoint
+entrypoint()
+"""
+
+
+def run_child(args, code=LIMITED_CLI):
+    env = {k: v for k, v in os.environ.items() if k != "SEMIFACTOR_BUDGET"}
+    env["PYTHONPATH"] = SRC
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("command", ["divisors", "factorizations"])
+def test_large_prime_content_answers_or_one_error_line(command):
+    n = 2**61 - 1  # prime: trial division to its square root never ends
+    proc = run_child(["poly", command, f"{n}x+{n}"])
+    lines = proc.stderr.splitlines()
+    assert proc.returncode in (0, 1, 2, 3), (proc.returncode, proc.stderr[-400:])
+    if proc.returncode == 0:
+        assert lines == [] and proc.stdout
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error["), lines
+
+
+def test_import_loads_only_the_standard_library():
+    code = "import sys, semifactor; print(*sorted({m.split('.')[0] for m in sys.modules}))"
+    proc = run_child([], code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "semifactor" in loaded
+    assert loaded - {"semifactor", "__main__"} <= set(sys.stdlib_module_names)

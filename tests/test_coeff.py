@@ -3,7 +3,9 @@ import random
 import pytest
 
 import semifactor as sf
+from semifactor.coeff import prime_factors
 from semifactor.errors import (
+    BudgetError,
     DomainError,
     LengthFunctionUnavailableError,
     UsageError,
@@ -261,3 +263,38 @@ class TestRender:
 
     def test_nat_text(self):
         assert NAT.render(17) == "17"
+
+
+def small_primes(bound):
+    return [q for q in range(2, bound) if all(q % r for r in range(2, int(q**0.5) + 1))]
+
+
+class TestPrimeFactors:
+    BIG = [1000003, 2**31 - 1, 10**9 + 7, 2**61 - 1, 2**89 - 1]
+
+    def test_products_of_known_primes(self):
+        rng = random.Random(60)
+        pool = small_primes(3000) + self.BIG
+        for _ in range(300):
+            picks = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+            n = 1
+            for q in picks:
+                n *= q
+            if n.bit_length() > 120 and sum(q > 10**7 for q in picks) > 1:
+                continue  # two large factors: rho may need more than its budget
+            assert prime_factors(n) == sorted(picks), picks
+
+    def test_strong_pseudoprimes_are_split(self):
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2, ..., 23
+        assert prime_factors(3215031751) == [151, 751, 28351]
+        assert prime_factors(3825123056546413051) == [149491, 747451, 34233211]
+
+    def test_rho_budget(self):
+        # two primes near 2^61 and 2^89 are out of reach of 2 * 10^5 iterations
+        with pytest.raises(BudgetError):
+            prime_factors((2**61 - 1) * (2**89 - 1))
+
+    def test_nat_divisors_match_brute_force(self):
+        for n in list(range(1, 400)) + [720720, 2**20, 3**5 * 7**3]:
+            assert NAT.divisors_of(n) == {d for d in range(1, n + 1) if n % d == 0}
+        assert NAT.divisors_of(2**61 - 1) == {1, 2**61 - 1}

@@ -1,16 +1,22 @@
 import random
 import threading
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from semifactor.errors import BudgetError, DomainError
+from semifactor import intfactor
+from semifactor.errors import BudgetError, DomainError, InternalError
 from semifactor.intfactor import (
+    _EDF_SEED,
     IntPoly,
+    _choose_prime,
     _div_exact,
     _divmod_monic,
+    _edf,
+    _factor_mod_p,
     _gcd_z,
+    _hensel_lift,
     _mul,
     _p_divmod,
     factor_int_poly,
@@ -496,3 +502,168 @@ class TestSympyCrossCheck:
                 want[coeffs] = want.get(coeffs, 0) + mult
             assert got == want, f
             assert unit == want_unit, f
+
+
+# -- the modular stage, against arithmetic written out here -----------------
+
+def gf_trim(u, p):
+    u = [x % p for x in u]
+    while u and u[-1] == 0:
+        u.pop()
+    return u
+
+
+def gf_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return gf_trim(out, p)
+
+
+def gf_rem(a, b, p):
+    a = gf_trim(a, p)
+    inv = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        q = a[-1] * inv % p
+        shift = len(a) - len(b)
+        a = gf_trim([x - q * b[i - shift] if i >= shift else x for i, x in enumerate(a)], p)
+    return a
+
+
+def gf_gcd(a, b, p):
+    a, b = gf_trim(a, p), gf_trim(b, p)
+    while b:
+        a, b = b, gf_rem(a, b, p)
+    return gf_trim([x * pow(a[-1], -1, p) for x in a], p)
+
+
+def gf_irreducible(u, p):
+    """Brute force up to degree 3 (no root), else gcd(u, x^(p^i) - x) = 1
+    for every 0 < i < deg u."""
+    n = len(u) - 1
+    if n <= 3:
+        return n == 1 or all(sum(c * pow(r, k, p) for k, c in enumerate(u)) % p for r in range(p))
+    xq = [0, 1]
+    for _ in range(1, n):
+        power = [1]
+        for _ in range(p):  # xq^p mod u
+            power = gf_rem(gf_mul(power, xq, p), u, p)
+        xq = power
+        if len(gf_gcd(u, gf_trim([c - (k == 1) for k, c in enumerate(xq + [0, 0])], p), p)) > 1:
+            return False
+    return True
+
+
+def random_monic_squarefree(rng, p, deg):
+    while True:
+        f = [rng.randrange(p) for _ in range(deg)] + [1]
+        df = gf_trim([k * c for k, c in enumerate(f)][1:], p)
+        if df and len(gf_gcd(f, df, p)) == 1:
+            return f
+
+
+class TestModularFactorization:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
+    def test_factors_are_monic_irreducible_and_multiply_back(self, p):
+        rng = random.Random(70 + p)
+        split = 0
+        for _ in range(40):
+            f = random_monic_squarefree(rng, p, rng.randint(1, 10))
+            factors = _factor_mod_p(list(f), p)
+            assert factors == _factor_mod_p(list(f), p)
+            prod = [1]
+            for u in factors:
+                assert u[-1] == 1 and all(0 <= c < p for c in u), (f, u)
+                assert gf_irreducible(u, p), (f, u)
+                prod = gf_mul(prod, u, p)
+            assert prod == f
+            assert factors == sorted(factors, key=lambda u: (len(u), u))
+            split += len(factors) > 1
+        assert split > 20
+
+    def test_global_random_state_untouched(self):
+        state = random.getstate()
+        _factor_mod_p([1, 0, 0, 0, 0, 0, 0, 0, 1], 17)  # x^8 + 1: eight linear factors
+        assert random.getstate() == state
+
+    def test_failed_draws_are_capped(self):
+        # x^2 + 1 is irreducible over GF(3): it never splits as if of degree 1
+        with pytest.raises(InternalError):
+            _edf([1, 0, 1], 1, 3, random.Random(_EDF_SEED))
+        with pytest.raises(InternalError):
+            _edf([1, 1, 1], 1, 2, random.Random(_EDF_SEED))
+
+
+class TestHenselLift:
+    def test_lifted_factors_reduce_and_multiply_back(self):
+        rng = random.Random(71)
+        lifts = 0
+        for _ in range(60):
+            f = [1]
+            for _ in range(rng.randint(2, 4)):
+                f = _mul(f, random_int_poly(rng, rng.randint(1, 3)))
+            if len(squarefree_decompose(IntPoly.of(f))) != 1 or len(f) < 3:
+                continue
+            f = list(IntPoly.of(f).coeffs)
+            if f[-1] < 0:
+                f = [-c for c in f]
+            p = _choose_prime(f)
+            lc_inv = pow(f[-1], -1, p)
+            fs = _factor_mod_p(gf_trim([c * lc_inv for c in f], p), p)
+            for l in (1, 2, 3, 5, 11):
+                pl = p**l
+                lifted = _hensel_lift(p, f, fs, l)
+                assert [gf_trim(u, p) for u in lifted] == fs
+                prod = [f[-1]]
+                for u in lifted:
+                    assert u[-1] == 1 and all(-pl < 2 * c <= pl for c in u)
+                    prod = _mul(prod, u)
+                assert all(c % pl == 0 for c in poly_sub(prod, f)), (f, p, l)
+            lifts += len(fs) > 1
+        assert lifts > 30
+
+
+class TestRecombination:
+    def test_trailing_coefficient_prunes_trial_divisions(self, monkeypatch):
+        # Swinnerton-Dyer-style: both quartics split modulo every prime
+        a, b = [1, 0, -10, 0, 1], [4, 0, -16, 0, 1]
+        f = IntPoly.of(_mul(a, b))
+        divisions, subsets = [0], [0]
+
+        def counting_div(u, v):
+            divisions[0] += 1
+            return _div_exact(u, v)
+
+        def counting_combinations(items, s):
+            for c in combinations(items, s):
+                subsets[0] += 1
+                yield c
+
+        monkeypatch.setattr(intfactor, "_div_exact", counting_div)
+        monkeypatch.setattr(intfactor, "combinations", counting_combinations)
+        monkeypatch.setattr(intfactor, "_CACHE", {})
+        fac = factor_int_poly(f)
+        assert [(p.coeffs, m) for p, m in fac.factors] == [(tuple(a), 1), (tuple(b), 1)]
+        # without the test every subset would be trial-divided
+        assert 0 < divisions[0] < subsets[0]
+
+
+class TestKroneckerProduct:
+    def test_matches_schoolbook(self):
+        rng = random.Random(72)
+        for _ in range(400):
+            bits = rng.choice([1, 4, 30, 64, 200])
+            a = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 30))]
+            b = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 30))]
+            a[-1] = a[-1] or 1
+            b[-1] = b[-1] or -1
+            want = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    want[i + j] += x * y
+            while want and want[-1] == 0:
+                want.pop()
+            assert _mul(a, b) == want, (a, b)
