@@ -474,7 +474,7 @@ def _divmod_monic(a, b, m):
 def _lift_factors(M, f, g, h, s, t):
     """Lift f = g*h mod m to mod M, for M dividing m^2, given
     s*g + t*h = 1 mod m (h monic)."""
-    e = _tr(_sub(_tr(f, M), _mul(g, h)), M)
+    e = _tr(_sub(f, _mul(g, h)), M)
     q, r = _divmod_monic(_mul(s, e), h, M)
     g1 = _tr(_add(g, _add(_mul(t, e), _mul(q, g))), M)
     h1 = _tr(_add(h, r), M)
@@ -523,12 +523,10 @@ def _bezout_pair(g, h, p):
     """s, t with s*g + t*h = 1 over GF(p), deg s < deg h, deg t < deg g."""
     r0, r1 = _p_trim(list(g), p), _p_trim(list(h), p)
     s0, s1 = [1], []
-    t0, t1 = [], [1]
     while r1:
         q, r = _p_divmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _p_sub(s0, _p_mul(q, s1, p), p)
-        t0, t1 = t1, _p_sub(t0, _p_mul(q, t1, p), p)
     if _deg(r0) != 0:
         raise InternalError("modular factors are not coprime")
     inv = pow(r0[0], -1, p)

@@ -323,7 +323,8 @@ def parse(text: str, semiring: CoeffSemiring, monoid: ExpMonoid) -> PolyExpr:
         if n is None:
             raise ExponentNotInMonoidError(exp, monoid.literal())
         pairs.append((n, coeff))
-    return PolyExpr._merge_nums(semiring, monoid, [(n, semiring.validate(c)) for n, c in pairs])
+    # _parse_term builds only valid coefficients
+    return PolyExpr._merge_nums(semiring, monoid, pairs)
 
 
 def _parse_term(sc: _Scanner, semiring):
