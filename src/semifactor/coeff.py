@@ -26,17 +26,14 @@ from .errors import (
 )
 
 
-# Trial division runs over the primes below _TRIAL_BOUND; what is left is
-# tested with Miller-Rabin and split by Pollard-Brent rho, which may take
-# _RHO_BUDGET iterations per factorization (a few tenths of a second).
+# Trial division runs below _TRIAL_BOUND; what is left is tested with
+# Miller-Rabin and split by Pollard-Brent rho, which may take _RHO_BUDGET
+# iterations per factorization (a few tenths of a second).
 _TRIAL_BOUND = 1000
-_SMALL_PRIMES = [
-    q for q in range(2, _TRIAL_BOUND) if all(q % r for r in range(2, math.isqrt(q) + 1))
-]
 _RHO_BUDGET = 2 * 10**5
 # Miller-Rabin to these bases is a proof of primality below 3.3 * 10**24
 # (Sorenson and Webster 2015); above it, a strong probable-prime test.
-_MR_BASES = _SMALL_PRIMES[:13]
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def prime_factors(n: int) -> list[int]:
@@ -44,12 +41,12 @@ def prime_factors(n: int) -> list[int]:
 
     BudgetError when Pollard-Brent rho runs out of iterations."""
     out = []
-    for q in _SMALL_PRIMES:
-        if q * q > n:
-            break
-        while n % q == 0:
-            out.append(q)
-            n //= q
+    d = 2
+    while d < _TRIAL_BOUND and d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1 if d == 2 else 2
     todo = [n] if n > 1 else []
     budget = _RHO_BUDGET
     while todo:
