@@ -3,7 +3,6 @@ nonnegative coefficients and rational exponents."""
 
 from .coeff import Nat, Quad, semiring_from_literal
 from .engine import (
-    Budgets,
     CertificateReport,
     DivisorSet,
     Factorization,
@@ -19,6 +18,7 @@ from .engine import (
 )
 from .errors import (
     BudgetError,
+    Budgets,
     DomainError,
     InternalError,
     ParseError,

@@ -16,10 +16,8 @@ from fractions import Fraction
 
 from . import engine, paperlab
 from .coeff import semiring_from_literal
-from .engine import Budgets
-from .errors import BudgetError, DomainError, InternalError, UsageError
+from .errors import BudgetError, Budgets, DomainError, InternalError, UsageError
 from .monoid import monoid_from_literal
-from .paperlab import SuiteConfig
 from .polyexpr import parse as parse_poly
 
 
@@ -55,9 +53,9 @@ def _report_flags(p):
     p.add_argument("--degree-limit", dest="degree_limit", type=_positive_int)
 
 
-def _common_flags(p):
+def _common_flags(p, formats=("json", "pretty")):
     _report_flags(p)
-    p.add_argument("--output", default="json", choices=["json", "csv", "pretty"])
+    p.add_argument("--output", default="json", choices=formats)
 
 
 def _monoid_flag(p):
@@ -129,7 +127,7 @@ def build_parser():
     sw = sub.add_parser("sweep", help="parameter sweeps")
     sw_sub = sw.add_subparsers(dest="op", required=True)
     se = sw_sub.add_parser("elasticity")
-    _common_flags(se)
+    _common_flags(se, ("json", "csv"))
     se.add_argument("--n", required=True, help="comma-separated values, each >= 2")
     se.add_argument("--k", required=True, help="comma-separated values, each >= 1")
 
@@ -150,17 +148,6 @@ def _budgets(args) -> Budgets:
         out = replace(out, oracle_candidates=node, z_nodes=node, knapsack_nodes=node)
     given = {f.name: getattr(args, f.name) for f in fields(Budgets)}
     return replace(out, **{k: v for k, v in given.items() if v is not None})
-
-
-def _suite_config(args, only=None) -> SuiteConfig:
-    b = _budgets(args)
-    return SuiteConfig(
-        degree_limit=b.degree_limit,
-        oracle_candidates=b.oracle_candidates,
-        z_nodes=b.z_nodes,
-        knapsack_nodes=b.knapsack_nodes,
-        only=tuple(only) if only else None,
-    )
 
 
 def _context(args):
@@ -265,21 +252,21 @@ def _run_monoid(args):
 
 
 def _run_verify(args):
-    cfg = _suite_config(args, only=args.only)
-    results = paperlab.run_paper_suite(cfg)
-    text = paperlab.report_json(results, cfg)
+    b = _budgets(args)
+    results = paperlab.run_paper_suite(b, args.only)
+    text = paperlab.report_json(results, b, args.only)
     failed = any(r.status == "fail" for r in results)
     return text, (1 if failed else 0)
 
 
 def _run_sweep(args):
-    cfg = _suite_config(args)
+    b = _budgets(args)
     try:
         n_values = [int(v) for v in args.n.split(",")]
         k_values = [int(v) for v in args.k.split(",")]
     except ValueError:
         raise UsageError("--n and --k take comma-separated integers") from None
-    rows = paperlab.elasticity_sweep(n_values, k_values, cfg)
+    rows = paperlab.elasticity_sweep(n_values, k_values, b)
     if args.output == "csv":
         return paperlab.sweep_csv(rows), 0
     return json.dumps({"rows": paperlab.sweep_jsonable(rows)}, sort_keys=True) + "\n", 0
@@ -323,8 +310,6 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             text, code = _run_sweep(args)
         else:
-            if args.output == "csv":
-                raise UsageError("csv output is only available for sweeps")
             payload = _run_poly(args) if args.command == "poly" else _run_monoid(args)
             text = (
                 _pretty(payload)

@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
+    DEFAULT_BUDGETS,
     BudgetError,
     DomainError,
     InternalError,
@@ -316,10 +317,19 @@ class Quad(CoeffSemiring):
         # Every divisor (b', c') of (b, c) satisfies b' + c' <= b + c: the
         # cofactor is nonzero, so each of its components contributes at least
         # once (or d >= 2 times) to the componentwise sums of the product.
+        # The scan tries every such pair, so it is counted against the
+        # default oracle budget before it starts.
         self.validate(a)
         if a == self.zero:
             raise DomainError("0 has no divisor set")
         total = a[0] + a[1]
+        pairs = (total + 1) * (total + 2) // 2 - 1
+        budget = DEFAULT_BUDGETS.oracle_candidates
+        if pairs > budget:
+            raise BudgetError(
+                f"divisors of {self.render(a)} need {pairs} candidate pairs, "
+                f"over the budget of {budget}"
+            )
         out = set()
         for b in range(total + 1):
             for c in range(total + 1 - b):
@@ -343,15 +353,15 @@ class Quad(CoeffSemiring):
             return None
         return (p, q)
 
-    def _is_atom(self, v):
-        return len(self.divisors_of(v)) == 2
-
     def atom_factorizations(self, a):
         self.validate(a)
         if a in (self.zero, self.one):
             raise DomainError(f"{self.render(a)} has no factorization into atoms")
         divs = self.divisors_of(a)
-        atoms = sorted((s for s in divs if s != self.one and self._is_atom(s)), key=self.sort_key)
+        atoms = sorted(
+            (s for s in divs if s != self.one and len(self.divisors_of(s)) == 2),
+            key=self.sort_key,
+        )
 
         results = set()
 

@@ -46,24 +46,13 @@ from math import prod
 from operator import sub
 
 from .coeff import Nat
-from .errors import BudgetError, DomainError, UsageError
+from .errors import DEFAULT_BUDGETS, BudgetError, Budgets, DomainError, UsageError
 from .intfactor import IntPoly, _mul, factor_int_poly
 from .polyexpr import PolyExpr, ambient_exact_div
 
 STRATEGY_AUTO = "auto"
 STRATEGY_ORACLE = "oracle"
 STRATEGY_ZX = "zx_fastpath"
-
-
-@dataclass(frozen=True)
-class Budgets:
-    oracle_candidates: int = 10**6
-    z_nodes: int = 10**5
-    knapsack_nodes: int = 10**6
-    degree_limit: int = 24
-
-
-DEFAULT_BUDGETS = Budgets()
 
 
 @dataclass(eq=False)

@@ -1,8 +1,25 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy and resource budgets shared across the package.
 
 The CLI maps these onto exit codes: usage/domain problems exit 1, exhausted
-budgets exit 2, broken internal invariants exit 3.
+budgets exit 2, broken internal invariants exit 3.  ``Budgets`` is the one
+place where budget defaults are written down; every layer reads them from
+``DEFAULT_BUDGETS``.
 """
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Budgets:
+    """Ceilings on oracle candidates, Z(f) recursion nodes, knapsack nodes
+    and the degree of integer factorization; exceeding one is a BudgetError."""
+
+    oracle_candidates: int = 10**6
+    z_nodes: int = 10**5
+    knapsack_nodes: int = 10**6
+    degree_limit: int = 24
+
+
+DEFAULT_BUDGETS = Budgets()
 
 
 class SemifactorError(Exception):

@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, zip_longest
 
 from .coeff import prime_factors
-from .errors import BudgetError, DomainError, InternalError, UsageError
-
-DEFAULT_DEGREE_LIMIT = 24
+from .errors import DEFAULT_BUDGETS, BudgetError, DomainError, InternalError, UsageError
 
 
 # -- dense integer polynomial helpers --------------------------------------
@@ -631,7 +629,9 @@ def _factor_primitive(prim):
     return result
 
 
-def factor_int_poly(F: IntPoly, degree_limit: int = DEFAULT_DEGREE_LIMIT) -> IntFactorization:
+def factor_int_poly(
+    F: IntPoly, degree_limit: int = DEFAULT_BUDGETS.degree_limit
+) -> IntFactorization:
     """Complete factorization of F into sign, prime content and irreducibles."""
     if F.is_zero:
         raise DomainError("the zero polynomial has no factorization")

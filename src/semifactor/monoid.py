@@ -10,7 +10,7 @@ checks that n is an integer and a member with integers only, and
 answered in O(1) from the Apery table of D*M (least member in each residue
 class modulo the smallest generator a), built once at construction with a
 Dijkstra sweep.  Both tables have one entry per class, so a is checked
-against ``DEFAULT_KNAPSACK_BUDGET`` before either is allocated.
+against the default knapsack budget before either is allocated.
 
 The greatest factorization length is answered in O(1) from a second table
 with one entry per residue class mod a, built by the same sweep at the
@@ -29,9 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import BudgetError, DomainError, UsageError
-
-DEFAULT_KNAPSACK_BUDGET = 10**6
+from .errors import DEFAULT_BUDGETS, BudgetError, DomainError, UsageError
 
 
 @dataclass(frozen=True)
@@ -58,12 +56,12 @@ class ExpElem:
 def _least_sums(a: int, steps, table: str) -> list:
     """Least sum of a multiset of ``steps`` in each residue class mod a
     (Dijkstra over the classes); None = no sum lies in that class.  The a
-    classes are checked against ``DEFAULT_KNAPSACK_BUDGET`` before the
+    classes are checked against the default knapsack budget before the
     ``table`` is allocated."""
-    if a > DEFAULT_KNAPSACK_BUDGET:
+    budget = DEFAULT_BUDGETS.knapsack_nodes
+    if a > budget:
         raise BudgetError(
-            f"{table} table needs {a} residue classes, "
-            f"over the budget of {DEFAULT_KNAPSACK_BUDGET}"
+            f"{table} table needs {a} residue classes, over the budget of {budget}"
         )
     dist = [None] * a
     dist[0] = 0
@@ -211,7 +209,7 @@ class ExpMonoid:
         """Additive divisibility: b - a is a member."""
         return self.member_num(self._num(b) - self._num(a))
 
-    def factorizations(self, m, node_budget: int = DEFAULT_KNAPSACK_BUDGET):
+    def factorizations(self, m, node_budget: int = DEFAULT_BUDGETS.knapsack_nodes):
         """All multisets of atoms summing to m, as ascending tuples of ExpElem.
 
         Depth-first over atoms in descending order with an explicit stack;
@@ -246,7 +244,7 @@ class ExpMonoid:
             out.add(tuple(fac))
         return frozenset(out)
 
-    def mcd(self, elems, node_budget: int = DEFAULT_KNAPSACK_BUDGET) -> frozenset[ExpElem]:
+    def mcd(self, elems, node_budget: int = DEFAULT_BUDGETS.knapsack_nodes) -> frozenset[ExpElem]:
         """All divisibility-maximal common divisors of a nonempty collection.
 
         A common divisor d is maximal exactly when no d + g, g an atom, is
@@ -258,7 +256,7 @@ class ExpMonoid:
         maximal = [d for d in commons if not any(d + g in commons for g in self.min_gens)]
         return frozenset(self.elem_of_num(d) for d in maximal)
 
-    def gcd(self, elems, node_budget: int = DEFAULT_KNAPSACK_BUDGET):
+    def gcd(self, elems, node_budget: int = DEFAULT_BUDGETS.knapsack_nodes):
         """The common divisor divisible by all others, when one exists.
 
         The common divisors are finite, so every one lies below a maximal
@@ -286,7 +284,7 @@ class ExpMonoid:
             if self.member_num(d) and all(self.member_num(x - d) for x in nums)
         }
 
-    def length(self, m, node_budget: int = DEFAULT_KNAPSACK_BUDGET) -> int:
+    def length(self, m, node_budget: int = DEFAULT_BUDGETS.knapsack_nodes) -> int:
         """Greatest factorization length of m; superadditive and 0 only at 0.
 
         With a the smallest atom and (w, r) the length-table entry of the

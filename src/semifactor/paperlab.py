@@ -10,44 +10,17 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import engine
 from .coeff import Nat, Quad
-from .engine import Budgets
-from .errors import BudgetError, DomainError, InternalError, UsageError
+from .errors import DEFAULT_BUDGETS, BudgetError, Budgets, DomainError, InternalError, UsageError
 from .intfactor import IntPoly
 from .monoid import make_monoid, nat_monoid
 from .polyexpr import PolyExpr, parse
 
 SUITE_VERSION = "1.0"
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    degree_limit: int = Budgets.degree_limit
-    oracle_candidates: int = Budgets.oracle_candidates
-    z_nodes: int = Budgets.z_nodes
-    knapsack_nodes: int = Budgets.knapsack_nodes
-    only: tuple = None
-
-    def budgets(self) -> Budgets:
-        return Budgets(
-            oracle_candidates=self.oracle_candidates,
-            z_nodes=self.z_nodes,
-            knapsack_nodes=self.knapsack_nodes,
-            degree_limit=self.degree_limit,
-        )
-
-    def to_jsonable(self):
-        return {
-            "degree_limit": self.degree_limit,
-            "knapsack_nodes": self.knapsack_nodes,
-            "only": sorted(self.only) if self.only else None,
-            "oracle_candidates": self.oracle_candidates,
-            "z_nodes": self.z_nodes,
-        }
 
 
 @dataclass(frozen=True)
@@ -104,8 +77,7 @@ def _parse_nat(text):
 
 # -- individual checks -------------------------------------------------------
 
-def _check_lfs_witness(cfg):
-    b = cfg.budgets()
+def _check_lfs_witness(budgets):
     f1 = _parse_nat("x+1")
     f2 = _parse_nat("x^3+1")
     f3 = _parse_nat("x^2+x+1")
@@ -114,7 +86,7 @@ def _check_lfs_witness(cfg):
     failures = []
     if f1 * f4 != target or f2 * f3 != target:
         failures.append("product identity does not hold")
-    zs = engine.factorizations(target, budgets=b)
+    zs = engine.factorizations(target, budgets=budgets)
     got = sorted(sorted(str(p) for p in z.parts) for z in zs)
     want = [["x+1", "x^4+x^2+1"], ["x^2+x+1", "x^3+1"]]
     if got != want:
@@ -125,8 +97,7 @@ def _check_lfs_witness(cfg):
     return failures, {"factorizations": got, "lengths": lengths, "product": str(target)}
 
 
-def _check_hfs_witness(cfg):
-    b = cfg.budgets()
+def _check_hfs_witness(budgets):
     f1 = _parse_nat("x^4+x^2+x+1")
     f2 = _parse_nat("x^6+x^5+x^3+1")
     f3 = _parse_nat("x+1")
@@ -137,11 +108,11 @@ def _check_hfs_witness(cfg):
     prod = f1 * f2
     if prod != f3 * f4 * f5 or prod != expanded:
         failures.append("product identity does not hold")
-    if not engine.is_atom(f1, budgets=b):
+    if not engine.is_atom(f1, budgets=budgets):
         failures.append(f"{f1} is not reported as an atom")
-    if not engine.is_atom(f2, budgets=b):
+    if not engine.is_atom(f2, budgets=budgets):
         failures.append(f"{f2} is not reported as an atom")
-    lengths, rho = engine.length_profile(prod, budgets=b)
+    lengths, rho = engine.length_profile(prod, budgets=budgets)
     if min(lengths) != 2:
         failures.append(f"min length is {min(lengths)}, expected 2")
     if max(lengths) < 3:
@@ -153,7 +124,7 @@ def _check_hfs_witness(cfg):
     }
 
 
-def _check_membership_family(cfg):
+def _check_membership_family(budgets):
     failures = []
     table = []
     for n in range(1, 7):
@@ -165,26 +136,24 @@ def _check_membership_family(cfg):
     return failures, {"cases": len(table), "table": table}
 
 
-def _check_irreducible_family(cfg):
-    b = cfg.budgets()
+def _check_irreducible_family(budgets):
     failures = []
     checked = []
     for n in range(1, 5):
         f = expand_family(n, n)
-        if not engine.is_atom(f, budgets=b):
+        if not engine.is_atom(f, budgets=budgets):
             failures.append(f"n={n}: {f} is not reported as an atom")
         checked.append({"n": n, "expr": str(f)})
     return failures, {"family": checked}
 
 
-def _check_elasticity_family(cfg):
-    b = cfg.budgets()
+def _check_elasticity_family(budgets):
     failures = []
     rows = []
     for n in (2, 3):
         for k in (1, 2, 3):
             f = expand_family(n, n, k)
-            zs = engine.factorizations(f, budgets=b)
+            zs = engine.factorizations(f, budgets=budgets)
             lengths = sorted(z.length for z in zs)
             rho = Fraction(max(lengths), min(lengths))
             rows.append(
@@ -202,7 +171,7 @@ def _check_elasticity_family(cfg):
     return failures, {"rows": rows}
 
 
-def _check_quad_sqrt6(cfg):
+def _check_quad_sqrt6(budgets):
     S = Quad(6)
     failures = []
     checked = 0
@@ -221,13 +190,12 @@ def _check_quad_sqrt6(cfg):
     return failures, {"divisor_pairs_checked": checked, "six": got}
 
 
-def _check_monolithic_example(cfg):
-    b = cfg.budgets()
+def _check_monolithic_example(budgets):
     f = _parse_nat("x^2+x^3")
     failures = []
-    if not engine.is_monolithic(f, budgets=b):
+    if not engine.is_monolithic(f, budgets=budgets):
         failures.append(f"{f} not reported monolithic")
-    report = engine.atomic_certificate(f, budgets=b)
+    report = engine.atomic_certificate(f, budgets=budgets)
     if not report.passes:
         failures.append("certificate fails")
     part = report.per_part[0]
@@ -242,7 +210,7 @@ def _check_monolithic_example(cfg):
     }
 
 
-def _check_puiseux_demo(cfg):
+def _check_puiseux_demo(budgets):
     failures = []
     m1 = make_monoid([Fraction(1, 2), Fraction(3, 4)])
     m2 = make_monoid([2, 3])
@@ -252,14 +220,14 @@ def _check_puiseux_demo(cfg):
     for num in range(0, 25):
         if not m2.member_num(num):
             continue
-        z2 = m2.factorizations(Fraction(num), node_budget=cfg.knapsack_nodes)
-        z1 = m1.factorizations(Fraction(num, 4), node_budget=cfg.knapsack_nodes)
+        z2 = m2.factorizations(Fraction(num), node_budget=budgets.knapsack_nodes)
+        z1 = m1.factorizations(Fraction(num, 4), node_budget=budgets.knapsack_nodes)
         if len(z1) != len(z2) or sorted(len(t) for t in z1) != sorted(len(t) for t in z2):
             failures.append(f"scaling mismatch at {num}/4")
     trunc = make_monoid([1, Fraction(3, 2), Fraction(9, 4)])
     if sorted(str(a) for a in trunc.atoms()) != ["1", "3/2", "9/4"]:
         failures.append(f"atoms of truncation are {sorted(str(a) for a in trunc.atoms())}")
-    zs = trunc.factorizations(Fraction(9, 2), node_budget=cfg.knapsack_nodes)
+    zs = trunc.factorizations(Fraction(9, 2), node_budget=budgets.knapsack_nodes)
     lengths = sorted(len(t) for t in zs)
     if lengths != [2, 3, 4]:
         failures.append(f"lengths of 9/2 in the truncation are {lengths}")
@@ -273,8 +241,7 @@ def _check_puiseux_demo(cfg):
     }
 
 
-def _check_length_function_suite(cfg):
-    b = cfg.budgets()
+def _check_length_function_suite(budgets):
     rng = random.Random(74025)
     failures = []
     contexts = [
@@ -289,7 +256,7 @@ def _check_length_function_suite(cfg):
             g = _random_poly(rng, S, M)
             pairs += 1
             fg = f * g
-            lf, lg, lfg = (engine.length_fn(h, b) for h in (f, g, fg))
+            lf, lg, lfg = (engine.length_fn(h, budgets) for h in (f, g, fg))
             if lfg < lf + lg:
                 failures.append(f"{label}: l({f} * {g}) = {lfg} < {lf} + {lg}")
             # scaling by D is a bijection, so numerators compare as exponents
@@ -329,19 +296,19 @@ _CHECKS = {
 }
 
 
-def run_paper_suite(config: SuiteConfig = None):
-    """Run the reference checks and report one CheckResult per check."""
-    config = config or SuiteConfig()
+def run_paper_suite(budgets: Budgets = DEFAULT_BUDGETS, only=None):
+    """Run the reference checks (all of them, or the ids in ``only``) and
+    report one CheckResult per check."""
     selected = sorted(_CHECKS)
-    if config.only:
-        unknown = [cid for cid in config.only if cid not in _CHECKS]
+    if only:
+        unknown = [cid for cid in only if cid not in _CHECKS]
         if unknown:
             raise UsageError(f"unknown check ids {unknown}; valid: {selected}")
-        selected = sorted(config.only)
+        selected = sorted(only)
     results = []
     for cid in selected:
         try:
-            failures, details = _CHECKS[cid](config)
+            failures, details = _CHECKS[cid](budgets)
             status = "pass" if not failures else "fail"
             if failures:
                 details = dict(details)
@@ -353,11 +320,12 @@ def run_paper_suite(config: SuiteConfig = None):
     return results
 
 
-def report_json(results, config: SuiteConfig = None) -> str:
-    config = config or SuiteConfig()
+def report_json(results, budgets: Budgets = DEFAULT_BUDGETS, only=None) -> str:
+    """The report of ``run_paper_suite(budgets, only)``; its ``config`` is the
+    budget fields plus ``only``."""
     doc = {
         "suite_version": SUITE_VERSION,
-        "config": config.to_jsonable(),
+        "config": dict(asdict(budgets), only=sorted(only) if only else None),
         "results": [
             {
                 "check_id": r.check_id,
@@ -371,13 +339,11 @@ def report_json(results, config: SuiteConfig = None) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-# -- sweeps and exploration --------------------------------------------------
+# -- sweeps ------------------------------------------------------------------
 
-def elasticity_sweep(n_values, k_values, config: SuiteConfig = None):
+def elasticity_sweep(n_values, k_values, budgets: Budgets = DEFAULT_BUDGETS):
     """Rows (n, k, L, elasticity) for the two-factorization family, each row
     re-verified against the engine's length profile."""
-    config = config or SuiteConfig()
-    b = config.budgets()
     rows = []
     for n in sorted(set(n_values)):
         for k in sorted(set(k_values)):
@@ -385,7 +351,7 @@ def elasticity_sweep(n_values, k_values, config: SuiteConfig = None):
                 raise UsageError(f"sweep needs n >= 2 and k >= 1, got n={n}, k={k}")
             try:
                 f = expand_family(n, n, k)
-                lengths, rho = engine.length_profile(f, budgets=b)
+                lengths, rho = engine.length_profile(f, budgets=budgets)
             except BudgetError as exc:
                 rows.append({"n": n, "k": k, "status": "skipped", "reason": str(exc)})
                 continue
@@ -439,38 +405,3 @@ def sweep_jsonable(rows):
         )
     return out
 
-
-def quad_explore(d: int, bound: int, config: SuiteConfig = None):
-    """Bounded survey of the constants of a quadratic semiring: atoms, and
-    elements with several factorizations or several lengths."""
-    if bound < 1 or bound > 30:
-        raise UsageError(f"bound must be between 1 and 30, got {bound}")
-    S = Quad(d)
-    atoms = []
-    multi_z = []
-    multi_len = []
-    for total in range(1, bound + 1):
-        for b in range(total + 1):
-            v = (b, total - b)
-            if v == S.one:
-                continue
-            if S._is_atom(v):
-                atoms.append(S.render(v))
-                continue
-            zs = S.atom_factorizations(v)
-            if len(zs) >= 2:
-                multi_z.append(
-                    {
-                        "value": S.render(v),
-                        "Z": sorted(sorted(S.render(x) for x in z) for z in zs),
-                    }
-                )
-            if len({len(z) for z in zs}) >= 2:
-                multi_len.append({"value": S.render(v), "L": sorted({len(z) for z in zs})})
-    return {
-        "d": d,
-        "bound": bound,
-        "atoms": atoms,
-        "multi_factorization": multi_z,
-        "multi_length": multi_len,
-    }

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import semifactor as sf
-from semifactor.paperlab import SuiteConfig, expand_family, family_int, report_json, run_paper_suite
+from semifactor.paperlab import expand_family, family_int, report_json, run_paper_suite
 from semifactor.polyexpr import parse
 
 from conftest import random_poly
@@ -217,11 +217,11 @@ def test_c10_atomicity_certificates():
 
 def test_c11_verify_paper_end_to_end():
     t0 = time.monotonic()
-    cfg = SuiteConfig()
-    results = run_paper_suite(cfg)
+    budgets = sf.Budgets()
+    results = run_paper_suite(budgets)
     ok = all(r.status == "pass" for r in results)
     ok = ok and not any(r.status == "skipped" for r in results)
-    first = report_json(results, cfg)
-    second = report_json(run_paper_suite(cfg), cfg)
+    first = report_json(results, budgets)
+    second = report_json(run_paper_suite(budgets), budgets)
     ok = ok and first.encode() == second.encode()
     report("C11 verify-paper end to end", ok, t0, 300.0)

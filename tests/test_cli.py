@@ -352,6 +352,9 @@ class TestExitCodes:
             ["monoid", "factorize", "--strategy", "oracle", "6"],
             ["monoid", "mcd", "--strategy", "zx", "2", "3"],
             ["monoid", "gcd", "--coeffs", "quad:6", "--monoid", "gens:2,3", "4", "6"],
+            ["sweep", "elasticity", "--n", "2", "--k", "1", "--output", "pretty"],
+            ["poly", "divisors", "--output", "csv", "x+1"],
+            ["monoid", "atoms", "--output", "csv"],
         ],
     )
     def test_ignored_options_are_rejected(self, capsys, argv):

@@ -8,6 +8,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,18 @@ def test_large_prime_content_answers_or_one_error_line(command):
         assert lines == [] and proc.stdout
     else:
         assert len(lines) == 1 and lines[0].startswith("error["), lines
+
+
+def test_quad_divisor_scan_is_budgeted():
+    # (3000, 0) has 4 504 500 candidate divisor pairs: refused before the scan
+    start = time.perf_counter()
+    proc = run_child(["poly", "divisors", "--coeffs", "quad:6", "(3000,0)"])
+    elapsed = time.perf_counter() - start
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2, (proc.returncode, proc.stderr[-400:])
+    assert len(lines) == 1 and lines[0].startswith("error[budget]: "), lines
+    assert proc.stdout == ""
+    assert elapsed < 1.0
 
 
 def test_import_loads_only_the_standard_library():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import semifactor as sf
+from semifactor import coeff
 from semifactor.coeff import prime_factors
 from semifactor.errors import (
     BudgetError,
@@ -74,6 +75,8 @@ class TestSemiringOps:
         with pytest.raises(UsageError):
             sf.Quad(9)
         with pytest.raises(UsageError):
+            sf.Quad(4)
+        with pytest.raises(UsageError):
             sf.Quad(1)
 
     def test_associativity_commutativity_random(self):
@@ -98,6 +101,13 @@ class TestDivisors:
         got = Q6.divisors_of((6, 0))
         assert got == {(1, 0), (2, 0), (3, 0), (0, 1), (6, 0)}
         assert got == brute_quad_divisors(Q6, (6, 0))
+
+    def test_quad_scan_budget(self, monkeypatch):
+        # the scan over b' + c' <= t tries (t+1)(t+2)/2 - 1 pairs: 20 at t = 5
+        monkeypatch.setattr(coeff, "DEFAULT_BUDGETS", sf.Budgets(oracle_candidates=20))
+        assert Q6.divisors_of((5, 0)) == {(1, 0), (5, 0)}
+        with pytest.raises(BudgetError, match="need 27 candidate pairs"):
+            Q6.divisors_of((6, 0))
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -167,6 +177,10 @@ class TestAtomFactorizations:
 
     def test_quad_root_is_atom(self):
         assert Q6.atom_factorizations((0, 1)) == {((0, 1),)}
+        # in N0[sqrt(5)] both 2 and sqrt(5) are atoms as well
+        Q5 = sf.Quad(5)
+        for v in ((2, 0), (0, 1)):
+            assert Q5.atom_factorizations(v) == {(v,)}
 
     def test_units_rejected(self):
         for bad in (0, 1):
@@ -176,12 +190,16 @@ class TestAtomFactorizations:
             Q6.atom_factorizations((1, 0))
 
     def test_products_and_atomicity(self):
-        for total in range(2, 7):
+        for total in range(1, 7):
             for b in range(total + 1):
                 a = (b, total - b)
                 if a == (1, 0):
                     continue
-                for z in Q6.atom_factorizations(a):
+                zs = Q6.atom_factorizations(a)
+                if total <= 2:
+                    # no element with b + c <= 2 factors in two ways
+                    assert len(zs) == 1
+                for z in zs:
                     prod = (1, 0)
                     for v in z:
                         prod = Q6.mul(prod, v)

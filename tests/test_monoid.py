@@ -427,7 +427,7 @@ class TestTableBudgets:
         assert time.perf_counter() - start < 0.5
 
     def test_table_at_the_budget(self, monkeypatch):
-        monkeypatch.setattr(monoid, "DEFAULT_KNAPSACK_BUDGET", 50)
+        monkeypatch.setattr(monoid, "DEFAULT_BUDGETS", sf.Budgets(knapsack_nodes=50))
         m = sf.make_monoid([50, 51])
         assert m.member(101) and not m.member(52)
         assert m.length(101) == 2

@@ -1,16 +1,15 @@
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from semifactor.errors import DomainError, UsageError
+from semifactor.errors import Budgets, DomainError, UsageError
 from semifactor.paperlab import (
     ANCHORS,
-    SuiteConfig,
     elasticity_sweep,
     expand_family,
     family_int,
-    quad_explore,
     report_json,
     run_paper_suite,
     sweep_csv,
@@ -25,9 +24,9 @@ class TestSuite:
         assert all(r.status == "pass" for r in results)
 
     def test_byte_deterministic(self):
-        cfg = SuiteConfig()
-        a = report_json(run_paper_suite(cfg), cfg)
-        b = report_json(run_paper_suite(cfg), cfg)
+        budgets = Budgets()
+        a = report_json(run_paper_suite(budgets), budgets)
+        b = report_json(run_paper_suite(budgets), budgets)
         assert a == b
         assert a.encode() == b.encode()
 
@@ -40,7 +39,7 @@ class TestSuite:
         )
 
     def test_default_config_report(self):
-        assert SuiteConfig().to_jsonable() == {
+        assert json.loads(report_json([]))["config"] == {
             "degree_limit": 24,
             "knapsack_nodes": 10**6,
             "only": None,
@@ -49,17 +48,17 @@ class TestSuite:
         }
 
     def test_only_filter(self):
-        results = run_paper_suite(SuiteConfig(only=("lfs-witness",)))
+        results = run_paper_suite(only=("lfs-witness",))
         assert len(results) == 1
         assert results[0].check_id == "lfs-witness"
         assert results[0].status == "pass"
 
     def test_unknown_check_id(self):
         with pytest.raises(UsageError):
-            run_paper_suite(SuiteConfig(only=("no-such-check",)))
+            run_paper_suite(only=("no-such-check",))
 
     def test_degree_budget_skips_heavy_checks(self):
-        results = {r.check_id: r for r in run_paper_suite(SuiteConfig(degree_limit=2))}
+        results = {r.check_id: r for r in run_paper_suite(Budgets(degree_limit=2))}
         assert results["hfs-witness"].status == "skipped"
         assert results["irreducible-family"].status == "skipped"
         assert results["hfs-witness"].details["reason"]
@@ -140,31 +139,7 @@ class TestSweep:
             elasticity_sweep([2], [0])
 
     def test_budget_marks_rows_skipped(self):
-        rows = elasticity_sweep([2], [1], SuiteConfig(degree_limit=2))
+        rows = elasticity_sweep([2], [1], Budgets(degree_limit=2))
         assert rows[0]["status"] == "skipped"
         assert "reason" in rows[0]
 
-
-class TestQuadExplore:
-    def test_six_at_bound_six(self):
-        out = quad_explore(6, 6)
-        assert {"value": "6", "Z": [["2", "3"], ["r", "r"]]} in out["multi_factorization"]
-
-    def test_no_multi_factorizations_below_three(self):
-        out = quad_explore(6, 2)
-        assert out["multi_factorization"] == []
-
-    def test_five(self):
-        out = quad_explore(5, 5)
-        assert "2" in out["atoms"]
-        assert "r" in out["atoms"]
-
-    def test_bound_validation(self):
-        with pytest.raises(UsageError):
-            quad_explore(6, 31)
-        with pytest.raises(UsageError):
-            quad_explore(6, 0)
-
-    def test_square_radicand_rejected(self):
-        with pytest.raises(UsageError):
-            quad_explore(4, 5)
