@@ -142,7 +142,9 @@ class CoeffSemiring:
     def is_unit(self, v):
         return v == self.one
 
-    def divisors_of(self, a):
+    def divisors_of(self, a, budget=None):
+        """All divisors of a nonzero a; a search that tries candidates
+        counts them against budget first (default: the oracle budget)."""
         raise NotImplementedError
 
     def exact_div(self, a, b):
@@ -209,7 +211,8 @@ class Nat(CoeffSemiring):
     def sub(self, a, b):
         return a - b
 
-    def divisors_of(self, a):
+    def divisors_of(self, a, budget=None):
+        # built from the prime factorization, which has its own budget
         self.validate(a)
         if a == 0:
             raise DomainError("0 has no divisor set")
@@ -313,18 +316,18 @@ class Quad(CoeffSemiring):
     def sub(self, a, b):
         return (a[0] - b[0], a[1] - b[1])
 
-    def divisors_of(self, a):
+    def divisors_of(self, a, budget=None):
         # Every divisor (b', c') of (b, c) satisfies b' + c' <= b + c: the
         # cofactor is nonzero, so each of its components contributes at least
         # once (or d >= 2 times) to the componentwise sums of the product.
         # The scan tries every such pair, so it is counted against the
-        # default oracle budget before it starts.
+        # budget before it starts.
         self.validate(a)
         if a == self.zero:
             raise DomainError("0 has no divisor set")
         total = a[0] + a[1]
         pairs = (total + 1) * (total + 2) // 2 - 1
-        budget = DEFAULT_BUDGETS.oracle_candidates
+        budget = budget or DEFAULT_BUDGETS.oracle_candidates
         if pairs > budget:
             raise BudgetError(
                 f"divisors of {self.render(a)} need {pairs} candidate pairs, "

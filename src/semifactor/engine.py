@@ -252,8 +252,8 @@ def _oracle_divisors(f, budgets):
         if M.member_num(m) and any(sn >= m and M.member_num(sn - m) for sn in nums)
     ]
     elems = {m: M.elem_of_num(m) for m in admissible}
-    lc_divs = sorted(S.divisors_of(lc), key=S.sort_key)
-    tc_divs = sorted(S.divisors_of(tc), key=S.sort_key)
+    lc_divs = sorted(S.divisors_of(lc, budgets.oracle_candidates), key=S.sort_key)
+    tc_divs = sorted(S.divisors_of(tc, budgets.oracle_candidates), key=S.sort_key)
     both_divs = [v for v in lc_divs if v in set(tc_divs)]
     mids = S.values_with_components_at_most(maxcomp)
     one = PolyExpr.one(S, M)
@@ -385,35 +385,45 @@ def factorizations(
     if lat.z is not None:
         return lat.z
     atoms = _atoms_within(lat)
+    # memo[(t, s)]: the factorizations of position t into atoms s, s+1, ...
+    # as index tuples.  Depth-first with an explicit stack, since a chain of
+    # quotients is as long as the longest factorization; each frame is its
+    # key, its children's keys (t / atom j, j) and the next child to wait for.
     memo = {}
+    stack = []
     nodes = 0
 
-    def rec(target, start):
+    def push(key):
         nonlocal nodes
-        key = (target, start)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
         nodes += 1
         if nodes > budgets.z_nodes:
             raise BudgetError(f"factorization recursion exceeded {budgets.z_nodes} nodes")
-        if target == lat.unit:
-            out = frozenset({()})
-        else:
-            acc = set()
+        target, start = key
+        children = []
+        if target != lat.unit:
             for j in range(start, len(atoms)):
                 q = _quot(lat, target, atoms[j])
-                if q is None:
-                    continue
-                for rest in rec(q, j):
-                    acc.add((j,) + rest)
-            out = frozenset(acc)
-        memo[key] = out
-        return out
+                if q is not None:
+                    children.append((q, j))
+        stack.append([key, children, 0])
 
-    tuples = rec(lat.base, 0)
+    push((lat.base, 0))
+    while stack:
+        frame = stack[-1]
+        key, children, i = frame
+        while i < len(children) and children[i] in memo:
+            i += 1
+        frame[2] = i
+        if i < len(children):
+            push(children[i])
+            continue
+        stack.pop()
+        if key[0] == lat.unit:
+            memo[key] = frozenset({()})
+        else:
+            memo[key] = frozenset((j,) + rest for q, j in children for rest in memo[(q, j)])
     lat.z = frozenset(
-        Factorization(tuple(lat.ordered[atoms[j]] for j in tup)) for tup in tuples
+        Factorization(tuple(lat.ordered[atoms[j]] for j in tup)) for tup in memo[(lat.base, 0)]
     )
     return lat.z
 

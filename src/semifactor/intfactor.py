@@ -4,13 +4,16 @@ Pipeline: integer content and sign extraction, Yun squarefree decomposition
 (gcds by the primitive polynomial remainder sequence), factorization modulo
 a small deterministic prime by distinct-degree factorization and
 Cantor-Zassenhaus equal-degree splitting (a seeded local random source),
-quadratic Hensel lifting to exactly p^l, the least prime power above twice
-a Landau-Mignotte bound, and subset recombination that prunes candidates by
-their trailing coefficient before exact trial division.  All arithmetic is
-on integers, no rationals: divisions are pseudo-divisions, exact divisions,
-or divisions modulo p^k by a monic or invertible leading coefficient.  Long
-products use Kronecker substitution.  Every factorization is re-multiplied
-before it is returned.
+lifting to exactly p^l, the least prime power above twice a Mignotte bound
+for factors of half the degree, and subset recombination.  Linear modular
+factors lift as roots by Newton iteration, the others by quadratic Hensel
+lifting of their cofactor.  Recombination builds each candidate from the
+subset or its complement, whichever has at most half the degree, and prunes
+it by its trailing coefficient and its value at 1 before exact trial
+division.  All arithmetic is on integers, no rationals: divisions are
+pseudo-divisions, exact divisions, or divisions modulo p^k by a monic or
+invertible leading coefficient.  Long products use Kronecker substitution.
+Every factorization is re-multiplied before it is returned.
 
 Dense representation throughout: a polynomial is a list of ints, lowest
 degree first, no trailing zeros (the zero polynomial is the empty list).
@@ -517,6 +520,47 @@ def _hensel_lift(p, f, fs, l):
     return _hensel_lift(p, g, fs[:k], l) + _hensel_lift(p, h, fs[k:], l)
 
 
+def _lift_root(p, f, a, l):
+    """Lift a simple root a of f mod p to the root mod p^l congruent to it,
+    by Newton iteration a - f(a)/f'(a) with a precision that squares."""
+    pl = p**l
+    df = _deriv(f)
+    m = p
+    while m < pl:
+        m = min(m * m, pl)
+        a = (a - _eval(f, a) * pow(_eval(df, a), -1, m)) % m
+    return a
+
+
+def _lift(p, f, fs, l):
+    """The lifts to mod p^l of the monic mod-p factors fs of f, in order.
+
+    A linear factor x - a lifts as a root of f, by O(n) scalar steps; the
+    other factors are lifted by _hensel_lift from the cofactor of those
+    roots, f mod p^l divided by every x - a (the lifts are unique, so this
+    gives the same factors as lifting fs together)."""
+    pl = p**l
+    roots = {i: _lift_root(p, f, -u[0] % p, l) for i, u in enumerate(fs) if len(u) == 2}
+    if not roots:
+        return _hensel_lift(p, f, fs, l)
+    lifted = [None] * len(fs)
+    g = _tr(f, pl)
+    for i, a in roots.items():
+        lifted[i] = _tr([-a, 1], pl)
+        # synthetic division by x - a; the remainder f(a) vanishes mod p^l
+        q = [0] * _deg(g)
+        c = g[-1]
+        for k in range(_deg(g) - 1, -1, -1):
+            q[k] = c
+            c = (g[k] + a * c) % pl
+        g = _tr(q, pl)
+    others = [i for i in range(len(fs)) if i not in roots]
+    if others:
+        for i, u in zip(others, _hensel_lift(p, g, [fs[i] for i in others], l)):
+            lifted[i] = u
+    return lifted
+
+
 def _bezout_pair(g, h, p):
     """s, t with s*g + t*h = 1 over GF(p), deg s < deg h, deg t < deg g."""
     r0, r1 = _p_trim(list(g), p), _p_trim(list(h), p)
@@ -540,14 +584,26 @@ def _bezout_pair(g, h, p):
 
 # -- Zassenhaus recombination ------------------------------------------------
 
+def _may_divide(lc, v, vals, m):
+    """Whether lc * prod(vals), reduced into the symmetric range mod m, is
+    nonzero and divides lc * v."""
+    t = lc
+    for x in vals:
+        t = t * x % m
+    if t > m // 2:
+        t -= m
+    return t != 0 and lc * v % t == 0
+
+
 def _zassenhaus(f):
     """Irreducible factors of a primitive squarefree f with positive lc."""
     n = _deg(f)
     if n == 1:
         return [f]
-    A = max(abs(c) for c in f)
-    b = f[-1]
-    bound = (math.isqrt(n + 1) + 1) * (1 << n) * A * b
+    # every candidate below is lc(rest)/lc(g) * g for a factor g of degree
+    # m <= n/2, and |g|_1 <= 2^m |f|_2 (Mignotte): its coefficients and its
+    # values at 0 and 1 lie within the bound
+    bound = f[-1] * (1 << (n // 2)) * (math.isqrt(sum(c * c for c in f)) + 1)
     p = _choose_prime(f)
     l = 1
     pl = p
@@ -557,37 +613,42 @@ def _zassenhaus(f):
     fs = _factor_mod_p(_p_monic(_p_trim(list(f), p), p), p)
     if len(fs) == 1:
         return [f]
-    lifted = sorted(_hensel_lift(p, f, fs, l), key=lambda u: (len(u), u))
-    factors = lifted
+    factors = sorted(_lift(p, f, fs, l), key=lambda u: (len(u), u))
+    ones = [sum(u) % pl for u in factors]  # values at 1
     rest = f
     out = []
     s = 1
     while 2 * s <= len(factors):
         found = False
+        lc, rest0, rest1 = rest[-1], rest[0], sum(rest)
         for subset in combinations(range(len(factors)), s):
-            if rest[0]:
-                # trailing-coefficient test (Abbott, Shoup and Zimmermann):
-                # a true factor's constant term, times lc(rest)/lc(factor),
-                # divides lc(rest) * rest(0)
-                tc = rest[-1]
-                for i in subset:
-                    tc = tc * factors[i][0] % pl
-                if tc > pl // 2:
-                    tc -= pl
-                if not tc or rest[-1] * rest[0] % tc:
-                    continue
-            g = [rest[-1]]
-            for i in subset:
+            # the candidate comes from the subset or its complement, whichever
+            # has degree at most deg(rest)/2, so the bound covers it
+            side = subset
+            if 2 * sum(len(factors[i]) - 1 for i in subset) > _deg(rest):
+                side = [i for i in range(len(factors)) if i not in subset]
+            # a true factor's constant term and value at 1, times
+            # lc(rest)/lc(factor), divide lc(rest)*rest(0) and lc(rest)*rest(1)
+            # (trailing-coefficient test of Abbott, Shoup and Zimmermann)
+            if rest0 and not _may_divide(lc, rest0, [factors[i][0] for i in side], pl):
+                continue
+            if rest1 and not _may_divide(lc, rest1, [ones[i] for i in side], pl):
+                continue
+            g = [lc]
+            for i in side:
                 g = _mul(g, factors[i])
             cand = _primitive(_tr(g, pl))[1]
-            if _deg(cand) < 1:
-                continue
             q = _div_exact(rest, cand)
             if q is not None:
-                out.append(cand)
-                rest = q
-                chosen = set(subset)
-                factors = [factors[i] for i in range(len(factors)) if i not in chosen]
+                if side is subset:
+                    out.append(cand)
+                    rest = q
+                else:
+                    out.append(q)
+                    rest = cand
+                keep = [i for i in range(len(factors)) if i not in subset]
+                factors = [factors[i] for i in keep]
+                ones = [ones[i] for i in keep]
                 found = True
                 break
         if not found:

@@ -5,6 +5,7 @@ small budgets) that no known unbudgeted path is reached.  Inputs that once
 hung run in a child process with CPU-time and address-space limits."""
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -122,6 +123,29 @@ def test_quad_divisor_scan_is_budgeted():
     assert len(lines) == 1 and lines[0].startswith("error[budget]: "), lines
     assert proc.stdout == ""
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("budget, code", [(["--oracle-budget", "100"], 2), ([], 0)])
+def test_quad_divisor_scan_honours_the_oracle_budget(budget, code):
+    # (20, 0) has 230 candidate divisor pairs
+    proc = run_child(["poly", "divisors", "--coeffs", "quad:6", *budget, "(20,0)"])
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == code, (proc.returncode, proc.stderr[-400:])
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error[budget]: "), lines
+        assert proc.stdout == ""
+    else:
+        assert lines == []
+        assert json.loads(proc.stdout)["count"] == 6
+
+
+def test_factorization_longer_than_the_recursion_limit():
+    # 2^1200: one factorization of length 1200
+    proc = run_child(["poly", "factorizations", str(2**1200)])
+    assert proc.returncode == 0, proc.stderr[-400:]
+    assert proc.stderr == ""
+    out = json.loads(proc.stdout)
+    assert out["count"] == 1 and out["Z"] == [["2"] * 1200]
 
 
 def test_import_loads_only_the_standard_library():

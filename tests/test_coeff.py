@@ -109,6 +109,11 @@ class TestDivisors:
         with pytest.raises(BudgetError, match="need 27 candidate pairs"):
             Q6.divisors_of((6, 0))
 
+    def test_quad_scan_takes_the_callers_budget(self):
+        assert Q6.divisors_of((6, 0), 27) == Q6.divisors_of((6, 0))
+        with pytest.raises(BudgetError, match="over the budget of 26"):
+            Q6.divisors_of((6, 0), 26)
+
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             NAT.divisors_of(0)

@@ -17,6 +17,8 @@ from semifactor.intfactor import (
     _factor_mod_p,
     _gcd_z,
     _hensel_lift,
+    _lift,
+    _lift_root,
     _mul,
     _p_divmod,
     factor_int_poly,
@@ -503,6 +505,29 @@ class TestSympyCrossCheck:
             assert got == want, f
             assert unit == want_unit, f
 
+    def test_half_degree_factor_with_large_coefficients(self):
+        # the lifting precision only covers factors of degree <= n/2; here
+        # the true factor of that degree has inner coefficients near 10^6,
+        # and small end coefficients, so only the norm of f bounds them
+        sympy = pytest.importorskip("sympy")
+        y = sympy.Symbol("y")
+        rng = random.Random(55)
+        for n in (4, 5, 6, 7, 9, 10, 12):
+            inner = [rng.choice([-1, 1]) * rng.randint(10**6 - 1000, 10**6) for _ in range(n // 2 - 1)]
+            g = [rng.choice([-3, -2, -1, 1, 2, 3])] + inner + [rng.choice([1, 2, 3])]
+            h = random_int_poly(rng, n - n // 2, -2, 2)
+            f = _mul(g, h)
+            fac = factor_int_poly(IntPoly.of(f))
+            assert fac.expand() == IntPoly.of(f)
+            got = sorted((p.coeffs, m) for p, m in fac.factors)
+            want = []
+            for poly, mult in sympy.Poly(list(reversed(f)), y).factor_list()[1]:
+                if poly.degree() > 0:
+                    want.append((math_gcd_content(IntPoly.of(
+                        [int(c) for c in reversed(poly.all_coeffs())])).coeffs, mult))
+            assert got == sorted(want), f
+            assert any(max(map(abs, c)) > 10**5 and len(c) - 1 == n // 2 for c, _ in got), f
+
 
 # -- the modular stage, against arithmetic written out here -----------------
 
@@ -625,6 +650,33 @@ class TestHenselLift:
             lifts += len(fs) > 1
         assert lifts > 30
 
+    def test_roots_lift_and_match_the_factor_tree(self):
+        rng = random.Random(73)
+        mixed = 0
+        for _ in range(60):
+            f = [1]
+            for _ in range(rng.randint(2, 4)):
+                f = _mul(f, random_int_poly(rng, rng.randint(1, 3)))
+            if len(squarefree_decompose(IntPoly.of(f))) != 1 or len(f) < 3:
+                continue
+            f = list(IntPoly.of(f).coeffs)
+            if f[-1] < 0:
+                f = [-c for c in f]
+            p = _choose_prime(f)
+            lc_inv = pow(f[-1], -1, p)
+            fs = _factor_mod_p(gf_trim([c * lc_inv for c in f], p), p)
+            for l in (1, 2, 3, 5, 11):
+                pl = p**l
+                for u in fs:
+                    if len(u) == 2:
+                        a = _lift_root(p, f, -u[0] % p, l)
+                        assert 0 <= a < pl and (a + u[0]) % p == 0
+                        assert sum(c * a**k for k, c in enumerate(f)) % pl == 0, (f, p, l, a)
+                assert _lift(p, f, fs, l) == _hensel_lift(p, f, fs, l), (f, p, l)
+            degrees = {len(u) - 1 for u in fs}
+            mixed += 1 in degrees and len(degrees) > 1
+        assert mixed > 10
+
 
 class TestRecombination:
     def test_trailing_coefficient_prunes_trial_divisions(self, monkeypatch):
@@ -649,6 +701,63 @@ class TestRecombination:
         assert [(p.coeffs, m) for p, m in fac.factors] == [(tuple(a), 1), (tuple(b), 1)]
         # without the test every subset would be trial-divided
         assert 0 < divisions[0] < subsets[0]
+
+    def test_value_at_one_prunes_sparse_inputs(self, monkeypatch):
+        # x^40 + 1 = Phi_16 * Phi_80: every subset of its ten quartic
+        # factors mod 3 passes the trailing-coefficient test
+        f = IntPoly.of([1] + [0] * 39 + [1])
+        divisions, subsets, tests = [0], [0], [0]
+
+        def counting_div(u, v):
+            divisions[0] += 1
+            return _div_exact(u, v)
+
+        def counting_combinations(items, s):
+            for c in combinations(items, s):
+                subsets[0] += 1
+                yield c
+
+        may_divide = intfactor._may_divide
+
+        def counting_may_divide(*args):
+            tests[0] += 1
+            return may_divide(*args)
+
+        monkeypatch.setattr(intfactor, "_div_exact", counting_div)
+        monkeypatch.setattr(intfactor, "combinations", counting_combinations)
+        monkeypatch.setattr(intfactor, "_may_divide", counting_may_divide)
+        monkeypatch.setattr(intfactor, "_CACHE", {})
+        fac = factor_int_poly(f, degree_limit=40)
+        assert sorted(p.degree for p, _ in fac.factors) == [8, 32]
+        # every rest has nonzero values at 0 and 1: each subset meets the
+        # trailing test once, and the test at 1 once when it passes
+        trailing_passes = tests[0] - subsets[0]
+        assert trailing_passes == subsets[0]
+        assert 0 < divisions[0] < trailing_passes // 4
+
+    def test_complement_candidate(self, monkeypatch):
+        # Swinnerton-Dyer x^4 - 10x^2 + 1 times a cubic, modulo 7 factors of
+        # degrees 1, 1, 1, 2, 2: the quartic's pair of quadratics is a subset
+        # of size 2 and degree 4 > 7/2, found only through its complement
+        a, b = [1, 0, -10, 0, 1], [-6, 2, 2, 1]
+        f = _mul(a, b)
+        p = _choose_prime(f)
+        fs = _factor_mod_p(gf_trim([c * pow(f[-1], -1, p) for c in f], p), p)
+        assert sorted(len(u) - 1 for u in fs) == [1, 1, 1, 2, 2]
+        divisors = []
+
+        def recording_div(u, v):
+            q = _div_exact(u, v)
+            if q is not None:
+                divisors.append(v)
+            return q
+
+        monkeypatch.setattr(intfactor, "_div_exact", recording_div)
+        monkeypatch.setattr(intfactor, "_CACHE", {})
+        fac = factor_int_poly(IntPoly.of(f))
+        assert [(p.coeffs, m) for p, m in fac.factors] == [(tuple(b), 1), (tuple(a), 1)]
+        # the candidate was the cubic, the quartic its quotient
+        assert divisors == [b]
 
 
 class TestKroneckerProduct:
