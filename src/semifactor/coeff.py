@@ -173,9 +173,6 @@ class CoeffSemiring:
     def render(self, v):
         raise NotImplementedError
 
-    def sort_key(self, v):
-        raise NotImplementedError
-
     def max_component(self, v):
         raise NotImplementedError
 
@@ -252,9 +249,6 @@ class Nat(CoeffSemiring):
 
     def render(self, v):
         return str(v)
-
-    def sort_key(self, v):
-        return v
 
     def max_component(self, v):
         return v
@@ -361,10 +355,7 @@ class Quad(CoeffSemiring):
         if a in (self.zero, self.one):
             raise DomainError(f"{self.render(a)} has no factorization into atoms")
         divs = self.divisors_of(a)
-        atoms = sorted(
-            (s for s in divs if s != self.one and len(self.divisors_of(s)) == 2),
-            key=self.sort_key,
-        )
+        atoms = sorted(s for s in divs if s != self.one and len(self.divisors_of(s)) == 2)
 
         results = set()
 
@@ -425,9 +416,6 @@ class Quad(CoeffSemiring):
         if c:
             parts.append("r" if c == 1 else f"{c}*r")
         return "+".join(parts)
-
-    def sort_key(self, v):
-        return v
 
     def max_component(self, v):
         return max(v)

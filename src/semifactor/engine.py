@@ -32,9 +32,14 @@ with no polynomial division; for the oracle it is one ``ambient_exact_div``.
 ``monolithic_decompose`` splits each part inside the list of f, because
 D(g) = {h in D(f) : g/h in D(f)} and filtering keeps the order.
 
-Results are cached per canonical form and budgets; the cached lattice also
-keeps its atom positions and Z(f) once computed.  All returned values are
-immutable.
+The engine reads a polynomial's scaled exponent numerators ``nums`` and
+its ``coeffs`` and builds every divisor from them; it never builds an
+``ExpElem``.
+
+Results are cached per canonical form and budgets, at most
+``_DIV_CACHE_SIZE`` of them (a full cache evicts its oldest entry); the
+cached lattice also keeps its atom positions and Z(f) once computed.  All
+returned values are immutable.
 """
 from __future__ import annotations
 
@@ -109,12 +114,12 @@ class CertificateReport:
 
 def sort_key(f: PolyExpr):
     """Canonical order: ascending degree, then term-by-term comparison."""
-    S = f.semiring
-    nums = f.exponent_nums()
-    return (nums[0] if nums else -1, tuple((n, S.sort_key(c)) for n, (_, c) in zip(nums, f.terms)))
+    nums = f.nums
+    return (nums[0] if nums else -1, tuple(zip(nums, f.coeffs)))
 
 
 _DIV_CACHE: dict = {}
+_DIV_CACHE_SIZE = 1024
 _DIV_LOCK = threading.Lock()
 
 
@@ -149,6 +154,8 @@ def divisors(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None
     lattice = _Lattice(ordered, vecs, pos, unit, base)
     result = DivisorSet(f, frozenset(ordered), strat, lattice)
     with _DIV_LOCK:
+        if len(_DIV_CACHE) >= _DIV_CACHE_SIZE:
+            del _DIV_CACHE[next(iter(_DIV_CACHE))]
         _DIV_CACHE[key] = result
     return result
 
@@ -176,10 +183,10 @@ def _zx_divisors(f, budgets):
     can still have children inside, e.g. (y^2-y+1)(y+1) = y^3+1.
     """
     S, M = f.semiring, f.monoid
-    nums = f.exponent_nums()
+    nums = f.nums
     _check_degree(nums[0], budgets)
     dense = [0] * (nums[0] + 1)
-    for n, (_, c) in zip(nums, f.terms):
+    for n, c in zip(nums, f.coeffs):
         dense[n] = c
     fac = factor_int_poly(IntPoly.of(dense), degree_limit=budgets.degree_limit)
     # collapse duplicate content primes into (prime, multiplicity)
@@ -227,39 +234,38 @@ def _check_degree(deg_num, budgets):
 def _poly_from_dense(coeffs, S, M):
     """Dense y-coefficients back to a polynomial expression, or None when a
     coefficient is negative or an exponent falls outside the monoid."""
-    items = []
+    nums, cs = [], []
     for n, c in enumerate(coeffs):
         if c == 0:
             continue
         if c < 0 or not M.member_num(n):
             return None
-        items.append((n, c))
-    items.reverse()
-    return PolyExpr._of_nums(S, M, items)
+        nums.append(n)
+        cs.append(c)
+    return PolyExpr(S, M, tuple(reversed(nums)), tuple(reversed(cs)))
 
 
 def _oracle_divisors(f, budgets):
     S, M = f.semiring, f.monoid
-    nums = f.exponent_nums()
+    nums = f.nums
     deg_num, trail_num = nums[0], nums[-1]
     _check_degree(deg_num, budgets)
-    lc, tc = f.leading_coeff, f.trailing_coeff
-    maxcomp = max(S.max_component(c) for _, c in f.terms)
+    lc, tc = f.coeffs[0], f.coeffs[-1]
+    maxcomp = max(map(S.max_component, f.coeffs))
     half = deg_num // 2
     admissible = [
         m
         for m in range(half + 1)
         if M.member_num(m) and any(sn >= m and M.member_num(sn - m) for sn in nums)
     ]
-    elems = {m: M.elem_of_num(m) for m in admissible}
-    lc_divs = sorted(S.divisors_of(lc, budgets.oracle_candidates), key=S.sort_key)
-    tc_divs = sorted(S.divisors_of(tc, budgets.oracle_candidates), key=S.sort_key)
+    lc_divs = sorted(S.divisors_of(lc, budgets.oracle_candidates))
+    tc_divs = sorted(S.divisors_of(tc, budgets.oracle_candidates))
     both_divs = [v for v in lc_divs if v in set(tc_divs)]
     mids = S.values_with_components_at_most(maxcomp)
     one = PolyExpr.one(S, M)
     found = {one, f}
     count = 0
-    max_size = min(len(f.terms), len(admissible))
+    max_size = min(len(nums), len(admissible))
     for size in range(1, max_size + 1):
         for support in combinations(admissible, size):
             top, bottom = support[-1], support[0]
@@ -278,12 +284,7 @@ def _oracle_divisors(f, budgets):
                         f"oracle divisor enumeration exceeded "
                         f"{budgets.oracle_candidates} candidates"
                     )
-                g = PolyExpr._with_nums(
-                    S,
-                    M,
-                    tuple((elems[n], c) for n, c in zip(reversed(support), reversed(combo))),
-                    support[::-1],
-                )
+                g = PolyExpr(S, M, support[::-1], combo[::-1])
                 q = ambient_exact_div(f, g)
                 if q is not None:
                     found.add(g)
@@ -323,9 +324,9 @@ def _split(lat: _Lattice, t: int):
     none.  The divisors of ordered[t] are {h in D(f) : ordered[t]/h in D(f)}
     in the same order, so this is the split that divisors(ordered[t]) gives."""
     for i, g in enumerate(lat.ordered):
-        if len(g.terms) >= 2:
+        if len(g.nums) >= 2:
             k = _quot(lat, t, i)
-            if k is not None and len(lat.ordered[k].terms) >= 2:
+            if k is not None and len(lat.ordered[k].nums) >= 2:
                 return i, k
     return None
 
@@ -334,7 +335,7 @@ def is_monolithic(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets =
     """True when every splitting f = g*h has a monomial side."""
     if f.is_zero:
         raise DomainError("0 is not eligible for monolithic testing")
-    if len(f.terms) == 1:
+    if len(f.nums) == 1:
         return True
     lat = divisors(f, strategy, budgets)._lattice
     return _split(lat, lat.base) is None
@@ -344,7 +345,7 @@ def monolithic_decompose(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Bu
     """Some list of monolithic parts with product f (not unique in general)."""
     if f.is_zero or f.is_one:
         raise DomainError("monolithic decomposition needs a nonzero nonunit")
-    if len(f.terms) == 1:
+    if len(f.nums) == 1:
         return [f]
     lat = divisors(f, strategy, budgets)._lattice
 
@@ -447,10 +448,8 @@ def atomic_certificate(
     parts = monolithic_decompose(f, strategy, budgets)
     per = []
     for part in parts:
-        coeffs = [c for _, c in part.terms]
-        exps = [e for e, _ in part.terms]
-        cm = frozenset(part.semiring.mcd_set(coeffs))
-        em = part.monoid.mcd(exps)
+        cm = frozenset(part.semiring.mcd_set(part.coeffs))
+        em = part.monoid.mcd(e for e, _ in part.terms)
         per.append(PartCertificate(part, cm, em, bool(cm) and bool(em)))
     return CertificateReport(
         target=f,
@@ -467,9 +466,10 @@ def length_fn(f: PolyExpr, budgets: Budgets = None) -> int:
     budgets = budgets or DEFAULT_BUDGETS
     if f.is_zero:
         raise DomainError("the zero polynomial has no length")
+    M = f.monoid
     return (
-        f.semiring.length(f.leading_coeff)
-        + f.monoid.length(f.degree, budgets.knapsack_nodes)
-        + len(f.terms)
+        f.semiring.length(f.coeffs[0])
+        + M.length(Fraction(f.nums[0], M.denom), budgets.knapsack_nodes)
+        + len(f.nums)
         - 1
     )

@@ -662,7 +662,10 @@ def _zassenhaus(f):
 
 # -- top level ---------------------------------------------------------------
 
+# At most _CACHE_SIZE factorizations are kept; a full cache evicts its
+# oldest entry.
 _CACHE: dict = {}
+_CACHE_SIZE = 1024
 _CACHE_LOCK = threading.Lock()
 
 
@@ -686,6 +689,8 @@ def _factor_primitive(prim):
             counts[t] = counts.get(t, 0) + mult
     result = tuple(sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0])))
     with _CACHE_LOCK:
+        if len(_CACHE) >= _CACHE_SIZE:
+            del _CACHE[next(iter(_CACHE))]
         _CACHE[key] = result
     return result
 

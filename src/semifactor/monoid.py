@@ -198,7 +198,13 @@ class ExpMonoid:
 
     def _num(self, m) -> int:
         """Scaled numerator of a member given as an ExpElem or a rational."""
-        return self.num_of(m if isinstance(m, ExpElem) else self.elem(m))
+        if isinstance(m, ExpElem):
+            return self.num_of(m)
+        q = Fraction(m)
+        n = self._scale(q.numerator, q.denominator)
+        if n is None:
+            raise DomainError(f"{q} is not a member of {self.literal()}")
+        return n
 
     # structure ----------------------------------------------------------
 

@@ -260,8 +260,8 @@ def _check_length_function_suite(budgets):
             if lfg < lf + lg:
                 failures.append(f"{label}: l({f} * {g}) = {lfg} < {lf} + {lg}")
             # scaling by D is a bijection, so numerators compare as exponents
-            sumset = {a + b for a in f.exponent_nums() for b in g.exponent_nums()}
-            if sumset != set(fg.exponent_nums()):
+            sumset = {a + b for a in f.nums for b in g.nums}
+            if sumset != set(fg.nums):
                 failures.append(f"{label}: support of {f} * {g} is not the sumset")
             if (lf == 0) != f.is_one:
                 failures.append(f"{label}: zero-length mismatch for {f}")

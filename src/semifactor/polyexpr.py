@@ -1,16 +1,19 @@
 """Polynomial expressions over a coefficient semiring and an exponent monoid.
 
 Canonical form: strictly descending exponents, no zero coefficients, every
-exponent a member of the monoid.  The zero polynomial is the empty term
-list.  Because the coefficient semirings are additively reduced there is
-never cancellation: the support of a product is the sumset of the supports.
+exponent a member of the monoid.  The zero polynomial has no terms.
+Because the coefficient semirings are additively reduced there is never
+cancellation: the support of a product is the sumset of the supports.
 
-Exponents are handled as scaled numerators n = D * num / denom, D the
-monoid's denominator, from ``from_terms`` to ``format_poly``: products,
-division and the divisor code add and compare integers and check them with
-``ExpMonoid.member_num``.  ``Fraction`` remains only for exponents that
-arrive as rationals: the parser, and ``from_terms`` given a ``Fraction`` or
-a ``str``.  A ``PolyExpr`` keeps its numerators once computed.
+A ``PolyExpr`` stores each exponent once, as its scaled numerator
+n = D * num / denom, D the monoid's denominator: ``nums`` and ``coeffs``
+are two parallel tuples, and equality and hashing compare them as tuples.
+Products, division and the divisor code add and compare integers and check
+them with ``ExpMonoid.member_num``.  An ``ExpElem`` is built only at the API
+boundary: by ``terms``, ``degree``, ``trailing_degree`` and ``support`` on
+request, and by ``format_poly`` while rendering.  ``Fraction`` remains only
+for exponents that arrive as rationals: the parser, and ``from_terms`` given
+a ``Fraction``, an ``int`` or a ``str``.
 
 Exact division of f by g is long division in the ambient ring (``Z`` or
 ``Z[sqrt(d)]``) after the substitution y = x^(1/D), which turns all
@@ -21,7 +24,7 @@ may leave the semiring, must vanish.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import CoeffSemiring, Quad
@@ -31,12 +34,15 @@ from .monoid import ExpElem, ExpMonoid
 
 @dataclass(frozen=True)
 class PolyExpr:
+    """A canonical polynomial: ``nums`` are the scaled exponent numerators,
+    strictly descending members of the monoid, and ``coeffs`` the matching
+    nonzero coefficients.  The constructor takes canonical data as is;
+    ``from_terms`` and ``parse`` build it from any input."""
+
     semiring: CoeffSemiring
     monoid: ExpMonoid
-    terms: tuple  # ((ExpElem, coeff), ...) with strictly descending exponents
-    # the exponents' scaled numerators, set by the first exponent_nums() call
-    # or by a constructor that already holds them (``_with_nums``)
-    _nums: tuple = field(default=None, init=False, compare=False, repr=False)
+    nums: tuple
+    coeffs: tuple
 
     @classmethod
     def from_terms(cls, semiring, monoid, terms):
@@ -62,33 +68,12 @@ class PolyExpr:
         for n, coeff in pairs:
             prev = acc.get(n)
             acc[n] = coeff if prev is None else semiring.add(prev, coeff)
-        return cls._of_nums(
-            semiring,
-            monoid,
-            [(n, c) for n, c in sorted(acc.items(), reverse=True) if not semiring.is_zero(c)],
-        )
-
-    @classmethod
-    def _of_nums(cls, semiring, monoid, items):
-        """Canonical form from (numerator, coeff) pairs, already descending,
-        nonzero and inside the monoid."""
-        return cls._with_nums(
-            semiring,
-            monoid,
-            tuple((monoid.elem_of_num(n), c) for n, c in items),
-            tuple(n for n, _ in items),
-        )
-
-    @classmethod
-    def _with_nums(cls, semiring, monoid, terms, nums):
-        """A polynomial from canonical ``terms`` and their numerators ``nums``."""
-        f = cls(semiring, monoid, terms)
-        object.__setattr__(f, "_nums", nums)
-        return f
+        nums = sorted((n for n, c in acc.items() if not semiring.is_zero(c)), reverse=True)
+        return cls(semiring, monoid, tuple(nums), tuple(acc[n] for n in nums))
 
     @classmethod
     def zero(cls, semiring, monoid):
-        return cls(semiring, monoid, ())
+        return cls(semiring, monoid, (), ())
 
     @classmethod
     def one(cls, semiring, monoid):
@@ -101,57 +86,51 @@ class PolyExpr:
     # inspection ----------------------------------------------------------
 
     @property
+    def terms(self) -> tuple:
+        """((ExpElem, coeff), ...) with strictly descending exponents."""
+        return tuple(zip(map(self.monoid.elem_of_num, self.nums), self.coeffs))
+
+    @property
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     @property
     def is_one(self):
-        return len(self.terms) == 1 and self.terms[0][0].num == 0 and self.semiring.is_unit(
-            self.terms[0][1]
-        )
+        return self.nums == (0,) and self.semiring.is_unit(self.coeffs[0])
 
     def _nonzero(self):
-        if not self.terms:
+        if not self.nums:
             raise DomainError("the zero polynomial has no canonical-form data")
 
     @property
     def degree(self) -> ExpElem:
         self._nonzero()
-        return self.terms[0][0]
+        return self.monoid.elem_of_num(self.nums[0])
 
     @property
     def leading_coeff(self):
         self._nonzero()
-        return self.terms[0][1]
+        return self.coeffs[0]
 
     @property
     def trailing_degree(self) -> ExpElem:
         self._nonzero()
-        return self.terms[-1][0]
+        return self.monoid.elem_of_num(self.nums[-1])
 
     @property
     def trailing_coeff(self):
         self._nonzero()
-        return self.terms[-1][1]
+        return self.coeffs[-1]
 
     @property
     def support(self) -> frozenset[ExpElem]:
         self._nonzero()
-        return frozenset(e for e, _ in self.terms)
+        return frozenset(map(self.monoid.elem_of_num, self.nums))
 
     @property
     def is_monomial(self) -> bool:
         self._nonzero()
-        return len(self.terms) == 1
-
-    def exponent_nums(self) -> tuple[int, ...]:
-        """Exponent numerators over the monoid denominator, descending."""
-        nums = self._nums
-        if nums is None:
-            scale = self.monoid._scale
-            nums = tuple(scale(e.num, e.denom) for e, _ in self.terms)
-            object.__setattr__(self, "_nums", nums)
-        return nums
+        return len(self.nums) == 1
 
     # arithmetic ----------------------------------------------------------
 
@@ -167,21 +146,20 @@ class PolyExpr:
         return PolyExpr._merge_nums(
             self.semiring,
             self.monoid,
-            [*zip(self.exponent_nums(), (c for _, c in self.terms)),
-             *zip(other.exponent_nums(), (c for _, c in other.terms))],
+            [*zip(self.nums, self.coeffs), *zip(other.nums, other.coeffs)],
         )
 
     def __mul__(self, other):
         self._same_context(other)
         S = self.semiring
-        nbs = other.exponent_nums()
+        pairs = tuple(zip(other.nums, other.coeffs))
         return PolyExpr._merge_nums(
             S,
             self.monoid,
             [
                 (na + nb, S.mul(ca, cb))
-                for na, (_, ca) in zip(self.exponent_nums(), self.terms)
-                for nb, (_, cb) in zip(nbs, other.terms)
+                for na, ca in zip(self.nums, self.coeffs)
+                for nb, cb in pairs
             ],
         )
 
@@ -230,10 +208,10 @@ def ambient_exact_div(f: PolyExpr, g: PolyExpr):
         raise DomainError("division of the zero polynomial")
     S = f.semiring
     M = f.monoid
-    rem = dict(zip(f.exponent_nums(), (c for _, c in f.terms)))
-    gterms = list(zip(g.exponent_nums(), (c for _, c in g.terms)))
+    rem = dict(zip(f.nums, f.coeffs))
+    gterms = tuple(zip(g.nums, g.coeffs))
     gdeg, glc = gterms[0]
-    terms = []
+    qnums, qcoeffs = [], []
     while rem:
         rdeg = max(rem)
         qe = rdeg - gdeg
@@ -244,7 +222,8 @@ def ambient_exact_div(f: PolyExpr, g: PolyExpr):
         qc = S.exact_div(rem[rdeg], glc)
         if qc is None:
             return None
-        terms.append((qe, qc))
+        qnums.append(qe)
+        qcoeffs.append(qc)
         for e, c in gterms:
             ne = qe + e
             nv = S.sub(rem.get(ne, S.zero), S.mul(qc, c))
@@ -252,7 +231,7 @@ def ambient_exact_div(f: PolyExpr, g: PolyExpr):
                 rem.pop(ne, None)
             else:
                 rem[ne] = nv
-    return PolyExpr._of_nums(S, M, terms)
+    return PolyExpr(S, M, tuple(qnums), tuple(qcoeffs))
 
 
 # text form ---------------------------------------------------------------
@@ -379,7 +358,8 @@ def format_poly(f: PolyExpr) -> str:
     S = f.semiring
     quad = isinstance(S, Quad)
     parts = []
-    for e, c in f.terms:
+    for n, c in zip(f.nums, f.coeffs):
+        e = f.monoid.elem_of_num(n)
         if e.num == 0:
             xpart = ""
         elif e.denom != 1:

@@ -318,6 +318,84 @@ class TestConcurrency:
         assert all(r == results[0] for r in results)
 
 
+class TestCaches:
+    def test_divisor_cache_is_bounded_and_keeps_the_newest(self, monkeypatch):
+        monkeypatch.setattr(engine, "_DIV_CACHE_SIZE", 3)
+        engine.clear_caches()
+        polys = [P(f"x^2+{n}") for n in range(1, 7)]
+        sets = [sf.divisors(f) for f in polys]
+        assert len(engine._DIV_CACHE) == 3
+        assert sf.divisors(polys[-1]) is sets[-1]
+        assert sf.divisors(polys[0]) is not sets[0]
+        assert len(engine._DIV_CACHE) == 3
+        engine.clear_caches()
+
+    def test_bound_holds_under_threads(self, monkeypatch):
+        import sys
+        import threading
+
+        monkeypatch.setattr(engine, "_DIV_CACHE_SIZE", 4)
+        engine.clear_caches()
+        polys = [P(f"x^2+{n}x+{n}") for n in range(1, 25)]
+        sizes = []
+
+        def work(k):
+            for f in polys[k::3] + polys[k::3][::-1]:
+                sf.divisors(f)
+                sizes.append(len(engine._DIV_CACHE))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k % 3,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(sizes) == 8 * 16 and max(sizes) <= 4
+        engine.clear_caches()
+
+
+class TestExponentsStayNumerators:
+    """The engine works on scaled numerators: no ExpElem is built."""
+
+    @pytest.mark.parametrize(
+        "coeffs, monoid, factors, strategy",
+        [
+            ("nat", "nat", ["x+1", "x+1", "x^2+x+1", "2x+2"], "zx_fastpath"),
+            ("nat", "gens:1/2,3/4", ["x^{1/2}+1", "x^{3/4}+2", "x+x^{1/2}+1"], "zx_fastpath"),
+            ("quad:6", "nat", ["(1,1)*x+(1,0)", "x+(2,0)"], "oracle"),
+        ],
+    )
+    def test_no_elem_of_num_calls(self, monkeypatch, coeffs, monoid, factors, strategy):
+        from semifactor.intfactor import clear_cache
+
+        S, M = sf.semiring_from_literal(coeffs), sf.monoid_from_literal(monoid)
+        f = P("1", S, M)
+        for text in factors:
+            f = f * P(text, S, M)
+        calls = []
+        orig = sf.ExpMonoid.elem_of_num
+
+        def counting(monoid, n):
+            calls.append(n)
+            return orig(monoid, n)
+
+        monkeypatch.setattr(sf.ExpMonoid, "elem_of_num", counting)
+        engine.clear_caches()
+        clear_cache()
+        assert sf.divisors(f).strategy_used == strategy
+        assert sf.factorizations(f)
+        assert sf.length_profile(f)[0]
+        sf.is_monolithic(f)
+        assert sf.monolithic_decompose(f)
+        assert sf.length_fn(f) > 0
+        assert calls == []
+
+
 class TestStrategyEquivalence:
     def test_random_nat_corpus(self):
         rng = random.Random(38)
@@ -420,14 +498,14 @@ def lattice_corpus():
         f = P("1")
         for a in rng.choices(atoms, k=rng.randint(2, 5)):
             f = f * a
-        yield f, f.exponent_nums()[0] <= 8
+        yield f, f.nums[0] <= 8
     M = sf.make_monoid([Fraction(1, 2), Fraction(3, 4)])
     for _ in range(15):
         f = P("1", M=M)
         for _ in range(rng.randint(2, 3)):
             f = f * random_poly(rng, NAT, M, max_num=6, max_terms=3, max_coeff=2)
         if not f.is_one:
-            yield f, f.exponent_nums()[0] <= 12
+            yield f, f.nums[0] <= 12
 
 
 class TestDivisorLattice:

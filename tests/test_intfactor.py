@@ -355,6 +355,17 @@ class TestFactor:
             t.join()
         assert all(r == results[0] for r in results)
 
+    def test_cache_is_bounded_and_keeps_the_newest(self, monkeypatch):
+        monkeypatch.setattr(intfactor, "_CACHE_SIZE", 3)
+        intfactor.clear_cache()
+        prims = [[n, 0, 1] for n in range(1, 7)]  # x^2 + n
+        outs = [intfactor._factor_primitive(p) for p in prims]
+        assert len(intfactor._CACHE) == 3
+        assert intfactor._factor_primitive(prims[-1]) is outs[-1]
+        assert intfactor._factor_primitive(prims[0]) is not outs[0]
+        assert len(intfactor._CACHE) == 3
+        intfactor.clear_cache()
+
     def test_x_power_times_unit_content(self):
         fac = factor_int_poly(ip(0, 0, 0, 5))
         assert fac.content == (5,)
