@@ -28,13 +28,18 @@ from .errors import (
 
 
 # Trial division runs below _TRIAL_BOUND; what is left is tested with
-# Miller-Rabin and split by Pollard-Brent rho, which may take _RHO_BUDGET
+# Baillie-PSW (Miller-Rabin, then a strong Lucas test) and split from a
+# square root of 1 or by Pollard-Brent rho, which may take _RHO_BUDGET
 # iterations per factorization (a few tenths of a second).
 _TRIAL_BOUND = 1000
 _RHO_BUDGET = 2 * 10**5
 # Miller-Rabin to these bases is a proof of primality below 3.3 * 10**24
-# (Sorenson and Webster 2015); above it, a strong probable-prime test.
+# (Sorenson and Webster 2015); above it, Baillie-PSW has no known
+# counterexample.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Bases 2 .. _SPLIT_BASES - 1 are tried for a nontrivial square root of 1
+# before rho; strong pseudoprimes to the bases above split this way.
+_SPLIT_BASES = 100
 
 
 def prime_factors(n: int) -> list[int]:
@@ -56,28 +61,102 @@ def prime_factors(n: int) -> list[int]:
         if m < _TRIAL_BOUND * _TRIAL_BOUND or _is_prime(m):
             out.append(m)
             continue
-        d, budget = _rho_divisor(m, budget)
+        d = _square_root_divisor(m)
+        if d is None:
+            d, budget = _rho_divisor(m, budget)
         todo += [d, m // d]
     return sorted(out)
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases _MR_BASES, for odd n > the largest base."""
+def _strong_test(n: int, a: int) -> int:
+    """0 when odd n is a strong probable prime to base a; else a proper
+    divisor gcd(x - 1, n) when x^2 = 1 with x != +-1 mod n turns up, else 1."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return 0
+    for _ in range(s - 1):
+        y = x * x % n
+        if y == n - 1:
+            return 0
+        if y == 1:
+            return math.gcd(x - 1, n)
+        x = y
+    return math.gcd(x - 1, n) if x * x % n == 1 else 1
+
+
+def _is_prime(n: int) -> bool:
+    """Baillie-PSW for odd n > the largest base: Miller-Rabin to the bases
+    _MR_BASES, then the strong Lucas test."""
+    return all(_strong_test(n, a) == 0 for a in _MR_BASES) and _strong_lucas(n)
+
+
+def _square_root_divisor(n: int):
+    """A proper divisor of an odd composite n from a nontrivial square root
+    of 1 met by Miller-Rabin, or None."""
+    for a in range(2, _SPLIT_BASES):
+        g = _strong_test(n, a)
+        if g > 1:
+            return g
+    return None
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 1 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4 (Baillie and Wagstaff 1980)."""
+    r = math.isqrt(n)
+    if r * r == n:
+        return False  # no D would exist
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k, Q^k by the binary expansion of d, from k = 1 (P = 1)
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            # U_(k+1) = (U + V)/2, V_(k+1) = (D*U + V)/2, halved mod odd n
+            U, V = U + V, D * U + V
+            U = (U + n if U % 2 else U) // 2 % n
+            V = (V + n if V % 2 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _rho_divisor(n: int, budget: int):

@@ -15,14 +15,28 @@ pseudo-divisions, exact divisions, or divisions modulo p^k by a monic or
 invertible leading coefficient.  Long products use Kronecker substitution.
 Every factorization is re-multiplied before it is returned.
 
+Arithmetic modulo a fixed monic polynomial runs on a packed kernel
+(``_Ring``): a polynomial is one int with a fixed-width slot per
+coefficient, a product is one big-integer product, and a remainder takes
+two more from the precomputed reversed inverse of the modulus.  Distinct-
+and equal-degree factorization power by the Frobenius map x -> x^p, a
+linear combination of the packed rows x^(p*i) mod f (von zur Gathen and
+Shoup, "Computing Frobenius maps and factoring polynomials", 1992); each
+Hensel step divides by the monic factor with the inverse lifted from the
+step before.  Euclidean steps, whose divisor changes at every step, stay on
+lists.
+
 Dense representation throughout: a polynomial is a list of ints, lowest
 degree first, no trailing zeros (the zero polynomial is the empty list).
 """
 from __future__ import annotations
 
 import math
+import operator
 import random
+import sys
 import threading
+from array import array
 from dataclasses import dataclass
 from itertools import combinations, zip_longest
 
@@ -281,10 +295,150 @@ def squarefree_decompose(F: IntPoly):
     return parts
 
 
-# -- GF(p) arithmetic --------------------------------------------------------
+# -- packed arithmetic modulo a monic polynomial ----------------------------
 #
-# Products are formed over Z and reduced once; the remainder kernel reads
-# every leading coefficient mod p and reduces the rest once, at the end.
+# A polynomial with coefficients in [0, m) is packed into one int, one
+# fixed-width slot per coefficient, lowest degree in the lowest slot
+# (Kronecker substitution at x = 2^w), so a product of polynomials is one
+# big-integer product.  The slot width is chosen once, wide enough that no
+# sum of products formed before the next reduction carries into the next
+# slot; a difference adds a multiple of m to every slot first, so no slot
+# borrows either.  Every result is unpacked and reduced mod m once.  The
+# remainder by the monic modulus f of degree n is the classical one from
+# the precomputed reversed inverse (von zur Gathen and Gerhard, Modern
+# Computer Algebra, 9.1): for a dividend c of degree at most n + k, the
+# quotient is the top k + 1 coefficients of (c div x^n) * (x^(n+k) div f).
+
+_SWAP = sys.byteorder == "big"  # packed ints are little-endian slot arrays
+_WORD = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# The Frobenius rows cost n - 1 products up front and then one linear
+# combination per use; powering costs a product per bit of p.  Below this p
+# (one or two products per use) the rows never pay for themselves within the
+# n/2 steps of a distinct-degree factorization.
+_ROWS_MIN_P = 5
+
+
+class _Ring:
+    """Z/m[x] modulo a monic f of degree n (coefficients in [0, m)).
+
+    Elements are packed polynomials of degree < n.  ``divmod`` takes packed
+    dividends of degree < n + qdeg + 1 whose slots stay below ``digit`` (by
+    default: products of two elements); the slots also hold any coefficient
+    below ``bound``, for the caller's own products.  ``w`` may give the
+    inverse of rev(f) modulo a modulus whose square m divides, for a
+    polynomial congruent to f modulo it: one Newton step lifts it."""
+
+    __slots__ = ("m", "n", "qdeg", "size", "code", "bits", "inv", "f", "g", "off", "rows")
+
+    def __init__(self, f, m, qdeg=None, digit=None, bound=0, w=None):
+        n = len(f) - 1
+        self.m, self.n = m, n
+        self.qdeg = qdeg = max(n - 2, 0) if qdeg is None else qdeg
+        digit = n * m * m if digit is None else digit
+        # the widest slots: the dividend's top times g, and a remainder
+        # before its reduction (dividend plus offset); slots of 1, 2, 4 or 8
+        # bytes are read back as machine words
+        bound = max((qdeg + 1) * digit * m, digit + 2 * n * m * m, bound)
+        size = (bound.bit_length() + 7) // 8
+        self.size = size = 1 << (size - 1).bit_length() if size <= 8 else size
+        self.code = _WORD.get(size)
+        self.bits = 8 * size
+        # inv = 1/rev(f) mod x^(qdeg+1), and g = rev(inv) = x^(n+qdeg) div f
+        if w is None:
+            # inv[i] = -(rev(f)[1] inv[i-1] + ... + rev(f)[n] inv[i-n]), built
+            # from the top: g = [inv[i-1], ..., inv[0]] at step i
+            back = f[n - 1::-1] if n else []
+            g = [1]
+            for _ in range(qdeg):
+                g.insert(0, -sum(map(operator.mul, back, g)) % m)
+            w = g[::-1]
+        else:
+            # one Newton step: inv * (2 - rev(f) * inv)
+            W = self.pack([x % m for x in w])
+            e = self.reduce(self.pack(f[::-1][:qdeg + 1]) * W, qdeg + 1)
+            e[0] -= 2
+            w = self.reduce(W * self.pack([-x % m for x in e]), qdeg + 1)
+            g = w[::-1]
+        self.inv = w
+        self.f = self.pack(f[:n])
+        self.g = self.pack(g)
+        # a multiple of m in every slot, above any coefficient of q * f
+        self.off = self.pack([n * m * m] * n)
+        self.rows = None
+
+    def pack(self, c):
+        """One int from nonnegative coefficients below the slot bound."""
+        if self.code:
+            a = array(self.code, c)
+            if _SWAP:
+                a.byteswap()
+            return int.from_bytes(a.tobytes(), "little")
+        return int.from_bytes(b"".join([x.to_bytes(self.size, "little") for x in c]), "little")
+
+    def unpack(self, X, count):
+        """The lowest ``count`` slots of X."""
+        raw = (X & ((1 << self.bits * count) - 1)).to_bytes(self.size * count, "little")
+        if self.code:
+            a = array(self.code, raw)
+            if _SWAP:
+                a.byteswap()
+            return a
+        size = self.size
+        return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+
+    def reduce(self, X, count=None):
+        """Coefficients of X reduced mod m: the first n, or ``count``."""
+        m = self.m
+        return [x % m for x in self.unpack(X, self.n if count is None else count)]
+
+    def divmod(self, C, count):
+        """Quotient and remainder (reduced lists, lengths count - n and n)
+        of a packed dividend with ``count`` slots."""
+        n, w = self.n, self.bits
+        k = count - n  # quotient length
+        if k <= 0:
+            return [], self.reduce(C)
+        q = self.reduce((C >> (n * w)) * (self.g >> ((self.qdeg + 1 - k) * w)) >> ((k - 1) * w), k)
+        return q, self.reduce(C + self.off - self.pack(q) * self.f)
+
+    def mul(self, A, B):
+        """A*B mod f."""
+        return self.pack(self.divmod(A * B, 2 * self.n - 1)[1])
+
+    def pow(self, A, e):
+        """A^e for e >= 1."""
+        R = A
+        for bit in bin(e)[3:]:
+            R = self.mul(R, R)
+            if bit == "1":
+                R = self.mul(R, A)
+        return R
+
+    def frobenius(self, A):
+        """A^m for a prime m, as the linear combination of the packed rows
+        x^(m*i) mod f with the coefficients of A."""
+        if self.m < _ROWS_MIN_P:
+            return self.pow(A, self.m)
+        if self.rows is None:
+            n, m, w = self.n, self.m, self.bits
+            rows = [1]
+            if m < n:
+                # each row is the one before times the monomial x^m
+                for _ in range(n - 1):
+                    rows.append(self.pack(self.divmod(rows[-1] << (m * w), n + m)[1]))
+            else:
+                xm = self.pow(self.pack(self.divmod(1 << w, 2)[1]), m)
+                for _ in range(n - 1):
+                    rows.append(self.mul(rows[-1], xm))
+            self.rows = rows
+        return self.pack(self.reduce(sum(map(operator.mul, self.reduce(A), self.rows))))
+
+
+# -- GF(p) arithmetic on lists -----------------------------------------------
+#
+# For the Euclidean steps, whose divisor changes at every step.  Products
+# are formed over Z and reduced once; the remainder kernel reads every
+# leading coefficient mod p and reduces the rest once, at the end.
 
 def _p_trim(c, p):
     c = [x % p for x in c]
@@ -340,30 +494,24 @@ def _p_gcd(a, b, p):
     return _p_monic(a, p) if a else []
 
 
-def _p_powmod(base, e, mod, p):
-    """base^e mod `mod` over GF(p), for e >= 1 and a reduced base."""
-    result = base
-    for bit in bin(e)[3:]:
-        result = _p_rem(_mul(result, result), mod, p)
-        if bit == "1":
-            result = _p_rem(_mul(result, base), mod, p)
-    return result
-
-
 def _ddf(f, p):
     """Distinct-degree factorization of a monic squarefree f over GF(p):
-    pairs (g, d), g the product of the monic irreducible factors of degree d."""
+    pairs (g, d), g the product of the monic irreducible factors of degree d.
+
+    x^(p^d) is kept modulo the input f, one Frobenius step per degree; the
+    gcd with the part of f still unsplit reduces it further."""
     out = []
-    h = [0, 1]  # x^(p^d) mod f
+    ring = _Ring(f, p)
+    X = ring.pack([0, 1])
+    H = X  # x^(p^d) mod the input f
     d = 0
     while 2 * (d + 1) <= _deg(f):
         d += 1
-        h = _p_powmod(h, p, f, p)
-        g = _p_gcd(f, _p_sub(h, [0, 1], p), p)
+        H = ring.frobenius(H)
+        g = _p_gcd(f, _trim(ring.reduce(H + ring.off - X)), p)
         if len(g) > 1:
             out.append((g, d))
             f = _p_divmod(f, g, p)[0]
-            h = _p_rem(h, f, p)
     if len(f) > 1:
         out.append((f, _deg(f)))
     return out
@@ -376,10 +524,33 @@ _EDF_MAX_FAILURES = 100
 _EDF_SEED = 0
 
 
+def _split_power(ring, A, d):
+    """For a random A modulo a product of irreducibles of degree d: the
+    trace A + A^2 + ... + A^(2^(d-1)) over GF(2), else A^((p^d-1)/2) - 1.
+    Modulo each factor the first lies in GF(2) and the second is 0 or -2
+    when A is prime to it.  With b = A^((p-1)/2) and the Frobenius map s,
+    A^((p^d-1)/2) = b * s(b) * ... * s^(d-1)(b)."""
+    p = ring.m
+    if p == 2:
+        B = T = A
+        for _ in range(d - 1):
+            T = ring.frobenius(T)
+            B += T
+        return B
+    B = T = ring.pow(A, (p - 1) // 2)
+    for _ in range(d - 1):
+        T = ring.frobenius(T)
+        B = ring.mul(B, T)
+    return B + ring.off - 1
+
+
 def _edf(g, d, p, rng):
     """Cantor-Zassenhaus equal-degree splitting of a monic squarefree g over
-    GF(p) whose irreducible factors all have degree d."""
-    e = (p**d - 1) // 2
+    GF(p) whose irreducible factors all have degree d.
+
+    Every draw is powered modulo g, whatever part of g it is to split, so
+    all draws share one ring and its Frobenius rows."""
+    ring = _Ring(g, p)
     out = []
     todo = [g]
     failures = 0
@@ -388,25 +559,16 @@ def _edf(g, d, p, rng):
         if _deg(u) == d:
             out.append(u)
             continue
-        a = _p_trim([rng.randrange(p) for _ in range(_deg(u))], p)
-        if len(a) > 1:
-            if p == 2:
-                # trace a + a^2 + ... + a^(2^(d-1)) lies in GF(2) mod each factor
-                b = t = a
-                for _ in range(d - 1):
-                    t = _p_rem(_mul(t, t), u, p)
-                    b = _p_trim(_add(b, t), p)
-            else:
-                # a^((p^d-1)/2) is +1 or -1 mod each factor prime to a
-                b = _p_sub(_p_powmod(a, e, u, p), [1], p)
-            s = _p_gcd(u, b, p)
-            if 0 < _deg(s) < _deg(u):
-                todo += [s, _p_divmod(u, s, p)[0]]
-                continue
-        failures += 1
-        if failures > _EDF_MAX_FAILURES:
-            raise InternalError(f"equal-degree splitting failed {failures} times over GF({p})")
-        todo.append(u)
+        while True:
+            a = _p_trim([rng.randrange(p) for _ in range(_deg(u))], p)
+            if len(a) > 1:
+                s = _p_gcd(u, _trim(ring.reduce(_split_power(ring, ring.pack(a), d))), p)
+                if 0 < _deg(s) < _deg(u):
+                    todo += [s, _p_divmod(u, s, p)[0]]
+                    break
+            failures += 1
+            if failures > _EDF_MAX_FAILURES:
+                raise InternalError(f"equal-degree splitting failed {failures} times over GF({p})")
     return out
 
 
@@ -448,6 +610,12 @@ def _choose_prime(f):
 
 
 # -- Hensel lifting ----------------------------------------------------------
+#
+# One quadratic step lifts f = g*h from mod m to mod M (M dividing m^2), as
+# in Modern Computer Algebra, Algorithm 15.10, with coefficients in [0, m).
+# Each correction (f - g*h, s*g + t*h - 1, and what follows from them) is a
+# multiple of m, so it is computed divided by m and mod M/m: both divisions
+# of a step are by h mod M/m, from one precomputed inverse.
 
 def _tr(c, m):
     """Reduce coefficients into the symmetric range (-m/2, m/2]."""
@@ -455,40 +623,36 @@ def _tr(c, m):
     return _trim([half - (half - x) % m for x in c])
 
 
-def _divmod_monic(a, b, m):
-    """Division by a monic b with coefficient arithmetic mod m; quotient and
-    remainder in the symmetric range."""
-    a = _tr(a, m)
-    db = _deg(b)
-    half = m // 2
-    quo = [0] * max(len(a) - db, 0)
-    for pos in range(len(a) - 1 - db, -1, -1):
-        q = a[pos + db] % m
-        if q > half:
-            q -= m
-        if q:
-            quo[pos] = q
-            a[pos:pos + db] = [x - q * y for x, y in zip(a[pos:pos + db], b)]
-    return _trim(quo), _tr(a[:db], m)
+def _lift_factors(m, M, f, g, h, s, t, ring):
+    """Lift f = g*h mod m to mod M, given s*g + t*h = 1 mod m (h monic);
+    ``ring`` divides by h modulo M/m, and its slots hold the step's products."""
+    mq = M // m
+    n = len(f)
+    G = ring.pack(g)
+    # e = f - g*h vanishes mod m; a multiple of M in every slot stays above
+    # any coefficient of g*h
+    off = -(-min(len(g), len(h)) * m * m // M) * M
+    E = ring.pack([x % M + off for x in f]) - G * ring.pack(h)
+    P = ring.pack([x // m % mq for x in ring.unpack(E, n)])
+    # with e/m: (q, r) = divmod(s*e/m, h), then g + m*(t*e/m + q*g) and h + m*r
+    q, r = ring.divmod(ring.pack(s) * P, len(s) + n - 1)
+    dg = ring.reduce(ring.pack(t) * P + ring.pack(q) * G, len(g))
+    return [x + m * y for x, y in zip(g, dg)], [x + m * y for x, y in zip(h, r)] + [1]
 
 
-def _lift_factors(M, f, g, h, s, t):
-    """Lift f = g*h mod m to mod M, for M dividing m^2, given
-    s*g + t*h = 1 mod m (h monic)."""
-    e = _tr(_sub(f, _mul(g, h)), M)
-    q, r = _divmod_monic(_mul(s, e), h, M)
-    g1 = _tr(_add(g, _add(_mul(t, e), _mul(q, g))), M)
-    h1 = _tr(_add(h, r), M)
-    return g1, h1
-
-
-def _lift_bezout(M, g1, h1, s, t):
+def _lift_bezout(m, M, g1, h1, s, t, ring):
     """Lift s*g + t*h = 1 from mod m to mod M for the lifted g1, h1."""
-    b = _tr(_sub(_add(_mul(s, g1), _mul(t, h1)), [1]), M)
-    c, d = _divmod_monic(_mul(s, b), h1, M)
-    s1 = _tr(_sub(s, d), M)
-    t1 = _tr(_sub(t, _add(_mul(t, b), _mul(c, g1))), M)
-    return s1, t1
+    mq = M // m
+    n = len(g1) + len(h1) - 2  # deg(s*g1 + t*h1) < deg g1 + deg h1
+    G, S, T = ring.pack(g1), ring.pack(s), ring.pack(t)
+    # b = s*g1 + t*h1 - 1 (M - 1 for -1) vanishes mod m
+    B = S * G + T * ring.pack(h1) + M - 1
+    P = ring.pack([x // m % mq for x in ring.unpack(B, n)])
+    # with b/m: (c, d) = divmod(s*b/m, h1), then s - m*d and t - m*(t*b/m + c*g1)
+    c, d = ring.divmod(S * P, len(s) + n - 1)
+    dt = ring.reduce(T * P + ring.pack(c) * G, len(g1) - 1)
+    return ([(x - m * y) % M for x, y in zip_longest(s, d, fillvalue=0)],
+            [(x - m * y) % M for x, y in zip_longest(t, dt, fillvalue=0)])
 
 
 def _hensel_lift(p, f, fs, l):
@@ -507,16 +671,20 @@ def _hensel_lift(p, f, fs, l):
     for u in fs[k:]:
         h = _p_mul(h, u, p)
     s, t = _bezout_pair(g, h, p)
-    g, h, s, t = (_tr(u, p) for u in (g, h, s, t))
     # quadratic steps, the last one only to p^l; the Bezout pair of the
     # last step would never be used
-    m = p
+    n = len(f)
+    m, w = p, None
     while m < pl:
         M = min(m * m, pl)
-        g, h = _lift_factors(M, f, g, h, s, t)
+        mq = M // m
+        # division by h mod M/m, with the inverse of the step before lifted;
+        # the slots also hold s*g1 + t*h1, below 2n*m*M
+        ring = _Ring([x % mq for x in h], mq, n - 2, n * m * mq, (2 * n * m + 1) * M, w)
+        g, h = _lift_factors(m, M, f, g, h, s, t, ring)
         if M < pl:
-            s, t = _lift_bezout(M, g, h, s, t)
-        m = M
+            s, t = _lift_bezout(m, M, g, h, s, t, ring)
+        m, w = M, ring.inv
     return _hensel_lift(p, g, fs[:k], l) + _hensel_lift(p, h, fs[k:], l)
 
 
@@ -614,25 +782,29 @@ def _zassenhaus(f):
     if len(fs) == 1:
         return [f]
     factors = sorted(_lift(p, f, fs, l), key=lambda u: (len(u), u))
-    ones = [sum(u) % pl for u in factors]  # values at 1
     rest = f
     out = []
     s = 1
     while 2 * s <= len(factors):
+        # per rest: the factors' degrees, constant terms and values at 1
+        degs = [len(u) - 1 for u in factors]
+        consts = [u[0] for u in factors]
+        ones = [sum(u) % pl for u in factors]
+        every = frozenset(range(len(factors)))
         found = False
         lc, rest0, rest1 = rest[-1], rest[0], sum(rest)
         for subset in combinations(range(len(factors)), s):
             # the candidate comes from the subset or its complement, whichever
             # has degree at most deg(rest)/2, so the bound covers it
             side = subset
-            if 2 * sum(len(factors[i]) - 1 for i in subset) > _deg(rest):
-                side = [i for i in range(len(factors)) if i not in subset]
+            if 2 * sum(map(degs.__getitem__, subset)) > _deg(rest):
+                side = every.difference(subset)
             # a true factor's constant term and value at 1, times
             # lc(rest)/lc(factor), divide lc(rest)*rest(0) and lc(rest)*rest(1)
             # (trailing-coefficient test of Abbott, Shoup and Zimmermann)
-            if rest0 and not _may_divide(lc, rest0, [factors[i][0] for i in side], pl):
+            if rest0 and not _may_divide(lc, rest0, map(consts.__getitem__, side), pl):
                 continue
-            if rest1 and not _may_divide(lc, rest1, [ones[i] for i in side], pl):
+            if rest1 and not _may_divide(lc, rest1, map(ones.__getitem__, side), pl):
                 continue
             g = [lc]
             for i in side:
@@ -646,9 +818,7 @@ def _zassenhaus(f):
                 else:
                     out.append(q)
                     rest = cand
-                keep = [i for i in range(len(factors)) if i not in subset]
-                factors = [factors[i] for i in keep]
-                ones = [ones[i] for i in keep]
+                factors = [factors[i] for i in sorted(every.difference(subset))]
                 found = True
                 break
         if not found:

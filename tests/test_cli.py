@@ -44,6 +44,14 @@ class TestPolyCommands:
         assert payload["count"] == 6
         assert payload["strategy_used"] == "zx_fastpath"
 
+    def test_divisors_of_a_strong_pseudoprime_content(self, capsys):
+        # psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin to every
+        # prime base up to 41: its divisors times those of x + 1
+        psi13 = 3317044064679887385961981
+        payload = run_json(capsys, "poly", "divisors", f"{psi13}x+{psi13}")
+        assert payload["count"] == 8
+        assert "1287836182261x+1287836182261" in payload["divisors"]
+
     def test_factorizations(self, capsys):
         payload = run_json(capsys, "poly", "factorizations", "x^5+x^4+x^3+x^2+x+1")
         assert payload["Z"] == [["x+1", "x^4+x^2+1"], ["x^2+x+1", "x^3+1"]]

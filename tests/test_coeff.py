@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -311,6 +312,27 @@ class TestPrimeFactors:
         # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2, ..., 23
         assert prime_factors(3215031751) == [151, 751, 28351]
         assert prime_factors(3825123056546413051) == [149491, 747451, 34233211]
+
+    def test_baillie_psw_rejects_psi13(self):
+        # psi_13 is a strong pseudoprime to every prime base up to 41, the
+        # bases of Miller-Rabin here; the strong Lucas test rejects it
+        psi13 = 3317044064679887385961981
+        assert not coeff._is_prime(psi13)
+        assert prime_factors(psi13) == [1287836182261, 2575672364521]
+
+    def test_strong_lucas_test(self):
+        # every odd prime passes; the strong Lucas pseudoprimes below 20000
+        # (Baillie and Wagstaff; OEIS A217255) are its only other passes
+        pseudoprimes = {5459, 5777, 10877, 16109, 18971}
+        primes = set(small_primes(20000))
+        passes = {n for n in range(3, 20000, 2) if coeff._strong_lucas(n)}
+        assert passes == (primes - {2}) | pseudoprimes
+
+    def test_baillie_psw_matches_trial_division(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            n = rng.randrange(10**6, 10**9) | 1
+            assert coeff._is_prime(n) == all(n % q for q in range(3, math.isqrt(n) + 1, 2)), n
 
     def test_rho_budget(self):
         # two primes near 2^61 and 2^89 are out of reach of 2 * 10^5 iterations

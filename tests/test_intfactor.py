@@ -12,7 +12,6 @@ from semifactor.intfactor import (
     IntPoly,
     _choose_prime,
     _div_exact,
-    _divmod_monic,
     _edf,
     _factor_mod_p,
     _gcd_z,
@@ -21,6 +20,7 @@ from semifactor.intfactor import (
     _lift_root,
     _mul,
     _p_divmod,
+    _Ring,
     factor_int_poly,
     squarefree_decompose,
 )
@@ -449,17 +449,19 @@ class TestGcdKernel:
 
 
 class TestModularDivision:
-    def test_divmod_monic(self):
+    def test_ring_divmod(self):
+        # division by a monic b mod m in the packed kernel, for a reduced
+        # dividend of any length up to deg b + qdeg + 1
         rng = random.Random(52)
         for _ in range(300):
             m = rng.choice([2, 3, 5, 7]) ** rng.randint(1, 9)
             b = [rng.randint(-m, m) for _ in range(rng.randint(0, 5))] + [1]
             a = [rng.randint(-(m**2), m**2) for _ in range(rng.randint(0, 12))]
-            q, r = _divmod_monic(a, b, m)
-            assert len(r) < len(b)
+            ring = _Ring([x % m for x in b], m, max(len(a) - len(b), 0), m)
+            q, r = ring.divmod(ring.pack([x % m for x in a]), len(a))
+            assert len(r) == len(b) - 1 and len(q) == max(len(a) - len(b) + 1, 0)
             for c in q + r:
-                assert -m < 2 * c <= m
-            assert q[-1:] != [0] and r[-1:] != [0]
+                assert 0 <= c < m
             diff = poly_sub(poly_sub(_mul(q, b), a), [-x for x in r])
             assert all(x % m == 0 for x in diff), (a, b, m)
 
