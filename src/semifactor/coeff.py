@@ -58,11 +58,11 @@ def prime_factors(n: int) -> list[int]:
     while todo:
         m = todo.pop()
         # every prime factor of m is at least _TRIAL_BOUND
-        if m < _TRIAL_BOUND * _TRIAL_BOUND or _is_prime(m):
+        d = 0 if m < _TRIAL_BOUND * _TRIAL_BOUND else _prime_or_divisor(m)
+        if d == 0:
             out.append(m)
             continue
-        d = _square_root_divisor(m)
-        if d is None:
+        if d == 1:
             d, budget = _rho_divisor(m, budget)
         todo += [d, m // d]
     return sorted(out)
@@ -88,20 +88,27 @@ def _strong_test(n: int, a: int) -> int:
     return math.gcd(x - 1, n) if x * x % n == 1 else 1
 
 
-def _is_prime(n: int) -> bool:
-    """Baillie-PSW for odd n > the largest base: Miller-Rabin to the bases
-    _MR_BASES, then the strong Lucas test."""
-    return all(_strong_test(n, a) == 0 for a in _MR_BASES) and _strong_lucas(n)
-
-
-def _square_root_divisor(n: int):
-    """A proper divisor of an odd composite n from a nontrivial square root
-    of 1 met by Miller-Rabin, or None."""
-    for a in range(2, _SPLIT_BASES):
+def _prime_or_divisor(n: int) -> int:
+    """Baillie-PSW for odd n > the largest base, whose Miller-Rabin tests
+    also look for a divisor: 0 when n is a probable prime (Miller-Rabin to
+    the bases _MR_BASES, then the strong Lucas test).  Otherwise n is
+    composite, and the result is a proper divisor from the first nontrivial
+    square root of 1 met to a base below _SPLIT_BASES, or 1 when none is;
+    every base is tested once."""
+    composite = False
+    for a in _MR_BASES:
         g = _strong_test(n, a)
         if g > 1:
             return g
-    return None
+        composite = composite or g == 1
+    if not composite and _strong_lucas(n):
+        return 0
+    for a in range(2, _SPLIT_BASES):
+        if a not in _MR_BASES:
+            g = _strong_test(n, a)
+            if g > 1:
+                return g
+    return 1
 
 
 def _jacobi(a: int, n: int) -> int:

@@ -19,11 +19,10 @@ Arithmetic modulo a fixed monic polynomial runs on a packed kernel
 (``_Ring``): a polynomial is one int with a fixed-width slot per
 coefficient, a product is one big-integer product, and a remainder takes
 two more from the precomputed reversed inverse of the modulus.  Distinct-
-and equal-degree factorization power by the Frobenius map x -> x^p, a
-linear combination of the packed rows x^(p*i) mod f (von zur Gathen and
-Shoup, "Computing Frobenius maps and factoring polynomials", 1992); each
-Hensel step divides by the monic factor with the inverse lifted from the
-step before.  Euclidean steps, whose divisor changes at every step, stay on
+and equal-degree factorization step by the Frobenius map a -> a^p (von zur
+Gathen and Shoup, "Computing Frobenius maps and factoring polynomials",
+1992); each Hensel step divides by the monic factor with the inverse lifted
+from the step before.  Euclidean steps, whose divisor changes at every step, stay on
 lists.
 
 Dense representation throughout: a polynomial is a list of ints, lowest
@@ -311,11 +310,6 @@ def squarefree_decompose(F: IntPoly):
 
 _SWAP = sys.byteorder == "big"  # packed ints are little-endian slot arrays
 _WORD = {1: "B", 2: "H", 4: "I", 8: "Q"}
-# The Frobenius rows cost n - 1 products up front and then one linear
-# combination per use; powering costs a product per bit of p.  Below this p
-# (one or two products per use) the rows never pay for themselves within the
-# n/2 steps of a distinct-degree factorization.
-_ROWS_MIN_P = 5
 
 
 class _Ring:
@@ -328,7 +322,7 @@ class _Ring:
     inverse of rev(f) modulo a modulus whose square m divides, for a
     polynomial congruent to f modulo it: one Newton step lifts it."""
 
-    __slots__ = ("m", "n", "qdeg", "size", "code", "bits", "inv", "f", "g", "off", "rows")
+    __slots__ = ("m", "n", "qdeg", "size", "code", "bits", "inv", "f", "g", "off")
 
     def __init__(self, f, m, qdeg=None, digit=None, bound=0, w=None):
         n = len(f) - 1
@@ -364,7 +358,6 @@ class _Ring:
         self.g = self.pack(g)
         # a multiple of m in every slot, above any coefficient of q * f
         self.off = self.pack([n * m * m] * n)
-        self.rows = None
 
     def pack(self, c):
         """One int from nonnegative coefficients below the slot bound."""
@@ -415,23 +408,8 @@ class _Ring:
         return R
 
     def frobenius(self, A):
-        """A^m for a prime m, as the linear combination of the packed rows
-        x^(m*i) mod f with the coefficients of A."""
-        if self.m < _ROWS_MIN_P:
-            return self.pow(A, self.m)
-        if self.rows is None:
-            n, m, w = self.n, self.m, self.bits
-            rows = [1]
-            if m < n:
-                # each row is the one before times the monomial x^m
-                for _ in range(n - 1):
-                    rows.append(self.pack(self.divmod(rows[-1] << (m * w), n + m)[1]))
-            else:
-                xm = self.pow(self.pack(self.divmod(1 << w, 2)[1]), m)
-                for _ in range(n - 1):
-                    rows.append(self.mul(rows[-1], xm))
-            self.rows = rows
-        return self.pack(self.reduce(sum(map(operator.mul, self.reduce(A), self.rows))))
+        """A^m, the Frobenius map for a prime m."""
+        return self.pow(A, self.m)
 
 
 # -- GF(p) arithmetic on lists -----------------------------------------------
@@ -549,7 +527,9 @@ def _edf(g, d, p, rng):
     GF(p) whose irreducible factors all have degree d.
 
     Every draw is powered modulo g, whatever part of g it is to split, so
-    all draws share one ring and its Frobenius rows."""
+    all draws share one ring."""
+    if _deg(g) == d:
+        return [g]
     ring = _Ring(g, p)
     out = []
     todo = [g]

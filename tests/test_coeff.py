@@ -317,7 +317,7 @@ class TestPrimeFactors:
         # psi_13 is a strong pseudoprime to every prime base up to 41, the
         # bases of Miller-Rabin here; the strong Lucas test rejects it
         psi13 = 3317044064679887385961981
-        assert not coeff._is_prime(psi13)
+        assert coeff._prime_or_divisor(psi13) in (1287836182261, 2575672364521)
         assert prime_factors(psi13) == [1287836182261, 2575672364521]
 
     def test_strong_lucas_test(self):
@@ -332,7 +332,7 @@ class TestPrimeFactors:
         rng = random.Random(61)
         for _ in range(300):
             n = rng.randrange(10**6, 10**9) | 1
-            assert coeff._is_prime(n) == all(n % q for q in range(3, math.isqrt(n) + 1, 2)), n
+            assert (coeff._prime_or_divisor(n) == 0) == all(n % q for q in range(3, math.isqrt(n) + 1, 2)), n
 
     def test_rho_budget(self):
         # two primes near 2^61 and 2^89 are out of reach of 2 * 10^5 iterations
