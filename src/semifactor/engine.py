@@ -20,7 +20,13 @@ Two divisor strategies are available and kept deliberately independent:
   also contributes its cofactor, and divisor sets are closed under
   cofactors.  The component bound is sound because the semirings are
   additively reduced: every coefficient product of a splitting contributes
-  to a coefficient of f without cancellation.
+  to a coefficient of f without cancellation.  For the same reason
+  evaluation at x = 1 is a semiring homomorphism S[M] -> S: f = g*h gives
+  f(1) = g(1)*h(1) with h(1) in S, so a candidate g is dropped unless
+  f(1)/g(1) exists in S, with no negative component.  g(1) depends only on
+  the coefficients, so the coefficient tuples are tested once per support
+  size, before any long division; every candidate still counts against the
+  budget.
 
 ``divisors`` indexes a divisor set once: its members in ``sort_key`` order
 and, for zx, the vector of each.  Atoms, Z(f), ``is_monolithic`` and
@@ -28,7 +34,8 @@ and, for zx, the vector of each.  Atoms, Z(f), ``is_monolithic`` and
 divisibility question among them goes through one quotient kernel,
 ``_quot``: for g, h in D(f), h divides g exactly when g/h is again in D(f).
 For zx that is the vector e_g - e_h, found by a subtraction and a lookup
-with no polynomial division; for the oracle it is one ``ambient_exact_div``.
+with no polynomial division; for the oracle it is one ``ambient_exact_div``,
+run only when h(1) divides g(1) in S.
 ``monolithic_decompose`` splits each part inside the list of f, because
 D(g) = {h in D(f) : g/h in D(f)} and filtering keeps the order.
 
@@ -65,7 +72,8 @@ class _Lattice:
     """Positions of a divisor set: ``ordered`` is the set in ``sort_key``
     order; ``vecs`` holds each divisor's multiplicity vector (zx) or is None
     (oracle); ``pos`` maps a vector (zx) or a divisor (oracle) to its
-    position; ``unit`` and ``base`` are the positions of 1 and of f.
+    position; ``unit`` and ``base`` are the positions of 1 and of f;
+    ``ones`` holds each divisor's value at x = 1 (oracle) or is None (zx).
     ``atoms`` and ``z`` keep the atom positions and Z(f) once computed;
     the lattice is cached per budgets, so Z(f) is kept only for the
     budgets it was computed under."""
@@ -75,6 +83,7 @@ class _Lattice:
     pos: dict
     unit: int
     base: int
+    ones: tuple | None = None
     atoms: tuple | None = None
     z: frozenset | None = None
 
@@ -146,12 +155,14 @@ def divisors(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None
         pos = {e: i for i, e in enumerate(vecs)}
         # f's vector is the componentwise, hence lexicographic, maximum
         unit, base = pos[(0,) * len(vecs[0])], pos[max(vecs)]
+        ones = None
     else:
         ordered = tuple(sorted(_oracle_divisors(f, budgets), key=sort_key))
         vecs = None
         pos = {g: i for i, g in enumerate(ordered)}
         unit, base = pos[PolyExpr.one(f.semiring, f.monoid)], pos[f]
-    lattice = _Lattice(ordered, vecs, pos, unit, base)
+        ones = tuple(_at_one(f.semiring, g.coeffs) for g in ordered)
+    lattice = _Lattice(ordered, vecs, pos, unit, base, ones)
     result = DivisorSet(f, frozenset(ordered), strat, lattice)
     with _DIV_LOCK:
         if len(_DIV_CACHE) >= _DIV_CACHE_SIZE:
@@ -245,6 +256,12 @@ def _poly_from_dense(coeffs, S, M):
     return PolyExpr(S, M, tuple(reversed(nums)), tuple(reversed(cs)))
 
 
+def _at_one(S, coeffs):
+    """The value at x = 1 of a polynomial with these coefficients: an int
+    sum over Nat, a componentwise sum of (b, c) pairs over Quad."""
+    return sum(coeffs) if isinstance(S, Nat) else tuple(map(sum, zip(*coeffs)))
+
+
 def _oracle_divisors(f, budgets):
     S, M = f.semiring, f.monoid
     nums = f.nums
@@ -262,29 +279,46 @@ def _oracle_divisors(f, budgets):
     tc_divs = sorted(S.divisors_of(tc, budgets.oracle_candidates))
     both_divs = [v for v in lc_divs if v in set(tc_divs)]
     mids = S.values_with_components_at_most(maxcomp)
+    f1 = _at_one(S, f.coeffs)
+    divides_f1 = {}
     one = PolyExpr.one(S, M)
     found = {one, f}
     count = 0
     max_size = min(len(nums), len(admissible))
     for size in range(1, max_size + 1):
+        if size == 1:
+            choices = [both_divs]
+        else:
+            choices = [tc_divs] + [mids] * (size - 2) + [lc_divs]
+        per_support = prod(map(len, choices))
+        # coefficient tuples (leading first) whose value at 1 divides f(1),
+        # listed at the first support of this size within the budget, so a
+        # size over the budget is never walked
+        tuples = None
         for support in combinations(admissible, size):
             top, bottom = support[-1], support[0]
             if not M.member_num(deg_num - top):
                 continue
             if not M.member_num(trail_num - bottom):
                 continue
-            if size == 1:
-                choices = [both_divs]
-            else:
-                choices = [tc_divs] + [mids] * (size - 2) + [lc_divs]
-            for combo in product(*choices):
-                count += 1
-                if count > budgets.oracle_candidates:
-                    raise BudgetError(
-                        f"oracle divisor enumeration exceeded "
-                        f"{budgets.oracle_candidates} candidates"
-                    )
-                g = PolyExpr(S, M, support[::-1], combo[::-1])
+            count += per_support
+            if count > budgets.oracle_candidates:
+                raise BudgetError(
+                    f"oracle divisor enumeration exceeded "
+                    f"{budgets.oracle_candidates} candidates"
+                )
+            if tuples is None:
+                tuples = []
+                for combo in product(*choices):
+                    g1 = _at_one(S, combo)
+                    ok = divides_f1.get(g1)
+                    if ok is None:
+                        ok = divides_f1[g1] = S.exact_div(f1, g1) is not None
+                    if ok:
+                        tuples.append(combo[::-1])
+            exps = support[::-1]
+            for coeffs in tuples:
+                g = PolyExpr(S, M, exps, coeffs)
                 q = ambient_exact_div(f, g)
                 if q is not None:
                     found.add(g)
@@ -310,11 +344,16 @@ def _quot(lat: _Lattice, i: int, j: int):
     divide ordered[i].  Both lie in D(f), so any quotient does too.
 
     zx: Z[y] factors uniquely, so h | g exactly when e_g - e_h is the vector
-    of a divisor (a vector with a negative entry is never a key).
+    of a divisor (a vector with a negative entry is never a key).  Oracle:
+    h | g in S[M] implies h(1) | g(1) in S, so most pairs are ruled out by
+    their values at 1 before any long division.
     """
     if lat.vecs is not None:
         return lat.pos.get(tuple(map(sub, lat.vecs[i], lat.vecs[j])))
-    q = ambient_exact_div(lat.ordered[i], lat.ordered[j])
+    g = lat.ordered[i]
+    if g.semiring.exact_div(lat.ones[i], lat.ones[j]) is None:
+        return None
+    q = ambient_exact_div(g, lat.ordered[j])
     return None if q is None else lat.pos[q]
 
 
@@ -466,10 +505,9 @@ def length_fn(f: PolyExpr, budgets: Budgets = None) -> int:
     budgets = budgets or DEFAULT_BUDGETS
     if f.is_zero:
         raise DomainError("the zero polynomial has no length")
-    M = f.monoid
     return (
         f.semiring.length(f.coeffs[0])
-        + M.length(Fraction(f.nums[0], M.denom), budgets.knapsack_nodes)
+        + f.monoid._length_num(f.nums[0], budgets.knapsack_nodes)
         + len(f.nums)
         - 1
     )

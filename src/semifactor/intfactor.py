@@ -812,8 +812,9 @@ def _zassenhaus(f):
 
 # -- top level ---------------------------------------------------------------
 
-# At most _CACHE_SIZE factorizations are kept; a full cache evicts its
-# oldest entry.
+# The irreducible factors of at most _CACHE_SIZE squarefree parts are kept;
+# a full cache evicts its oldest entry.  Keying on the parts, not on whole
+# inputs, lets different inputs share a squarefree part.
 _CACHE: dict = {}
 _CACHE_SIZE = 1024
 _CACHE_LOCK = threading.Lock()
@@ -824,25 +825,29 @@ def clear_cache():
         _CACHE.clear()
 
 
-def _factor_primitive(prim):
-    """Irreducible factors with multiplicities of a primitive polynomial
-    with positive leading coefficient; cached on the coefficient tuple."""
-    key = tuple(prim)
+def _irreducible_factors(part):
+    """``_zassenhaus`` of a squarefree part, given as a coefficient tuple, as
+    a tuple of coefficient tuples; cached on the part."""
     with _CACHE_LOCK:
-        hit = _CACHE.get(key)
+        hit = _CACHE.get(part)
     if hit is not None:
         return hit
-    counts = {}
-    for part, mult in squarefree_decompose(IntPoly(key)):
-        for irr in _zassenhaus(list(part.coeffs)):
-            t = tuple(irr)
-            counts[t] = counts.get(t, 0) + mult
-    result = tuple(sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0])))
+    result = tuple(map(tuple, _zassenhaus(list(part))))
     with _CACHE_LOCK:
         if len(_CACHE) >= _CACHE_SIZE:
             del _CACHE[next(iter(_CACHE))]
-        _CACHE[key] = result
+        _CACHE[part] = result
     return result
+
+
+def _factor_primitive(prim):
+    """Irreducible factors with multiplicities of a primitive polynomial
+    with positive leading coefficient."""
+    counts = {}
+    for part, mult in squarefree_decompose(IntPoly(tuple(prim))):
+        for t in _irreducible_factors(part.coeffs):
+            counts[t] = counts.get(t, 0) + mult
+    return tuple(sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 
 def factor_int_poly(

@@ -299,7 +299,10 @@ class ExpMonoid:
         The DP's n + 1 cells count against ``node_budget`` before any is
         allocated.
         """
-        n = self._num(m)
+        return self._length_num(self._num(m), node_budget)
+
+    def _length_num(self, n: int, node_budget: int) -> int:
+        """``length`` of the member with scaled numerator n."""
         if self._lengths is None:
             self._lengths = _length_table(tuple(sorted(self.min_gens)))
         # n is a member, so its class holds a sum of the other atoms

@@ -251,9 +251,10 @@ def _check_length_function_suite(budgets):
     ]
     pairs = 0
     for S, M, label in contexts:
+        members = [n for n in range(9) if M.member_num(n)]
         for _ in range(120):
-            f = _random_poly(rng, S, M)
-            g = _random_poly(rng, S, M)
+            f = _random_poly(rng, S, M, members)
+            g = _random_poly(rng, S, M, members)
             pairs += 1
             fg = f * g
             lf, lg, lfg = (engine.length_fn(h, budgets) for h in (f, g, fg))
@@ -268,10 +269,9 @@ def _check_length_function_suite(budgets):
     return failures, {"pairs": pairs}
 
 
-def _random_poly(rng, S, M):
-    max_num = 8
-    members = [n for n in range(max_num + 1) if M.member_num(n)]
-    terms = []
+def _random_poly(rng, S, M, members):
+    """Up to 4 terms at distinct scaled numerators drawn from ``members``."""
+    pairs = []
     for n in rng.sample(members, rng.randint(1, min(4, len(members)))):
         if isinstance(S, Nat):
             c = rng.randint(1, 5)
@@ -279,8 +279,8 @@ def _random_poly(rng, S, M):
             c = (rng.randint(0, 3), rng.randint(0, 3))
             if c == (0, 0):
                 c = (1, 0)
-        terms.append((M.elem_of_num(n), c))
-    return PolyExpr.from_terms(S, M, terms)
+        pairs.append((n, c))
+    return PolyExpr._merge_nums(S, M, pairs)
 
 
 _CHECKS = {

@@ -64,9 +64,40 @@ def argvs(draw):
     return ["monoid", op, *flags, *values]
 
 
+# quad:6 input for the divisor commands under the oracle: exponents stay
+# <= 12 and --degree-limit at its default, since integer recombination is
+# not budgeted yet
+quad_coeffs = st.one_of(
+    st.tuples(st.integers(0, 40), st.integers(0, 40)).map(lambda t: f"({t[0]},{t[1]})"),
+    st.integers(0, 40).map(str),
+)
+quad_terms = st.tuples(quad_coeffs, st.integers(0, 12)).map(lambda t: f"{t[0]}*x^{t[1]}")
+
+
+@st.composite
+def oracle_argvs(draw):
+    op = draw(st.sampled_from(["divisors", "factorizations", "lengths", "is-atom"]))
+    return [
+        "poly", op, "--coeffs", "quad:6", "--strategy", "oracle",
+        "--monoid", draw(st.sampled_from(["nat", "gens:2,3"])),
+        "--oracle-budget", str(draw(st.integers(1, 2000))),
+        draw(st.lists(quad_terms, min_size=1, max_size=3).map("+".join)),
+    ]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(argvs())
 def test_answer_or_one_error_line(argv):
+    check_contract(argv)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(oracle_argvs())
+def test_quad_oracle_answers_or_one_error_line(argv):
+    check_contract(argv)
+
+
+def check_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

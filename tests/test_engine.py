@@ -9,7 +9,7 @@ from semifactor.errors import BudgetError, DomainError, UsageError
 from semifactor.paperlab import expand_family
 from semifactor.polyexpr import parse
 
-from conftest import random_poly
+from conftest import oracle_candidates, random_poly
 
 NAT = sf.Nat()
 Q6 = sf.Quad(6)
@@ -394,6 +394,39 @@ class TestExponentsStayNumerators:
         assert sf.monolithic_decompose(f)
         assert sf.length_fn(f) > 0
         assert calls == []
+
+
+class TestOraclePruning:
+    @pytest.mark.parametrize(
+        "coeffs, monoid, factors",
+        [
+            ("quad:6", "nat", ["(0,1)*x+(1,0)"] * 3),
+            ("quad:6", "nat", ["(1,1)*x+(1,0)", "x+(2,0)", "x^2+(0,1)"]),
+            ("quad:2", "gens:2,3", ["x^2+(1,1)", "x^3+(0,1)"]),
+            ("nat", "nat", ["x+1", "x+1", "x^2+x+1"]),
+        ],
+    )
+    def test_quot_agrees_with_exact_division(self, coeffs, monoid, factors):
+        S, M = sf.semiring_from_literal(coeffs), sf.monoid_from_literal(monoid)
+        f = P("1", S, M)
+        for text in factors:
+            f = f * P(text, S, M)
+        lat = sf.divisors(f, "oracle")._lattice
+        assert lat.vecs is None and len(lat.ordered) > 3
+        for i, g in enumerate(lat.ordered):
+            for j, h in enumerate(lat.ordered):
+                q = sf.ambient_exact_div(g, h)
+                assert engine._quot(lat, i, j) == (None if q is None else lat.pos[q])
+
+    def test_value_test_skips_most_divisions(self, monkeypatch):
+        f = P("(0,1)*x+(1,0)", Q6) ** 4
+        candidates = sum(1 for _ in oracle_candidates(f))
+        calls = []
+        divide = engine.ambient_exact_div
+        monkeypatch.setattr(engine, "ambient_exact_div", lambda *a: calls.append(a) or divide(*a))
+        engine.clear_caches()
+        assert len(sf.divisors(f, "oracle").divisors) == 5
+        assert 0 < len(calls) <= candidates // 10
 
 
 class TestStrategyEquivalence:

@@ -358,12 +358,26 @@ class TestFactor:
     def test_cache_is_bounded_and_keeps_the_newest(self, monkeypatch):
         monkeypatch.setattr(intfactor, "_CACHE_SIZE", 3)
         intfactor.clear_cache()
-        prims = [[n, 0, 1] for n in range(1, 7)]  # x^2 + n
-        outs = [intfactor._factor_primitive(p) for p in prims]
+        parts = [(n, 0, 1) for n in range(1, 7)]  # x^2 + n, squarefree
+        outs = [intfactor._irreducible_factors(p) for p in parts]
         assert len(intfactor._CACHE) == 3
-        assert intfactor._factor_primitive(prims[-1]) is outs[-1]
-        assert intfactor._factor_primitive(prims[0]) is not outs[0]
+        assert intfactor._irreducible_factors(parts[-1]) is outs[-1]
+        assert intfactor._irreducible_factors(parts[0]) is not outs[0]
         assert len(intfactor._CACHE) == 3
+        intfactor.clear_cache()
+
+    def test_cache_is_shared_by_squarefree_parts(self, monkeypatch):
+        # (x^2+1)(x+2)^2 and 3(x^2+1)^3: the part x^2+1 is recombined once
+        calls = []
+        zassenhaus = intfactor._zassenhaus
+        monkeypatch.setattr(intfactor, "_zassenhaus", lambda f: calls.append(f) or zassenhaus(f))
+        intfactor.clear_cache()
+        first = factor_int_poly(IntPoly.of(_mul([1, 0, 1], _mul([2, 1], [2, 1]))))
+        second = factor_int_poly(IntPoly.of(_mul([3, 0, 3], _mul([1, 0, 1], [1, 0, 1]))))
+        assert sorted(calls) == [[1, 0, 1], [2, 1]]
+        assert [(p.coeffs, m) for p, m in first.factors] == [((2, 1), 2), ((1, 0, 1), 1)]
+        assert second.content == (3,)
+        assert [(p.coeffs, m) for p, m in second.factors] == [((1, 0, 1), 3)]
         intfactor.clear_cache()
 
     def test_x_power_times_unit_content(self):
