@@ -136,18 +136,9 @@ def build_parser():
 
 
 def _budgets(args) -> Budgets:
-    """The budget flags given, else SEMIFACTOR_BUDGET for the three node
-    budgets, else the ``Budgets`` defaults."""
-    env = os.environ.get("SEMIFACTOR_BUDGET")
-    try:
-        node = _positive_int(env) if env else None
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"SEMIFACTOR_BUDGET: {exc}") from None
-    out = Budgets()
-    if node is not None:
-        out = replace(out, oracle_candidates=node, z_nodes=node, knapsack_nodes=node)
+    """The budget flags given, else the ``Budgets`` defaults."""
     given = {f.name: getattr(args, f.name) for f in fields(Budgets)}
-    return replace(out, **{k: v for k, v in given.items() if v is not None})
+    return replace(Budgets(), **{k: v for k, v in given.items() if v is not None})
 
 
 def _context(args):
@@ -176,7 +167,7 @@ def _run_poly(args):
     b = _budgets(args)
     if args.op == "expand-family":
         m = args.m if args.m is not None else args.n
-        f = paperlab.expand_family(args.n, m, args.k)
+        f = paperlab.expand_family(args.n, m, args.k, b.degree_limit)
         return {"n": args.n, "m": m, "k": args.k, "expr": str(f)}
     f = parse_poly(args.expr, S, M)
     if args.op == "divisors":

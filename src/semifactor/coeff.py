@@ -263,7 +263,9 @@ class CoeffSemiring:
         raise NotImplementedError
 
     def values_with_components_at_most(self, bound):
-        """All nonzero values whose integer components are <= bound."""
+        """All nonzero values whose integer components are <= bound, sized
+        and listed only when iterated: the oracle reads the size against its
+        budget first."""
         raise NotImplementedError
 
     def from_int(self, n):
@@ -340,13 +342,27 @@ class Nat(CoeffSemiring):
         return v
 
     def values_with_components_at_most(self, bound):
-        return list(range(1, bound + 1))
+        return range(1, bound + 1)
 
     def from_int(self, n):
         return self.validate(n)
 
     def literal(self):
         return "nat"
+
+
+class _Pairs:
+    """The pairs (b, c) != (0, 0) with 0 <= b, c < side, b major: sized, and
+    listed only when iterated."""
+
+    def __init__(self, side):
+        self.side = side
+
+    def __len__(self):
+        return self.side * self.side - 1
+
+    def __iter__(self):
+        return (divmod(i, self.side) for i in range(1, self.side * self.side))
 
 
 @dataclass(frozen=True)
@@ -507,12 +523,7 @@ class Quad(CoeffSemiring):
         return max(v)
 
     def values_with_components_at_most(self, bound):
-        return [
-            (b, c)
-            for b in range(bound + 1)
-            for c in range(bound + 1)
-            if (b, c) != (0, 0)
-        ]
+        return _Pairs(bound + 1)
 
     def from_int(self, n):
         if not isinstance(n, int) or n < 0:

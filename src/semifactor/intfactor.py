@@ -19,11 +19,12 @@ Arithmetic modulo a fixed monic polynomial runs on a packed kernel
 (``_Ring``): a polynomial is one int with a fixed-width slot per
 coefficient, a product is one big-integer product, and a remainder takes
 two more from the precomputed reversed inverse of the modulus.  Distinct-
-and equal-degree factorization step by the Frobenius map a -> a^p (von zur
-Gathen and Shoup, "Computing Frobenius maps and factoring polynomials",
-1992); each Hensel step divides by the monic factor with the inverse lifted
-from the step before.  Euclidean steps, whose divisor changes at every step, stay on
-lists.
+degree factorization steps by one p-th power per degree, and equal-degree
+splitting takes one power a^((p^d-1)/2) per draw for odd p (Cantor and
+Zassenhaus, Math. Comp. 1981); each Hensel step divides by the monic
+factor with the inverse lifted from the step before.  Euclidean steps,
+whose divisor changes at every step, stay on lists and share one division
+loop (``_p_divmod``).
 
 Dense representation throughout: a polynomial is a list of ints, lowest
 degree first, no trailing zeros (the zero polynomial is the empty list).
@@ -407,15 +408,11 @@ class _Ring:
                 R = self.mul(R, A)
         return R
 
-    def frobenius(self, A):
-        """A^m, the Frobenius map for a prime m."""
-        return self.pow(A, self.m)
-
 
 # -- GF(p) arithmetic on lists -----------------------------------------------
 #
 # For the Euclidean steps, whose divisor changes at every step.  Products
-# are formed over Z and reduced once; the remainder kernel reads every
+# are formed over Z and reduced once; the division loop reads every
 # leading coefficient mod p and reduces the rest once, at the end.
 
 def _p_trim(c, p):
@@ -438,23 +435,11 @@ def _p_monic(a, p):
     return [(x * inv) % p for x in a]
 
 
-def _p_rem(a, b, p):
-    """Remainder of an integer list a by a reduced b with b[-1] != 0 mod p,
-    reduced and trimmed.  Works in place on a, which the caller gives up."""
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    for pos in range(len(a) - 1 - db, -1, -1):
-        q = a[pos + db] * inv % p
-        if q:
-            a[pos:pos + db] = [x - q * y for x, y in zip(a[pos:pos + db], b)]
-    return _p_trim(a[:db], p)
-
-
 def _p_divmod(a, b, p):
-    b = _p_trim(list(b), p)
+    """Quotient and remainder, reduced and trimmed, of an integer list a by
+    b with b[-1] != 0 mod p.  Works in place on a, which the caller gives up."""
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
-    a = [x % p for x in a]
     quo = [0] * max(len(a) - db, 0)
     for pos in range(len(a) - 1 - db, -1, -1):
         q = a[pos + db] * inv % p
@@ -468,7 +453,7 @@ def _p_gcd(a, b, p):
     """Monic gcd of reduced a and b over GF(p); [] when both are zero."""
     a, b = list(a), list(b)
     while b:
-        a, b = b, _p_rem(a, b, p)
+        a, b = b, _p_divmod(a, b, p)[1]
     return _p_monic(a, p) if a else []
 
 
@@ -476,8 +461,8 @@ def _ddf(f, p):
     """Distinct-degree factorization of a monic squarefree f over GF(p):
     pairs (g, d), g the product of the monic irreducible factors of degree d.
 
-    x^(p^d) is kept modulo the input f, one Frobenius step per degree; the
-    gcd with the part of f still unsplit reduces it further."""
+    x^(p^d) is kept modulo the input f, one p-th power per degree; the gcd
+    with the part of f still unsplit reduces it further."""
     out = []
     ring = _Ring(f, p)
     X = ring.pack([0, 1])
@@ -485,11 +470,11 @@ def _ddf(f, p):
     d = 0
     while 2 * (d + 1) <= _deg(f):
         d += 1
-        H = ring.frobenius(H)
+        H = ring.pow(H, p)
         g = _p_gcd(f, _trim(ring.reduce(H + ring.off - X)), p)
         if len(g) > 1:
             out.append((g, d))
-            f = _p_divmod(f, g, p)[0]
+            f = _p_divmod(list(f), g, p)[0]
     if len(f) > 1:
         out.append((f, _deg(f)))
     return out
@@ -506,20 +491,15 @@ def _split_power(ring, A, d):
     """For a random A modulo a product of irreducibles of degree d: the
     trace A + A^2 + ... + A^(2^(d-1)) over GF(2), else A^((p^d-1)/2) - 1.
     Modulo each factor the first lies in GF(2) and the second is 0 or -2
-    when A is prime to it.  With b = A^((p-1)/2) and the Frobenius map s,
-    A^((p^d-1)/2) = b * s(b) * ... * s^(d-1)(b)."""
+    when A is prime to it."""
     p = ring.m
     if p == 2:
         B = T = A
         for _ in range(d - 1):
-            T = ring.frobenius(T)
+            T = ring.mul(T, T)
             B += T
         return B
-    B = T = ring.pow(A, (p - 1) // 2)
-    for _ in range(d - 1):
-        T = ring.frobenius(T)
-        B = ring.mul(B, T)
-    return B + ring.off - 1
+    return ring.pow(A, (p**d - 1) // 2) + ring.off - 1
 
 
 def _edf(g, d, p, rng):
@@ -695,13 +675,8 @@ def _lift(p, f, fs, l):
     g = _tr(f, pl)
     for i, a in roots.items():
         lifted[i] = _tr([-a, 1], pl)
-        # synthetic division by x - a; the remainder f(a) vanishes mod p^l
-        q = [0] * _deg(g)
-        c = g[-1]
-        for k in range(_deg(g) - 1, -1, -1):
-            q[k] = c
-            c = (g[k] + a * c) % pl
-        g = _tr(q, pl)
+        # the remainder f(a) vanishes mod p^l
+        g = _tr(_p_divmod(g, [-a, 1], pl)[0], pl)
     others = [i for i in range(len(fs)) if i not in roots]
     if others:
         for i, u in zip(others, _hensel_lift(p, g, [fs[i] for i in others], l)):
@@ -721,7 +696,6 @@ def _bezout_pair(g, h, p):
         raise InternalError("modular factors are not coprime")
     inv = pow(r0[0], -1, p)
     s = _p_trim([x * inv for x in s0], p)
-    s = _p_rem(s, h, p)
     # t = (1 - s*g) / h exactly over GF(p)
     num = _p_sub([1], _p_mul(s, g, p), p)
     t, rem = _p_divmod(num, h, p)

@@ -102,13 +102,6 @@ def _length_table(gens: tuple[int, ...]) -> list:
     return [None if p is None else divmod(p, K) for p in packed]
 
 
-def _member_int(apery, amin, n):
-    if n < 0:
-        return False
-    least = apery[n % amin]
-    return least is not None and n >= least
-
-
 class ExpMonoid:
     """A reduced, finitely generated submonoid of (Q>=0, +)."""
 
@@ -120,24 +113,13 @@ class ExpMonoid:
             raise UsageError("monoid needs a positive denominator and positive integer generators")
         self.denom = denom
         self.gens = gens
-        self.min_gens = frozenset(self._minimal(sorted(gens)))
-        self._amin, self._apery = _apery_table(tuple(sorted(self.min_gens)))
+        self._amin, self._apery = _apery_table(tuple(gens))
+        # g is an atom exactly when no smaller generator h leaves a member
+        # g - h: a sum of two or more generators equal to g has only smaller parts
+        self.min_gens = frozenset(
+            g for g in gens if not any(h < g and self.member_num(g - h) for h in gens)
+        )
         self._lengths = None  # built by the first length() call
-
-    @staticmethod
-    def _minimal(sorted_gens):
-        # g is an atom of <gens> exactly when the other generators cannot sum
-        # to it; below the least of them that needs no table
-        out = []
-        for g in sorted_gens:
-            others = tuple(h for h in sorted_gens if h != g)
-            if not others or g < others[0]:
-                out.append(g)
-                continue
-            amin, apery = _apery_table(others)
-            if not _member_int(apery, amin, g):
-                out.append(g)
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, ExpMonoid):
@@ -160,7 +142,10 @@ class ExpMonoid:
 
     def member_num(self, n: int) -> bool:
         """Membership of n/D, for integer n."""
-        return _member_int(self._apery, self._amin, n)
+        if n < 0:
+            return False
+        least = self._apery[n % self._amin]
+        return least is not None and n >= least
 
     def member(self, q) -> bool:
         q = Fraction(q)

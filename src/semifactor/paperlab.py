@@ -48,8 +48,14 @@ ANCHORS = {
 }
 
 
-def expand_family(n: int, m: int, k: int = 0) -> PolyExpr:
-    """(x+n)^m (x^2-x+1) (x+1)^k as a nonnegative polynomial expression."""
+def expand_family(
+    n: int, m: int, k: int = 0, degree_limit: int = DEFAULT_BUDGETS.degree_limit
+) -> PolyExpr:
+    """(x+n)^m (x^2-x+1) (x+1)^k as a nonnegative polynomial expression,
+    refused before expansion when its degree exceeds ``degree_limit``."""
+    _check_family(n, m, k)
+    if m + 2 + k > degree_limit:
+        raise BudgetError(f"degree {m + 2 + k} exceeds the factorization limit {degree_limit}")
     ip = family_int(n, m, k)
     if not ip.is_nonnegative:
         raise DomainError(
@@ -59,10 +65,14 @@ def expand_family(n: int, m: int, k: int = 0) -> PolyExpr:
     return PolyExpr.from_terms(S, M, [(i, c) for i, c in enumerate(ip.coeffs) if c])
 
 
-def family_int(n: int, m: int, k: int = 0) -> IntPoly:
-    """The same product expanded over the integers."""
+def _check_family(n, m, k):
     if n < 1 or m < 0 or k < 0:
         raise UsageError("family parameters must satisfy n >= 1, m >= 0, k >= 0")
+
+
+def family_int(n: int, m: int, k: int = 0) -> IntPoly:
+    """The same product expanded over the integers."""
+    _check_family(n, m, k)
     return IntPoly.of([n, 1]) ** m * IntPoly.of([1, -1, 1]) * IntPoly.of([1, 1]) ** k
 
 
@@ -140,7 +150,7 @@ def _check_irreducible_family(budgets):
     failures = []
     checked = []
     for n in range(1, 5):
-        f = expand_family(n, n)
+        f = expand_family(n, n, 0, budgets.degree_limit)
         if not engine.is_atom(f, budgets=budgets):
             failures.append(f"n={n}: {f} is not reported as an atom")
         checked.append({"n": n, "expr": str(f)})
@@ -152,7 +162,7 @@ def _check_elasticity_family(budgets):
     rows = []
     for n in (2, 3):
         for k in (1, 2, 3):
-            f = expand_family(n, n, k)
+            f = expand_family(n, n, k, budgets.degree_limit)
             zs = engine.factorizations(f, budgets=budgets)
             lengths = sorted(z.length for z in zs)
             rho = Fraction(max(lengths), min(lengths))
@@ -350,7 +360,7 @@ def elasticity_sweep(n_values, k_values, budgets: Budgets = DEFAULT_BUDGETS):
             if n < 2 or k < 1:
                 raise UsageError(f"sweep needs n >= 2 and k >= 1, got n={n}, k={k}")
             try:
-                f = expand_family(n, n, k)
+                f = expand_family(n, n, k, budgets.degree_limit)
                 lengths, rho = engine.length_profile(f, budgets=budgets)
             except BudgetError as exc:
                 rows.append({"n": n, "k": k, "status": "skipped", "reason": str(exc)})

@@ -283,14 +283,6 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error[budget]")
 
-    def test_env_budget_override(self, capsys, monkeypatch):
-        sf.engine.clear_caches()
-        monkeypatch.setenv("SEMIFACTOR_BUDGET", "2")
-        code, out, err = run(
-            capsys, "poly", "divisors", "--strategy", "oracle", "x^5+x^4+x^3+x^2+x+1"
-        )
-        assert code == 2
-
     def test_unknown_flag(self, capsys):
         code, out, err = run(capsys, "poly", "lengths", "--frobnicate", "x")
         assert code == 1
@@ -308,21 +300,11 @@ class TestExitCodes:
         err = run_usage_error(capsys, "poly", "divisors", flag, value, "x+1")
         assert flag in err
 
-    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
-    def test_bad_env_budget(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("SEMIFACTOR_BUDGET", value)
-        err = run_usage_error(capsys, "poly", "divisors", "x+1")
-        assert "SEMIFACTOR_BUDGET" in err
-
-    def test_budget_defaults_and_precedence(self, monkeypatch):
+    def test_budget_defaults_and_precedence(self):
         parser = build_parser()
-        monkeypatch.delenv("SEMIFACTOR_BUDGET", raising=False)
         assert _budgets(parser.parse_args(["poly", "lenfn", "x"])) == sf.Budgets()
-        monkeypatch.setenv("SEMIFACTOR_BUDGET", "7")
         args = parser.parse_args(["poly", "lenfn", "--z-budget", "9", "x"])
-        assert _budgets(args) == sf.Budgets(
-            oracle_candidates=7, z_nodes=9, knapsack_nodes=7, degree_limit=24
-        )
+        assert _budgets(args) == sf.Budgets(z_nodes=9)
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,8 +1,10 @@
 """Property test of the CLI contract: every command line either answers or
 prints exactly one ``error[<kind>]`` line, with exit code 0-3 and no
-traceback.  Inputs stay small enough (generators <= 1000, numbers <= 10**6,
-small budgets) that no known unbudgeted path is reached.  Inputs that once
-hung run in a child process with CPU-time and address-space limits."""
+traceback.  Inputs stay small enough (generators <= 1000, polynomial
+exponents <= 12 at the default --degree-limit, small budgets) that no known
+unbudgeted path is reached; coefficients, family and sweep parameters may
+be large.  Inputs that once hung run in a child process with CPU-time and
+address-space limits."""
 import contextlib
 import io
 import json
@@ -19,6 +21,7 @@ import semifactor
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from semifactor import paperlab  # noqa: E402
 from semifactor.cli import main  # noqa: E402
 
 rationals = st.one_of(
@@ -85,6 +88,86 @@ def oracle_argvs(draw):
     ]
 
 
+# every poly command over nat coefficients; exponents stay <= 12 at the
+# default --degree-limit, since integer recombination is not budgeted yet
+POLY_OPS = [
+    "divisors", "factorizations", "lengths", "elasticity", "is-atom",
+    "is-monolithic", "decompose", "certify", "lenfn",
+]
+poly_exponents = st.one_of(
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 24), st.integers(1, 4)).map(lambda t: f"{{{t[0]}/{t[1]}}}"),
+)
+poly_terms = st.tuples(
+    st.one_of(st.integers(0, 30), st.sampled_from([10**6, 2**31 - 1])), poly_exponents
+).map(lambda t: f"{t[0]}x^{t[1]}")
+poly_monoids = st.one_of(
+    st.sampled_from(["nat", "gens:2,3", "gens:1/2,3/4", "gens:3,5,7", "gens:1/3,1/2"]),
+    st.lists(st.integers(1, 12).map(str), min_size=1, max_size=3).map(
+        lambda gs: "gens:" + ",".join(gs)
+    ),
+)
+node_budget_flags = st.lists(
+    st.tuples(
+        st.sampled_from(["--knapsack-budget", "--z-budget", "--oracle-budget"]),
+        st.integers(1, 20000).map(str),
+    ),
+    max_size=2,
+).map(lambda pairs: [x for pair in pairs for x in pair])
+
+
+@st.composite
+def poly_argvs(draw):
+    op = draw(st.sampled_from(POLY_OPS))
+    return [
+        "poly", op,
+        "--monoid", draw(poly_monoids),
+        "--strategy", draw(st.sampled_from(["auto", "zx", "oracle"])),
+        *draw(node_budget_flags),
+        draw(st.one_of(st.lists(poly_terms, min_size=1, max_size=3).map("+".join), expressions)),
+    ]
+
+
+family_values = st.one_of(st.integers(-3, 30), st.integers(-(10**6), 10**6)).map(str)
+
+
+@st.composite
+def family_argvs(draw):
+    argv = ["poly", "expand-family", "--n", draw(family_values)]
+    for flag in ("--m", "--k"):
+        if draw(st.booleans()):
+            argv += [flag, draw(family_values)]
+    return argv
+
+
+CHECK_IDS = sorted(paperlab.ANCHORS)
+
+
+@st.composite
+def verify_argvs(draw):
+    ids = draw(st.lists(st.sampled_from(CHECK_IDS + ["no-such-check"]), min_size=1, max_size=2))
+    return ["verify", "paper", *[x for cid in ids for x in ("--only", cid)], *draw(budget_flags)]
+
+
+sweep_values = st.one_of(
+    st.lists(st.one_of(st.integers(-2, 12), st.integers(13, 10**6)), min_size=1, max_size=3).map(
+        lambda vs: ",".join(map(str, vs))
+    ),
+    st.sampled_from(["", "a", "2,,3", "1.5", "2;3", " 2"]),
+)
+
+
+@st.composite
+def sweep_argvs(draw):
+    return [
+        "sweep", "elasticity",
+        "--n", draw(sweep_values),
+        "--k", draw(sweep_values),
+        "--output", draw(st.sampled_from(["json", "csv", "pretty", "xml"])),
+        *draw(node_budget_flags),
+    ]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(argvs())
 def test_answer_or_one_error_line(argv):
@@ -94,6 +177,18 @@ def test_answer_or_one_error_line(argv):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(oracle_argvs())
 def test_quad_oracle_answers_or_one_error_line(argv):
+    check_contract(argv)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(poly_argvs())
+def test_poly_answers_or_one_error_line(argv):
+    check_contract(argv)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(family_argvs(), verify_argvs(), sweep_argvs()))
+def test_family_verify_and_sweep_answer_or_one_error_line(argv):
     check_contract(argv)
 
 
@@ -124,11 +219,9 @@ entrypoint()
 
 
 def run_child(args, code=LIMITED_CLI):
-    env = {k: v for k, v in os.environ.items() if k != "SEMIFACTOR_BUDGET"}
-    env["PYTHONPATH"] = SRC
     return subprocess.run(
         [sys.executable, "-S", "-c", code, *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
     )
 
 
@@ -153,6 +246,33 @@ def test_quad_divisor_scan_is_budgeted():
     assert proc.returncode == 2, (proc.returncode, proc.stderr[-400:])
     assert len(lines) == 1 and lines[0].startswith("error[budget]: "), lines
     assert proc.stdout == ""
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # (x+1)^2000 (x^2-x+1): refused before expansion
+        (["poly", "expand-family", "--n", "1", "--m", "2000"], 2),
+        # a skipped row, not an expansion of (x+3000)^3000
+        (["sweep", "elasticity", "--n", "3000", "--k", "1"], 0),
+    ],
+)
+def test_family_degree_is_refused_before_expansion(argv, code):
+    start = time.perf_counter()
+    proc = run_child(argv)
+    elapsed = time.perf_counter() - start
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == code, (proc.returncode, proc.stderr[-400:])
+    if code:
+        assert lines == ["error[budget]: degree 2002 exceeds the factorization limit 24"]
+        assert proc.stdout == ""
+    else:
+        assert lines == []
+        assert json.loads(proc.stdout)["rows"] == [
+            {"k": 1, "n": 3000, "reason": "degree 3003 exceeds the factorization limit 24",
+             "status": "skipped"}
+        ]
     assert elapsed < 1.0
 
 

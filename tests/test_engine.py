@@ -95,6 +95,16 @@ class TestDivisors:
             sf.divisors(f, "oracle", sf.Budgets(oracle_candidates=3))
         assert "3" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, S", [(f"x^4+{2**31 - 1}x^2+1", NAT), ("(1,0)x^4+(100000,0)x^2+(1,0)", Q6)]
+    )
+    def test_oracle_counts_middle_values_before_listing_them(self, text, S):
+        # 2^31 - 1 (nat) or 10^10 (quad:6) middle values per support of
+        # size 3: refused by the count alone, without a list of them
+        engine.clear_caches()
+        with pytest.raises(BudgetError, match="oracle divisor enumeration exceeded"):
+            sf.divisors(P(text, S), "oracle")
+
     def test_monomial_over_gapped_monoid(self):
         M = sf.make_monoid([2, 3])
         f = parse("x^7", NAT, M)

@@ -486,7 +486,7 @@ class TestModularDivision:
             b = [rng.randint(-20, 20) for _ in range(rng.randint(0, 5))]
             b.append(rng.choice([x for x in range(1, 40) if x % p]))
             a = [rng.randint(-50, 50) for _ in range(rng.randint(0, 12))]
-            q, r = _p_divmod(a, b, p)
+            q, r = _p_divmod(list(a), b, p)
             assert len(r) < len(b)
             for c in q + r:
                 assert 0 <= c < p

@@ -1,18 +1,20 @@
 """Property tests of the packed modular kernel of ``intfactor``: products,
-remainders and Frobenius maps against schoolbook arithmetic written out
-here, the modular factorization against sympy's ``gf_factor_sqf``, and the
-lifted factors against a reference quadratic Hensel lift.  sympy and
-hypothesis are test-only dependencies."""
+remainders and p-th powers against schoolbook arithmetic written out here,
+the modular factorization against sympy's ``gf_factor_sqf``, the lifted
+factors against a reference quadratic Hensel lift, and the Bezout
+cofactors of the factor tree.  sympy and hypothesis are test-only
+dependencies."""
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
-from sympy.polys.galoistools import gf_factor_sqf, gf_gcdex, gf_sqf_p  # noqa: E402
+from sympy.polys.galoistools import gf_factor_sqf, gf_gcd, gf_gcdex, gf_sqf_p  # noqa: E402
 
 from semifactor.intfactor import (  # noqa: E402
     IntPoly,
+    _bezout_pair,
     _choose_prime,
     _factor_mod_p,
     _lift,
@@ -94,7 +96,7 @@ class TestPackedKernel:
         want = [1]
         for _ in range(p):
             want = school_divmod(school_mul(want, a, p), f, p)[1]
-        assert trim(ring.reduce(ring.frobenius(A))) == want
+        assert trim(ring.reduce(ring.pow(A, p))) == want
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([2, 3, 5, 47]), st.integers(1, 4), st.data())
@@ -189,3 +191,20 @@ class TestLift:
         if len(fs) > 1:
             assert lifted == [reference_lift(f, u, p, l) for u in fs]
 
+
+class TestBezoutPair:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cofactors_are_reduced_and_sum_to_one(self, p, data):
+        # g with any leading unit, h monic, as the factor tree builds them
+        coeff = st.integers(0, p - 1)
+        m = data.draw(st.integers(1, 12))
+        g = data.draw(st.lists(coeff, min_size=m, max_size=m)) + [data.draw(st.integers(1, p - 1))]
+        n = data.draw(st.integers(1, 12))
+        h = data.draw(st.lists(coeff, min_size=n, max_size=n)) + [1]
+        high_first = [[ZZ(x) for x in reversed(c)] for c in (g, h)]
+        assume(gf_gcd(*high_first, p, ZZ) == [ZZ(1)])
+        s, t = _bezout_pair(g, h, p)
+        assert len(s) - 1 < len(h) - 1 and len(t) - 1 < len(g) - 1
+        assert trim(school_add(school_mul(s, g, p), school_mul(t, h, p), p)) == [1]
