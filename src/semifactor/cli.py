@@ -62,11 +62,12 @@ def _monoid_flag(p):
     p.add_argument("--monoid", default="nat", help="exponent monoid: nat or gens:q1,q2,...")
 
 
-def _context_flags(p):
+def _context_flags(p, strategy=True):
     _common_flags(p)
     p.add_argument("--coeffs", default="nat", help="coefficient semiring: nat or quad:<d>")
     _monoid_flag(p)
-    p.add_argument("--strategy", default="auto", choices=["auto", "oracle", "zx"])
+    if strategy:
+        p.add_argument("--strategy", default="auto", choices=["auto", "oracle", "zx"])
 
 
 _PARSER = None
@@ -95,10 +96,10 @@ def build_parser():
         "lenfn",
     ):
         p = poly_sub.add_parser(op)
-        _context_flags(p)
+        _context_flags(p, op != "lenfn")
         p.add_argument("expr")
     fam = poly_sub.add_parser("expand-family")
-    _context_flags(fam)
+    _common_flags(fam)
     fam.add_argument("--n", type=int, required=True)
     fam.add_argument("--m", type=int, default=None, help="defaults to n")
     fam.add_argument("--k", type=int, default=0)
@@ -162,14 +163,16 @@ def _sorted_polys(polys):
 
 
 def _run_poly(args):
-    S, M = _context(args)
-    strat = _strategy(args)
     b = _budgets(args)
     if args.op == "expand-family":
         m = args.m if args.m is not None else args.n
         f = paperlab.expand_family(args.n, m, args.k, b.degree_limit)
         return {"n": args.n, "m": m, "k": args.k, "expr": str(f)}
+    S, M = _context(args)
     f = parse_poly(args.expr, S, M)
+    if args.op == "lenfn":
+        return {"expr": str(f), "length": engine.length_fn(f, b)}
+    strat = _strategy(args)
     if args.op == "divisors":
         ds = engine.divisors(f, strat, b)
         return {
@@ -207,8 +210,6 @@ def _run_poly(args):
                 for p in rep.per_part
             ],
         }
-    if args.op == "lenfn":
-        return {"expr": str(f), "length": engine.length_fn(f, b)}
     raise UsageError(f"unknown poly operation {args.op!r}")
 
 

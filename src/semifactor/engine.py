@@ -43,14 +43,14 @@ The engine reads a polynomial's scaled exponent numerators ``nums`` and
 its ``coeffs`` and builds every divisor from them; it never builds an
 ``ExpElem``.
 
-Results are cached per canonical form and budgets, at most
-``_DIV_CACHE_SIZE`` of them (a full cache evicts its oldest entry); the
-cached lattice also keeps its atom positions and Z(f) once computed.  All
-returned values are immutable.
+Divisor sets are cached per canonical form, strategy and budgets by
+``functools.lru_cache``, at most 1024 of them (the least recently used is
+evicted first); the cached lattice also keeps its atom positions and Z(f)
+once computed.  All returned values are immutable.
 """
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -58,7 +58,7 @@ from math import prod
 from operator import sub
 
 from .coeff import Nat
-from .errors import DEFAULT_BUDGETS, BudgetError, Budgets, DomainError, UsageError
+from .errors import DEFAULT_BUDGETS, BudgetError, Budgets, DomainError, UsageError, check_degree
 from .intfactor import IntPoly, _mul, factor_int_poly
 from .polyexpr import PolyExpr, ambient_exact_div
 
@@ -127,27 +127,20 @@ def sort_key(f: PolyExpr):
     return (nums[0] if nums else -1, tuple(zip(nums, f.coeffs)))
 
 
-_DIV_CACHE: dict = {}
-_DIV_CACHE_SIZE = 1024
-_DIV_LOCK = threading.Lock()
-
-
 def clear_caches():
-    with _DIV_LOCK:
-        _DIV_CACHE.clear()
+    _divisor_set.cache_clear()
 
 
 def divisors(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None) -> DivisorSet:
     """All g in the semidomain with g*h = f for some h, plus the strategy used."""
-    budgets = budgets or DEFAULT_BUDGETS
     if f.is_zero:
         raise DomainError("the zero polynomial has no divisor set")
-    strat = _resolve_strategy(f, strategy)
-    key = (f, strat, budgets)
-    with _DIV_LOCK:
-        hit = _DIV_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _divisor_set(f, _resolve_strategy(f, strategy), budgets or DEFAULT_BUDGETS)
+
+
+@functools.lru_cache(maxsize=1024)
+def _divisor_set(f, strat, budgets):
+    """``divisors`` for a resolved strategy and budgets, indexed once."""
     if strat == STRATEGY_ZX:
         by_vec = sorted(_zx_divisors(f, budgets).items(), key=lambda kv: sort_key(kv[1]))
         ordered = tuple(g for _, g in by_vec)
@@ -163,12 +156,7 @@ def divisors(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None
         unit, base = pos[PolyExpr.one(f.semiring, f.monoid)], pos[f]
         ones = tuple(_at_one(f.semiring, g.coeffs) for g in ordered)
     lattice = _Lattice(ordered, vecs, pos, unit, base, ones)
-    result = DivisorSet(f, frozenset(ordered), strat, lattice)
-    with _DIV_LOCK:
-        if len(_DIV_CACHE) >= _DIV_CACHE_SIZE:
-            del _DIV_CACHE[next(iter(_DIV_CACHE))]
-        _DIV_CACHE[key] = result
-    return result
+    return DivisorSet(f, frozenset(ordered), strat, lattice)
 
 
 def _resolve_strategy(f, strategy):
@@ -195,7 +183,7 @@ def _zx_divisors(f, budgets):
     """
     S, M = f.semiring, f.monoid
     nums = f.nums
-    _check_degree(nums[0], budgets)
+    check_degree(nums[0], budgets.degree_limit)
     dense = [0] * (nums[0] + 1)
     for n, c in zip(nums, f.coeffs):
         dense[n] = c
@@ -233,15 +221,6 @@ def _zx_divisors(f, budgets):
     }
 
 
-def _check_degree(deg_num, budgets):
-    """Refuse a scaled degree above ``degree_limit`` before any work that
-    grows with it."""
-    if deg_num > budgets.degree_limit:
-        raise BudgetError(
-            f"degree {deg_num} exceeds the factorization limit {budgets.degree_limit}"
-        )
-
-
 def _poly_from_dense(coeffs, S, M):
     """Dense y-coefficients back to a polynomial expression, or None when a
     coefficient is negative or an exponent falls outside the monoid."""
@@ -266,7 +245,7 @@ def _oracle_divisors(f, budgets):
     S, M = f.semiring, f.monoid
     nums = f.nums
     deg_num, trail_num = nums[0], nums[-1]
-    _check_degree(deg_num, budgets)
+    check_degree(deg_num, budgets.degree_limit)
     lc, tc = f.coeffs[0], f.coeffs[-1]
     maxcomp = max(map(S.max_component, f.coeffs))
     half = deg_num // 2
@@ -277,7 +256,8 @@ def _oracle_divisors(f, budgets):
     ]
     lc_divs = sorted(S.divisors_of(lc, budgets.oracle_candidates))
     tc_divs = sorted(S.divisors_of(tc, budgets.oracle_candidates))
-    both_divs = [v for v in lc_divs if v in set(tc_divs)]
+    tc_set = set(tc_divs)
+    both_divs = [v for v in lc_divs if v in tc_set]
     mids = S.values_with_components_at_most(maxcomp)
     f1 = _at_one(S, f.coeffs)
     divides_f1 = {}

@@ -42,6 +42,12 @@ class InternalError(SemifactorError):
     """An internal self-check failed; results cannot be trusted."""
 
 
+def check_degree(degree: int, limit: int):
+    """Refuse a degree above ``limit`` before any work that grows with it."""
+    if degree > limit:
+        raise BudgetError(f"degree {degree} exceeds the factorization limit {limit}")
+
+
 class ParseError(UsageError):
     """Syntax error in an expression, with the offending position."""
 

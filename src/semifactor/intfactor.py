@@ -22,26 +22,26 @@ two more from the precomputed reversed inverse of the modulus.  Distinct-
 degree factorization steps by one p-th power per degree, and equal-degree
 splitting takes one power a^((p^d-1)/2) per draw for odd p (Cantor and
 Zassenhaus, Math. Comp. 1981); each Hensel step divides by the monic
-factor with the inverse lifted from the step before.  Euclidean steps,
-whose divisor changes at every step, stay on lists and share one division
-loop (``_p_divmod``).
+factor through its own series inverse.  Euclidean steps, whose divisor
+changes at every step, stay on lists and share one division loop
+(``_p_divmod``).
 
 Dense representation throughout: a polynomial is a list of ints, lowest
 degree first, no trailing zeros (the zero polynomial is the empty list).
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
 import sys
-import threading
 from array import array
 from dataclasses import dataclass
 from itertools import combinations, zip_longest
 
 from .coeff import prime_factors
-from .errors import DEFAULT_BUDGETS, BudgetError, DomainError, InternalError, UsageError
+from .errors import DEFAULT_BUDGETS, DomainError, InternalError, UsageError, check_degree
 
 
 # -- dense integer polynomial helpers --------------------------------------
@@ -319,13 +319,11 @@ class _Ring:
     Elements are packed polynomials of degree < n.  ``divmod`` takes packed
     dividends of degree < n + qdeg + 1 whose slots stay below ``digit`` (by
     default: products of two elements); the slots also hold any coefficient
-    below ``bound``, for the caller's own products.  ``w`` may give the
-    inverse of rev(f) modulo a modulus whose square m divides, for a
-    polynomial congruent to f modulo it: one Newton step lifts it."""
+    below ``bound``, for the caller's own products."""
 
-    __slots__ = ("m", "n", "qdeg", "size", "code", "bits", "inv", "f", "g", "off")
+    __slots__ = ("m", "n", "qdeg", "size", "code", "bits", "f", "g", "off")
 
-    def __init__(self, f, m, qdeg=None, digit=None, bound=0, w=None):
+    def __init__(self, f, m, qdeg=None, digit=None, bound=0):
         n = len(f) - 1
         self.m, self.n = m, n
         self.qdeg = qdeg = max(n - 2, 0) if qdeg is None else qdeg
@@ -338,23 +336,13 @@ class _Ring:
         self.size = size = 1 << (size - 1).bit_length() if size <= 8 else size
         self.code = _WORD.get(size)
         self.bits = 8 * size
-        # inv = 1/rev(f) mod x^(qdeg+1), and g = rev(inv) = x^(n+qdeg) div f
-        if w is None:
-            # inv[i] = -(rev(f)[1] inv[i-1] + ... + rev(f)[n] inv[i-n]), built
-            # from the top: g = [inv[i-1], ..., inv[0]] at step i
-            back = f[n - 1::-1] if n else []
-            g = [1]
-            for _ in range(qdeg):
-                g.insert(0, -sum(map(operator.mul, back, g)) % m)
-            w = g[::-1]
-        else:
-            # one Newton step: inv * (2 - rev(f) * inv)
-            W = self.pack([x % m for x in w])
-            e = self.reduce(self.pack(f[::-1][:qdeg + 1]) * W, qdeg + 1)
-            e[0] -= 2
-            w = self.reduce(W * self.pack([-x % m for x in e]), qdeg + 1)
-            g = w[::-1]
-        self.inv = w
+        # g = rev(inv) = x^(n+qdeg) div f, with inv = 1/rev(f) mod x^(qdeg+1):
+        # inv[i] = -(rev(f)[1] inv[i-1] + ... + rev(f)[n] inv[i-n]), built
+        # from the top: g = [inv[i-1], ..., inv[0]] at step i
+        back = f[n - 1::-1] if n else []
+        g = [1]
+        for _ in range(qdeg):
+            g.insert(0, -sum(map(operator.mul, back, g)) % m)
         self.f = self.pack(f[:n])
         self.g = self.pack(g)
         # a multiple of m in every slot, above any coefficient of q * f
@@ -634,17 +622,16 @@ def _hensel_lift(p, f, fs, l):
     # quadratic steps, the last one only to p^l; the Bezout pair of the
     # last step would never be used
     n = len(f)
-    m, w = p, None
+    m = p
     while m < pl:
         M = min(m * m, pl)
         mq = M // m
-        # division by h mod M/m, with the inverse of the step before lifted;
-        # the slots also hold s*g1 + t*h1, below 2n*m*M
-        ring = _Ring([x % mq for x in h], mq, n - 2, n * m * mq, (2 * n * m + 1) * M, w)
+        # division by h mod M/m; the slots also hold s*g1 + t*h1, below 2n*m*M
+        ring = _Ring([x % mq for x in h], mq, n - 2, n * m * mq, (2 * n * m + 1) * M)
         g, h = _lift_factors(m, M, f, g, h, s, t, ring)
         if M < pl:
             s, t = _lift_bezout(m, M, g, h, s, t, ring)
-        m, w = M, ring.inv
+        m = M
     return _hensel_lift(p, g, fs[:k], l) + _hensel_lift(p, h, fs[k:], l)
 
 
@@ -786,32 +773,16 @@ def _zassenhaus(f):
 
 # -- top level ---------------------------------------------------------------
 
-# The irreducible factors of at most _CACHE_SIZE squarefree parts are kept;
-# a full cache evicts its oldest entry.  Keying on the parts, not on whole
-# inputs, lets different inputs share a squarefree part.
-_CACHE: dict = {}
-_CACHE_SIZE = 1024
-_CACHE_LOCK = threading.Lock()
-
-
 def clear_cache():
-    with _CACHE_LOCK:
-        _CACHE.clear()
+    _irreducible_factors.cache_clear()
 
 
+@functools.lru_cache(maxsize=1024)
 def _irreducible_factors(part):
     """``_zassenhaus`` of a squarefree part, given as a coefficient tuple, as
-    a tuple of coefficient tuples; cached on the part."""
-    with _CACHE_LOCK:
-        hit = _CACHE.get(part)
-    if hit is not None:
-        return hit
-    result = tuple(map(tuple, _zassenhaus(list(part))))
-    with _CACHE_LOCK:
-        if len(_CACHE) >= _CACHE_SIZE:
-            del _CACHE[next(iter(_CACHE))]
-        _CACHE[part] = result
-    return result
+    a tuple of coefficient tuples; cached on the part, so inputs that share a
+    squarefree part recombine it once."""
+    return tuple(map(tuple, _zassenhaus(list(part))))
 
 
 def _factor_primitive(prim):
@@ -830,8 +801,7 @@ def factor_int_poly(
     """Complete factorization of F into sign, prime content and irreducibles."""
     if F.is_zero:
         raise DomainError("the zero polynomial has no factorization")
-    if F.degree > degree_limit:
-        raise BudgetError(f"degree {F.degree} exceeds the factorization limit {degree_limit}")
+    check_degree(F.degree, degree_limit)
     coeffs = list(F.coeffs)
     cont, prim = _primitive(coeffs)
     sign = -1 if cont < 0 else 1

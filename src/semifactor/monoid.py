@@ -5,7 +5,7 @@ generators, D*M is a submonoid of the nonnegative integers and every
 computation reduces to integer arithmetic.  Between parsing and rendering an
 exponent is handled as its scaled numerator n = D * num / denom: ``num_of``
 checks that n is an integer and a member with integers only, and
-``Fraction`` appears only where the input is a rational (``elem``,
+``Fraction`` appears only where the input is a rational (``num_of``,
 ``member``, ``make_monoid``) and in ``ExpElem.value``.  Membership is
 answered in O(1) from the Apery table of D*M (least member in each residue
 class modulo the smallest generator a), built once at construction with a
@@ -162,31 +162,18 @@ class ExpMonoid:
     # element handling ---------------------------------------------------
 
     def elem(self, q) -> ExpElem:
-        if isinstance(q, ExpElem):
-            return self.elem_of_num(self.num_of(q))
-        q = Fraction(q)
-        if q < 0 or not self.member(q):
-            raise DomainError(f"{q} is not a member of {self.literal()}")
-        return ExpElem(q.numerator, q.denominator)
+        return self.elem_of_num(self.num_of(q))
 
     def elem_of_num(self, n: int) -> ExpElem:
         g = gcd(n, self.denom)
         return ExpElem(n // g, self.denom // g)
 
-    def num_of(self, e: ExpElem) -> int:
-        """Scaled numerator of a member; DomainError when D * e is not an
-        integer or not a member."""
-        n = self._scale(e.num, e.denom)
-        if n is None:
-            raise DomainError(f"{e} is not a member of {self.literal()}")
-        return n
-
-    def _num(self, m) -> int:
-        """Scaled numerator of a member given as an ExpElem or a rational."""
-        if isinstance(m, ExpElem):
-            return self.num_of(m)
-        q = Fraction(m)
-        n = self._scale(q.numerator, q.denominator)
+    def num_of(self, q) -> int:
+        """Scaled numerator of a member given as an ExpElem or a rational;
+        DomainError when D * q is not an integer or not a member."""
+        if not isinstance(q, ExpElem):
+            q = ExpElem(*Fraction(q).as_integer_ratio())
+        n = self._scale(q.num, q.denom)
         if n is None:
             raise DomainError(f"{q} is not a member of {self.literal()}")
         return n
@@ -198,7 +185,7 @@ class ExpMonoid:
 
     def divides(self, a: ExpElem, b: ExpElem) -> bool:
         """Additive divisibility: b - a is a member."""
-        return self.member_num(self._num(b) - self._num(a))
+        return self.member_num(self.num_of(b) - self.num_of(a))
 
     def factorizations(self, m, node_budget: int = DEFAULT_BUDGETS.knapsack_nodes):
         """All multisets of atoms summing to m, as ascending tuples of ExpElem.
@@ -207,7 +194,7 @@ class ExpMonoid:
         every visited node counts against ``node_budget``.  A node keeps its
         chosen atoms as a linked list (atom, parent list), smallest first.
         """
-        n = self._num(m)
+        n = self.num_of(m)
         atoms_desc = sorted(self.min_gens, reverse=True)
         member = self.member_num
         results = []
@@ -260,7 +247,7 @@ class ExpMonoid:
         elems = list(elems)
         if not elems:
             raise UsageError("common divisors of an empty list")
-        return [self._num(e) for e in elems]
+        return [self.num_of(e) for e in elems]
 
     def _common_divisors(self, nums, node_budget) -> set:
         candidates = min(nums) + 1
@@ -284,7 +271,7 @@ class ExpMonoid:
         The DP's n + 1 cells count against ``node_budget`` before any is
         allocated.
         """
-        return self._length_num(self._num(m), node_budget)
+        return self._length_num(self.num_of(m), node_budget)
 
     def _length_num(self, n: int, node_budget: int) -> int:
         """``length`` of the member with scaled numerator n."""

@@ -15,7 +15,9 @@ from fractions import Fraction
 
 from . import engine
 from .coeff import Nat, Quad
-from .errors import DEFAULT_BUDGETS, BudgetError, Budgets, DomainError, InternalError, UsageError
+from .errors import (
+    DEFAULT_BUDGETS, BudgetError, Budgets, DomainError, InternalError, UsageError, check_degree
+)
 from .intfactor import IntPoly
 from .monoid import make_monoid, nat_monoid
 from .polyexpr import PolyExpr, parse
@@ -54,8 +56,7 @@ def expand_family(
     """(x+n)^m (x^2-x+1) (x+1)^k as a nonnegative polynomial expression,
     refused before expansion when its degree exceeds ``degree_limit``."""
     _check_family(n, m, k)
-    if m + 2 + k > degree_limit:
-        raise BudgetError(f"degree {m + 2 + k} exceeds the factorization limit {degree_limit}")
+    check_degree(m + 2 + k, degree_limit)
     ip = family_int(n, m, k)
     if not ip.is_nonnegative:
         raise DomainError(

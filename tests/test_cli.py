@@ -345,6 +345,10 @@ class TestExitCodes:
             ["sweep", "elasticity", "--n", "2", "--k", "1", "--output", "pretty"],
             ["poly", "divisors", "--output", "csv", "x+1"],
             ["monoid", "atoms", "--output", "csv"],
+            ["poly", "expand-family", "--n", "2", "--coeffs", "quad:6"],
+            ["poly", "expand-family", "--n", "2", "--monoid", "gens:2,3"],
+            ["poly", "expand-family", "--n", "2", "--strategy", "oracle"],
+            ["poly", "lenfn", "--strategy", "oracle", "x+1"],
         ],
     )
     def test_ignored_options_are_rejected(self, capsys, argv):

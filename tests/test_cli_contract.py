@@ -119,10 +119,14 @@ node_budget_flags = st.lists(
 @st.composite
 def poly_argvs(draw):
     op = draw(st.sampled_from(POLY_OPS))
+    # lenfn takes no --strategy
+    strategy = []
+    if op != "lenfn":
+        strategy = ["--strategy", draw(st.sampled_from(["auto", "zx", "oracle"]))]
     return [
         "poly", op,
         "--monoid", draw(poly_monoids),
-        "--strategy", draw(st.sampled_from(["auto", "zx", "oracle"])),
+        *strategy,
         *draw(node_budget_flags),
         draw(st.one_of(st.lists(poly_terms, min_size=1, max_size=3).map("+".join), expressions)),
     ]
@@ -247,6 +251,16 @@ def test_quad_divisor_scan_is_budgeted():
     assert len(lines) == 1 and lines[0].startswith("error[budget]: "), lines
     assert proc.stdout == ""
     assert elapsed < 1.0
+
+
+def test_oracle_lc_tc_intersection_is_linear():
+    # 16383940372800 has 20160 divisors, all common to the leading and
+    # trailing coefficient: a set rebuilt per divisor of lc ran out of CPU
+    code = LIMITED_CLI.replace("RLIMIT_CPU, (20, 20)", "RLIMIT_CPU, (3, 3)")
+    n = 16383940372800
+    proc = run_child(["poly", "divisors", "--strategy", "oracle", f"{n}x+{n}"], code)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-400:])
+    assert json.loads(proc.stdout)["count"] == 20160
 
 
 @pytest.mark.parametrize(

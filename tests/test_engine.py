@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -329,30 +330,43 @@ class TestConcurrency:
 
 
 class TestCaches:
-    def test_divisor_cache_is_bounded_and_keeps_the_newest(self, monkeypatch):
-        monkeypatch.setattr(engine, "_DIV_CACHE_SIZE", 3)
+    def test_divisor_cache_is_bounded_and_keeps_the_newest(self):
         engine.clear_caches()
-        polys = [P(f"x^2+{n}") for n in range(1, 7)]
+        maxsize = engine._divisor_set.cache_info().maxsize
+        polys = [P(f"x+{n}") for n in range(1, maxsize + 7)]
         sets = [sf.divisors(f) for f in polys]
-        assert len(engine._DIV_CACHE) == 3
+        assert engine._divisor_set.cache_info().currsize == maxsize
         assert sf.divisors(polys[-1]) is sets[-1]
         assert sf.divisors(polys[0]) is not sets[0]
-        assert len(engine._DIV_CACHE) == 3
+        assert engine._divisor_set.cache_info().currsize == maxsize
+        engine.clear_caches()
+        assert engine._divisor_set.cache_info().currsize == 0
+
+    def test_a_hit_refreshes_an_entry(self):
+        engine.clear_caches()
+        maxsize = engine._divisor_set.cache_info().maxsize
+        polys = [P(f"x+{n}") for n in range(1, maxsize + 2)]
+        sets = [sf.divisors(f) for f in polys[:maxsize]]
+        assert sf.divisors(polys[0]) is sets[0]
+        sf.divisors(polys[maxsize])
+        # the touched oldest entry survives; the next oldest was evicted
+        assert sf.divisors(polys[0]) is sets[0]
+        assert sf.divisors(polys[1]) is not sets[1]
         engine.clear_caches()
 
-    def test_bound_holds_under_threads(self, monkeypatch):
+    def test_bound_holds_under_threads(self):
         import sys
         import threading
 
-        monkeypatch.setattr(engine, "_DIV_CACHE_SIZE", 4)
         engine.clear_caches()
-        polys = [P(f"x^2+{n}x+{n}") for n in range(1, 25)]
+        info = engine._divisor_set.cache_info
+        polys = [P(f"x+{n}") for n in range(1, info().maxsize + 200)]
         sizes = []
 
         def work(k):
             for f in polys[k::3] + polys[k::3][::-1]:
                 sf.divisors(f)
-                sizes.append(len(engine._DIV_CACHE))
+                sizes.append(info().currsize)
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -365,8 +379,20 @@ class TestCaches:
         finally:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
-        assert len(sizes) == 8 * 16 and max(sizes) <= 4
+        assert len(sizes) == sum(2 * len(polys[k % 3::3]) for k in range(8))
+        assert max(sizes) == info().maxsize
         engine.clear_caches()
+
+    def test_no_traced_function_carries_wrapped(self):
+        # the benchmark's tracer refuses a target that already has
+        # __wrapped__, so a functools decorator on one breaks traced runs;
+        # the tracer's source is read, not imported, so nothing is written
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        scope = {"__name__": "tracer"}
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), scope)
+        for name, places, _ in scope["_targets"]():
+            for owner, attr in places:
+                assert getattr(getattr(owner, attr), "__wrapped__", None) is None, (name, attr)
 
 
 class TestExponentsStayNumerators:

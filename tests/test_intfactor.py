@@ -355,16 +355,17 @@ class TestFactor:
             t.join()
         assert all(r == results[0] for r in results)
 
-    def test_cache_is_bounded_and_keeps_the_newest(self, monkeypatch):
-        monkeypatch.setattr(intfactor, "_CACHE_SIZE", 3)
+    def test_cache_is_bounded_and_keeps_the_newest(self):
+        info = intfactor._irreducible_factors.cache_info
         intfactor.clear_cache()
-        parts = [(n, 0, 1) for n in range(1, 7)]  # x^2 + n, squarefree
+        parts = [(n, 0, 1) for n in range(1, info().maxsize + 7)]  # x^2 + n, squarefree
         outs = [intfactor._irreducible_factors(p) for p in parts]
-        assert len(intfactor._CACHE) == 3
+        assert info().currsize == info().maxsize
         assert intfactor._irreducible_factors(parts[-1]) is outs[-1]
         assert intfactor._irreducible_factors(parts[0]) is not outs[0]
-        assert len(intfactor._CACHE) == 3
+        assert info().currsize == info().maxsize
         intfactor.clear_cache()
+        assert info().currsize == 0
 
     def test_cache_is_shared_by_squarefree_parts(self, monkeypatch):
         # (x^2+1)(x+2)^2 and 3(x^2+1)^3: the part x^2+1 is recombined once
@@ -723,7 +724,7 @@ class TestRecombination:
 
         monkeypatch.setattr(intfactor, "_div_exact", counting_div)
         monkeypatch.setattr(intfactor, "combinations", counting_combinations)
-        monkeypatch.setattr(intfactor, "_CACHE", {})
+        intfactor.clear_cache()
         fac = factor_int_poly(f)
         assert [(p.coeffs, m) for p, m in fac.factors] == [(tuple(a), 1), (tuple(b), 1)]
         # without the test every subset would be trial-divided
@@ -753,7 +754,7 @@ class TestRecombination:
         monkeypatch.setattr(intfactor, "_div_exact", counting_div)
         monkeypatch.setattr(intfactor, "combinations", counting_combinations)
         monkeypatch.setattr(intfactor, "_may_divide", counting_may_divide)
-        monkeypatch.setattr(intfactor, "_CACHE", {})
+        intfactor.clear_cache()
         fac = factor_int_poly(f, degree_limit=40)
         assert sorted(p.degree for p, _ in fac.factors) == [8, 32]
         # every rest has nonzero values at 0 and 1: each subset meets the
@@ -780,7 +781,7 @@ class TestRecombination:
             return q
 
         monkeypatch.setattr(intfactor, "_div_exact", recording_div)
-        monkeypatch.setattr(intfactor, "_CACHE", {})
+        intfactor.clear_cache()
         fac = factor_int_poly(IntPoly.of(f))
         assert [(p.coeffs, m) for p, m in fac.factors] == [(tuple(b), 1), (tuple(a), 1)]
         # the candidate was the cubic, the quartic its quotient
