@@ -212,11 +212,13 @@ class CoeffSemiring:
     def validate(self, v):
         raise NotImplementedError
 
+    # each semiring defines _add and _mul on canonical values, unchecked;
+    # polynomial arithmetic calls them directly on its canonical operands
     def add(self, a, b):
-        raise NotImplementedError
+        return self._add(self.validate(a), self.validate(b))
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return self._mul(self.validate(a), self.validate(b))
 
     def sub(self, a, b):
         """Difference in the ambient ring; the result may leave the semiring."""
@@ -287,11 +289,11 @@ class Nat(CoeffSemiring):
             raise UsageError(f"not a nonnegative integer: {v!r}")
         return v
 
-    def add(self, a, b):
-        return self.validate(a) + self.validate(b)
+    def _add(self, a, b):
+        return a + b
 
-    def mul(self, a, b):
-        return self.validate(a) * self.validate(b)
+    def _mul(self, a, b):
+        return a * b
 
     def sub(self, a, b):
         return a - b
@@ -385,7 +387,7 @@ class Quad(CoeffSemiring):
             raise UsageError(f"quadratic radicand must not be a perfect square, got {self.d}")
 
     def validate(self, v):
-        # unrolled: this runs on both arguments of every add and mul
+        # unrolled: this runs on both arguments of every checked add and mul
         if isinstance(v, tuple) and len(v) == 2:
             b, c = v
             if (
@@ -399,14 +401,10 @@ class Quad(CoeffSemiring):
                 return v
         raise UsageError(f"not a nonnegative (b, c) pair: {v!r}")
 
-    def add(self, a, b):
-        self.validate(a)
-        self.validate(b)
+    def _add(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
 
-    def mul(self, a, b):
-        self.validate(a)
-        self.validate(b)
+    def _mul(self, a, b):
         return (a[0] * b[0] + self.d * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
     def sub(self, a, b):

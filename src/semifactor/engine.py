@@ -6,10 +6,11 @@ Two divisor strategies are available and kept deliberately independent:
   factor the resulting integer polynomial completely.  Z[y] factors
   uniquely, so every divisor of f is the product of the content primes and
   irreducible factors taken with a multiplicity vector e <= m, where m is
-  f's own vector.  The box of vectors is walked depth-first, one product
-  per point, and e is kept exactly when its product and the product of
-  m - e both have nonnegative coefficients and supports inside the exponent
-  monoid.
+  f's own vector, and e is kept exactly when its product and the product
+  of m - e both have nonnegative coefficients and supports inside the
+  exponent monoid.  The box is walked on Kronecker-packed integers: each
+  point costs one big-integer product, its two tests are masks, and only
+  the points kept are decoded.
 
 * ``oracle``: enumerate candidate divisors directly.  A candidate support is
   a set of monoid members that each additively divide some support element
@@ -29,15 +30,20 @@ Two divisor strategies are available and kept deliberately independent:
   budget.
 
 ``divisors`` indexes a divisor set once: its members in ``sort_key`` order
-and, for zx, the vector of each.  Atoms, Z(f), ``is_monolithic`` and
-``monolithic_decompose`` work on positions in that order, and every
-divisibility question among them goes through one quotient kernel,
-``_quot``: for g, h in D(f), h divides g exactly when g/h is again in D(f).
-For zx that is the vector e_g - e_h, found by a subtraction and a lookup
-with no polynomial division; for the oracle it is one ``ambient_exact_div``,
-run only when h(1) divides g(1) in S.
+and, for zx, the vector of each as one int with a guard bit above each
+entry.  Atoms, Z(f), ``is_monolithic`` and ``monolithic_decompose`` work
+on positions in that order, and every divisibility question among them
+goes through one quotient kernel, ``_quot``: for g, h in D(f), h divides g
+exactly when g/h is again in D(f).  For zx that is the vector e_g - e_h:
+v_g with every guard bit set, minus v_h, keeps all guard bits exactly when
+no entry is negative, then one lookup; for the oracle it is one
+``ambient_exact_div``, run only when h(1) divides g(1) in S.
 ``monolithic_decompose`` splits each part inside the list of f, because
-D(g) = {h in D(f) : g/h in D(f)} and filtering keeps the order.
+D(g) = {h in D(f) : g/h in D(f)} and filtering keeps the order.  Atoms
+and L(f) come from one pass (``_atoms_within``) that visits every divisor
+after its proper divisors, the dynamic programming of Barron, O'Neill and
+Pelayo (Math. Comp. 2017) on the divisor lattice; only ``factorizations``
+builds Z(f).
 
 The engine reads a polynomial's scaled exponent numerators ``nums`` and
 its ``coeffs`` and builds every divisor from them; it never builds an
@@ -45,21 +51,22 @@ its ``coeffs`` and builds every divisor from them; it never builds an
 
 Divisor sets are cached per canonical form, strategy and budgets by
 ``functools.lru_cache``, at most 1024 of them (the least recently used is
-evicted first); the cached lattice also keeps its atom positions and Z(f)
-once computed.  All returned values are immutable.
+evicted first); the cached lattice also keeps its atoms, length sets and
+Z(f) once computed.  All returned values are immutable.
 """
 from __future__ import annotations
 
 import functools
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
-from operator import sub
+from math import isqrt, prod
 
 from .coeff import Nat
 from .errors import DEFAULT_BUDGETS, BudgetError, Budgets, DomainError, UsageError, check_degree
-from .intfactor import IntPoly, _mul, factor_int_poly
+from .intfactor import _SWAP, _WORD, IntPoly, _eval, factor_int_poly
 from .polyexpr import PolyExpr, ambient_exact_div
 
 STRATEGY_AUTO = "auto"
@@ -73,10 +80,10 @@ class _Lattice:
     order; ``vecs`` holds each divisor's multiplicity vector (zx) or is None
     (oracle); ``pos`` maps a vector (zx) or a divisor (oracle) to its
     position; ``unit`` and ``base`` are the positions of 1 and of f;
-    ``ones`` holds each divisor's value at x = 1 (oracle) or is None (zx).
-    ``atoms`` and ``z`` keep the atom positions and Z(f) once computed;
-    the lattice is cached per budgets, so Z(f) is kept only for the
-    budgets it was computed under."""
+    ``ones`` holds each divisor's value at x = 1 (oracle) or is None (zx);
+    ``guard`` has every vector field's guard bit set (zx).  ``atoms``,
+    ``lengths`` (L of each position as a bit set) and ``z`` are kept once
+    computed, for the budgets the lattice is cached under."""
 
     ordered: tuple
     vecs: tuple | None
@@ -84,7 +91,9 @@ class _Lattice:
     unit: int
     base: int
     ones: tuple | None = None
+    guard: int = 0
     atoms: tuple | None = None
+    lengths: tuple | None = None
     z: frozenset | None = None
 
 
@@ -142,20 +151,17 @@ def divisors(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None
 def _divisor_set(f, strat, budgets):
     """``divisors`` for a resolved strategy and budgets, indexed once."""
     if strat == STRATEGY_ZX:
-        by_vec = sorted(_zx_divisors(f, budgets).items(), key=lambda kv: sort_key(kv[1]))
-        ordered = tuple(g for _, g in by_vec)
-        vecs = tuple(e for e, _ in by_vec)
-        pos = {e: i for i, e in enumerate(vecs)}
-        # f's vector is the componentwise, hence lexicographic, maximum
-        unit, base = pos[(0,) * len(vecs[0])], pos[max(vecs)]
-        ones = None
+        found, guard = _zx_divisors(f, budgets)
+        vecs, ordered = zip(*sorted(found.items(), key=lambda kv: sort_key(kv[1])))
+        pos = {v: i for i, v in enumerate(vecs)}
+        # f's vector is the componentwise, hence the packed, maximum
+        lattice = _Lattice(ordered, vecs, pos, pos[0], pos[max(vecs)], guard=guard)
     else:
         ordered = tuple(sorted(_oracle_divisors(f, budgets), key=sort_key))
-        vecs = None
         pos = {g: i for i, g in enumerate(ordered)}
-        unit, base = pos[PolyExpr.one(f.semiring, f.monoid)], pos[f]
         ones = tuple(_at_one(f.semiring, g.coeffs) for g in ordered)
-    lattice = _Lattice(ordered, vecs, pos, unit, base, ones)
+        unit = pos[PolyExpr.one(f.semiring, f.monoid)]
+        lattice = _Lattice(ordered, None, pos, unit, pos[f], ones)
     return DivisorSet(f, frozenset(ordered), strat, lattice)
 
 
@@ -172,67 +178,73 @@ def _resolve_strategy(f, strategy):
 
 
 def _zx_divisors(f, budgets):
-    """Multiplicity vector -> divisor, over the box of sub-multisets of the
-    content primes and irreducible factors of f(y^D) in Z[y].
+    """(packed multiplicity vector -> divisor, guard bits) over the box of
+    sub-multisets of the content primes and irreducible factors of f(y^D),
+    walked depth-first: a point's parent lowers its last nonzero entry.
 
-    The box is walked depth-first along the tree in which a point's parent
-    lowers its last nonzero entry by one, so every point costs one product
-    of its parent with one factor.  A point is kept when it and its cofactor
-    (the complementary point) both lie in the semidomain; a point outside it
-    can still have children inside, e.g. (y^2-y+1)(y+1) = y^3+1.
-    """
-    S, M = f.semiring, f.monoid
-    nums = f.nums
-    check_degree(nums[0], budgets.degree_limit)
-    dense = [0] * (nums[0] + 1)
-    for n, c in zip(nums, f.coeffs):
-        dense[n] = c
+    A point g divides f(y), so |g_i| <= 2^n*||f||_2 (Mignotte), and the
+    product of the factors' 1-norms bounds it too.  With 2^(w-1) above the
+    smaller, X = g(2^w) + H has slots g_i + 2^(w-1): g >= 0 when all their
+    top bits (H) are set, and its support lies in the monoid when the
+    non-member slots (NM) hold 2^(w-1) alone.  A point is kept when it and
+    its cofactor pass; a failing point can have passing children, e.g.
+    (y^2-y+1)(y+1) = y^3+1."""
+    n = f.nums[0]
+    check_degree(n, budgets.degree_limit)
+    dense = [0] * (n + 1)
+    for k, c in zip(f.nums, f.coeffs):
+        dense[k] = c
     fac = factor_int_poly(IntPoly.of(dense), degree_limit=budgets.degree_limit)
-    # collapse duplicate content primes into (prime, multiplicity)
-    grouped: dict = {}
-    for p in fac.content:
-        grouped[(p,)] = grouped.get((p,), 0) + 1
-    for poly, mult in fac.factors:
-        grouped[poly.coeffs] = grouped.get(poly.coeffs, 0) + mult
-    entries = sorted(grouped.items())
-    factors = [list(coeffs) for coeffs, _ in entries]
-    top = tuple(mult for _, mult in entries)
-    if prod(m + 1 for m in top) > budgets.oracle_candidates:
+    # (coefficients, multiplicity): each content prime once, then the factors
+    content = Counter((p,) for p in fac.content)
+    entries = [*content.items(), *((poly.coeffs, m) for poly, m in fac.factors)]
+    if prod(m + 1 for _, m in entries) > budgets.oracle_candidates:
         raise BudgetError(
             f"fast-path divisor enumeration exceeded {budgets.oracle_candidates} candidates"
         )
+    mignotte = (isqrt(sum(c * c for c in f.coeffs)) + 1) << n
+    bound = min(mignotte, prod(sum(map(abs, c)) ** m for c, m in entries))
+    size = bound.bit_length() // 8 + 1  # bytes per slot, one bit to spare for the sign
+    size = 1 << (size - 1).bit_length() if size <= 8 else size
+    w = 8 * size
+    H = int.from_bytes((bytes(size - 1) + b"\x80") * (n + 1), "little")
+    NM = sum(((1 << w) - 1) << (w * k) for k in range(n + 1) if not f.monoid.member_num(k))
+    # multiplicity vectors: one field per factor, a guard bit above each
+    fields, guard, shift = [], 0, 0
+    for coeffs, m in entries:
+        bits = m.bit_length()
+        fields.append((1 << shift, m << shift, ((1 << bits) - 1) << shift, _eval(coeffs, 1 << w)))
+        guard |= 1 << (shift + bits)
+        shift += bits + 1
     inside = {}
-    # (point, its parent's y-polynomial, index of the factor raised; -1 at the root)
-    stack = [((0,) * len(top), [1], -1)]
+    # (point, its value at 2^w, the first factor its children may raise)
+    stack = [(0, 1, 0)]
     while stack:
-        e, g, j = stack.pop()
-        if j >= 0:
-            g = _mul(g, factors[j])
-        gp = _poly_from_dense(g, S, M)
-        if gp is not None:
-            inside[e] = gp
-        for k in range(max(j, 0), len(top)):
-            if e[k] < top[k]:
-                stack.append((e[:k] + (e[k] + 1,) + e[k + 1 :], g, k))
+        v, G, j = stack.pop()
+        X = G + H
+        if X & H == H and not (X ^ H) & NM:
+            inside[v] = G
+        for k in range(j, len(fields)):
+            one, full, mask, F = fields[k]
+            if v & mask != full:
+                stack.append((v + one, G * F, k))
+    top = sum(full for _, full, _, _ in fields)
     return {
-        e: gp
-        for e, gp in inside.items()
-        if tuple(map(sub, top, e)) in inside
-    }
+        v: _decode(G, size, n, f.semiring, f.monoid)
+        for v, G in inside.items()
+        if top - v in inside
+    }, guard
 
 
-def _poly_from_dense(coeffs, S, M):
-    """Dense y-coefficients back to a polynomial expression, or None when a
-    coefficient is negative or an exponent falls outside the monoid."""
-    nums, cs = [], []
-    for n, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if c < 0 or not M.member_num(n):
-            return None
-        nums.append(n)
-        cs.append(c)
-    return PolyExpr(S, M, tuple(reversed(nums)), tuple(reversed(cs)))
+def _decode(G, size, n, S, M):
+    """The polynomial whose coefficients are the ``size``-byte slots 0..n of G."""
+    raw = G.to_bytes(size * (n + 1), "little")
+    if size in _WORD and not _SWAP:
+        cs = array(_WORD[size], raw)
+    else:
+        cs = [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+    nums = [k for k in range(n, -1, -1) if cs[k]]
+    return PolyExpr(S, M, tuple(nums), tuple(cs[k] for k in nums))
 
 
 def _at_one(S, coeffs):
@@ -256,8 +268,7 @@ def _oracle_divisors(f, budgets):
     ]
     lc_divs = sorted(S.divisors_of(lc, budgets.oracle_candidates))
     tc_divs = sorted(S.divisors_of(tc, budgets.oracle_candidates))
-    tc_set = set(tc_divs)
-    both_divs = [v for v in lc_divs if v in tc_set]
+    both_divs = sorted(set(lc_divs).intersection(tc_divs))
     mids = S.values_with_components_at_most(maxcomp)
     f1 = _at_one(S, f.coeffs)
     divides_f1 = {}
@@ -266,20 +277,14 @@ def _oracle_divisors(f, budgets):
     count = 0
     max_size = min(len(nums), len(admissible))
     for size in range(1, max_size + 1):
-        if size == 1:
-            choices = [both_divs]
-        else:
-            choices = [tc_divs] + [mids] * (size - 2) + [lc_divs]
+        choices = [both_divs] if size == 1 else [tc_divs] + [mids] * (size - 2) + [lc_divs]
         per_support = prod(map(len, choices))
         # coefficient tuples (leading first) whose value at 1 divides f(1),
         # listed at the first support of this size within the budget, so a
         # size over the budget is never walked
         tuples = None
         for support in combinations(admissible, size):
-            top, bottom = support[-1], support[0]
-            if not M.member_num(deg_num - top):
-                continue
-            if not M.member_num(trail_num - bottom):
+            if not (M.member_num(deg_num - support[-1]) and M.member_num(trail_num - support[0])):
                 continue
             count += per_support
             if count > budgets.oracle_candidates:
@@ -301,8 +306,7 @@ def _oracle_divisors(f, budgets):
                 g = PolyExpr(S, M, exps, coeffs)
                 q = ambient_exact_div(f, g)
                 if q is not None:
-                    found.add(g)
-                    found.add(q)
+                    found.update((g, q))
     return found
 
 
@@ -324,12 +328,14 @@ def _quot(lat: _Lattice, i: int, j: int):
     divide ordered[i].  Both lie in D(f), so any quotient does too.
 
     zx: Z[y] factors uniquely, so h | g exactly when e_g - e_h is the vector
-    of a divisor (a vector with a negative entry is never a key).  Oracle:
+    of a divisor: a guarded subtraction, a test and a lookup.  Oracle:
     h | g in S[M] implies h(1) | g(1) in S, so most pairs are ruled out by
     their values at 1 before any long division.
     """
     if lat.vecs is not None:
-        return lat.pos.get(tuple(map(sub, lat.vecs[i], lat.vecs[j])))
+        guard = lat.guard
+        d = (lat.vecs[i] | guard) - lat.vecs[j]
+        return lat.pos.get(d ^ guard) if d & guard == guard else None
     g = lat.ordered[i]
     if g.semiring.exact_div(lat.ones[i], lat.ones[j]) is None:
         return None
@@ -376,21 +382,46 @@ def monolithic_decompose(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Bu
     return parts(lat.base)
 
 
+def _visit_order(lat: _Lattice):
+    """The positions with every proper divisor first.  zx: by packed vector,
+    which grows with every entry.  Oracle: by degree, then by the value at
+    1 as the real number b + c*sqrt(d): if g = h*q with q not 1, either
+    deg q > 0 or q is a constant above 1 (1 is the semiring's only unit)."""
+    if lat.vecs is not None:
+        return sorted(range(len(lat.vecs)), key=lat.vecs.__getitem__)
+    S = lat.ordered[0].semiring
+    keys = [(g.nums[0], v if type(v) is tuple else (v, 0)) for g, v in zip(lat.ordered, lat.ones)]
+
+    def cmp(i, j):
+        (di, (bi, ci)), (dj, (bj, cj)) = keys[i], keys[j]
+        x, y = bi - bj, ci - cj
+        # sign of x + y*sqrt(d): that of x + y if x*y >= 0, else sign(x)*sign(x^2 - d*y^2)
+        return di - dj or (x + y if x * y >= 0 else (x * x - S.d * y * y) * x)
+
+    return sorted(range(len(keys)), key=functools.cmp_to_key(cmp))
+
+
 def _atoms_within(lat: _Lattice):
-    """Positions of the atoms of a divisor set, in sort_key order."""
-    if lat.atoms is not None:
-        return lat.atoms
-    out = []
-    for i in range(len(lat.ordered)):
-        if i == lat.unit:
-            continue
-        if any(
-            j != lat.unit and j != i and _quot(lat, i, j) is not None
-            for j in range(len(lat.ordered))
-        ):
-            continue
-        out.append(i)
-    lat.atoms = tuple(out)
+    """Positions of the atoms of a divisor set, in sort_key order, from one
+    pass in ``_visit_order`` that also fills ``lat.lengths``: t is an atom
+    when no atom before it divides it (a nonunit's least nonunit divisor is
+    an atom), else L(t) is the union of 1 + L(t/a) over the atoms a | t.
+    A length set is a bit set (bit k for length k), so 1 + L is a shift."""
+    if lat.atoms is None:
+        lengths = [1] * len(lat.ordered)
+        atoms = []
+        for t in _visit_order(lat):
+            if t == lat.unit:
+                continue
+            bits = 0
+            for a in atoms:
+                if (q := _quot(lat, t, a)) is not None:
+                    bits |= lengths[q]
+            if not bits:
+                atoms.append(t)
+                bits = 1
+            lengths[t] = bits << 1
+        lat.atoms, lat.lengths = tuple(sorted(atoms)), tuple(lengths)
     return lat.atoms
 
 
@@ -406,42 +437,31 @@ def factorizations(
         return lat.z
     atoms = _atoms_within(lat)
     # memo[(t, s)]: the factorizations of position t into atoms s, s+1, ...
-    # as index tuples.  Depth-first with an explicit stack, since a chain of
-    # quotients is as long as the longest factorization; each frame is its
-    # key, its children's keys (t / atom j, j) and the next child to wait for.
+    # as index tuples, depth-first on an explicit stack (a chain of quotients
+    # is as long as the longest factorization).  A frame is its key, its
+    # children (t / atom j, j), listed on its first visit, and the next child
+    # to wait for; a key is pushed once and is on the stack or in memo.
     memo = {}
-    stack = []
-    nodes = 0
-
-    def push(key):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budgets.z_nodes:
-            raise BudgetError(f"factorization recursion exceeded {budgets.z_nodes} nodes")
-        target, start = key
-        children = []
-        if target != lat.unit:
-            for j in range(start, len(atoms)):
-                q = _quot(lat, target, atoms[j])
-                if q is not None:
-                    children.append((q, j))
-        stack.append([key, children, 0])
-
-    push((lat.base, 0))
+    stack = [[(lat.base, 0), None, 0]]
     while stack:
         frame = stack[-1]
-        key, children, i = frame
+        (t, s), children, i = frame
+        if children is None:
+            if len(memo) + len(stack) > budgets.z_nodes:
+                raise BudgetError(f"factorization recursion exceeded {budgets.z_nodes} nodes")
+            children = frame[1] = [] if t == lat.unit else [
+                (q, j) for j in range(s, len(atoms)) if (q := _quot(lat, t, atoms[j])) is not None
+            ]
         while i < len(children) and children[i] in memo:
             i += 1
         frame[2] = i
         if i < len(children):
-            push(children[i])
+            stack.append([children[i], None, 0])
             continue
         stack.pop()
-        if key[0] == lat.unit:
-            memo[key] = frozenset({()})
-        else:
-            memo[key] = frozenset((j,) + rest for q, j in children for rest in memo[(q, j)])
+        memo[t, s] = frozenset(
+            [()] if t == lat.unit else ((j,) + z for q, j in children for z in memo[q, j])
+        )
     lat.z = frozenset(
         Factorization(tuple(lat.ordered[atoms[j]] for j in tup)) for tup in memo[(lat.base, 0)]
     )
@@ -454,8 +474,10 @@ def length_profile(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets 
         raise DomainError("the zero polynomial has no length set")
     if f.is_one:
         return frozenset(), Fraction(1)
-    zs = factorizations(f, strategy, budgets)
-    lengths = frozenset(z.length for z in zs)
+    lat = divisors(f, strategy, budgets)._lattice
+    _atoms_within(lat)
+    bits = lat.lengths[lat.base]
+    lengths = frozenset(k for k in range(bits.bit_length()) if bits >> k & 1)
     return lengths, Fraction(max(lengths), min(lengths))
 
 

@@ -67,7 +67,7 @@ class PolyExpr:
         acc = {}
         for n, coeff in pairs:
             prev = acc.get(n)
-            acc[n] = coeff if prev is None else semiring.add(prev, coeff)
+            acc[n] = coeff if prev is None else semiring._add(prev, coeff)
         nums = sorted((n for n, c in acc.items() if not semiring.is_zero(c)), reverse=True)
         return cls(semiring, monoid, tuple(nums), tuple(acc[n] for n in nums))
 
@@ -157,7 +157,7 @@ class PolyExpr:
             S,
             self.monoid,
             [
-                (na + nb, S.mul(ca, cb))
+                (na + nb, S._mul(ca, cb))
                 for na, ca in zip(self.nums, self.coeffs)
                 for nb, cb in pairs
             ],
@@ -226,7 +226,7 @@ def ambient_exact_div(f: PolyExpr, g: PolyExpr):
         qcoeffs.append(qc)
         for e, c in gterms:
             ne = qe + e
-            nv = S.sub(rem.get(ne, S.zero), S.mul(qc, c))
+            nv = S.sub(rem.get(ne, S.zero), S._mul(qc, c))
             if S.is_zero(nv):
                 rem.pop(ne, None)
             else:

@@ -4,9 +4,14 @@ Every check is exact (integer/rational arithmetic, set equality); the time
 limits are generous ceilings.  Each test prints a single pass/fail line:
 run with ``pytest -s tests/test_acceptance.py -v`` to see them all.
 """
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import semifactor as sf
 from semifactor.paperlab import expand_family, family_int, report_json, run_paper_suite
@@ -225,3 +230,30 @@ def test_c11_verify_paper_end_to_end():
     second = report_json(run_paper_suite(budgets), budgets)
     ok = ok and first.encode() == second.encode()
     report("C11 verify-paper end to end", ok, t0, 300.0)
+
+
+# The address-space limit is set by the child before it imports the library,
+# so a length set read off a materialised Z(f) dies of MemoryError.
+LIMITED_3GB = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from semifactor.cli import entrypoint
+entrypoint()
+"""
+
+
+def test_c12_lengths_from_one_pass():
+    # x^480 over <7, ..., 13> has 469 divisors, 7 atoms and 2 985 885
+    # factorizations; L(f) and the elasticity come from one pass over D(f)
+    src = str(Path(sf.__file__).resolve().parent.parent)
+    for expr, lo, hi in (("x^360", 28, 51), ("x^480", 37, 68)):
+        t0 = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", LIMITED_3GB, "poly", "lengths",
+             "--monoid", "gens:7,8,9,10,11,12,13", "--degree-limit", "100000", expr],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        ok = proc.returncode == 0 and json.loads(proc.stdout) == {
+            "L": list(range(lo, hi + 1)), "elasticity": f"{hi}/{lo}", "expr": expr,
+        }
+        report(f"C12 poly lengths {expr} (exit {proc.returncode})", ok, t0, 1.0)

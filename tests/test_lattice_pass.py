@@ -1,0 +1,165 @@
+"""The divisor lattice: the packed zx box walk against a brute-force box
+over sympy's factorization, and the one divisor-first pass (atoms, L(f),
+elasticity) against the pairwise atom definition and the materialised
+Z(f).  hypothesis and sympy are test-only dependencies."""
+from fractions import Fraction
+from itertools import product
+from math import prod
+
+import pytest
+
+import semifactor as sf
+from semifactor import engine
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+NAT = sf.Nat()
+Y = sympy.Symbol("y")
+
+
+def P(text, M=None):
+    return sf.parse(text, NAT, M or sf.nat_monoid())
+
+
+def in_semidomain(poly, M):
+    return all(c >= 0 and M.member_num(k) for (k,), c in poly.terms())
+
+
+def reference_divisors(f):
+    """D(f) over Nat: every sub-multiset of sympy's prime content and
+    irreducible factors of f(y) in Z[y], multiplied out by sympy, kept when
+    it and its cofactor have nonnegative coefficients on monoid members."""
+    M = f.monoid
+    F = sympy.Poly(dict(((n,), c) for n, c in zip(f.nums, f.coeffs)), Y)
+    content, pairs = F.factor_list()
+    factors = [(sympy.Poly(p, Y), m) for p, m in sympy.factorint(int(content)).items()]
+    factors += pairs
+    out = set()
+    for e in product(*(range(m + 1) for _, m in factors)):
+        g = prod((p**k for (p, _), k in zip(factors, e)), start=sympy.Poly(1, Y))
+        if in_semidomain(g, M) and in_semidomain(F.exquo(g), M):
+            pairs = [(k, int(c)) for (k,), c in g.terms()]
+            out.add(sf.PolyExpr._merge_nums(NAT, M, pairs))
+    return out
+
+
+HALVES = sf.make_monoid([Fraction(1, 2), Fraction(3, 4)])
+
+
+class TestPackedWalk:
+    @pytest.mark.parametrize(
+        "factors, M",
+        [
+            # (x+1)^8 (x^2-x+1)^8: box points with large negative coefficients
+            ([("x^3+1", 8)], None),
+            ([("x^3+1", 3), ("x+2", 1)], None),
+            ([("x^6+1", 2)], None),
+            # content primes
+            ([("12x+12", 1)], None),
+            ([("2", 10)], None),
+            ([("2", 6), ("3", 3), ("x+1", 1)], None),
+            ([("12", 1), ("x^2+x+1", 1), ("x^4+x^2+1", 1)], None),
+            # <1/2, 3/4> (D = 4): y+1, (y+1)^2 and (y+1)(y^2+1) are
+            # nonnegative box points with y^1 outside the monoid; in
+            # y^2(y+1) = x^{3/4}+x^{1/2} the cofactor y^2 of y+1 is inside
+            ([("x^{3/4}+x^{1/2}", 1)], HALVES),
+            ([("x^{3/4}+x^{1/2}", 2)], HALVES),
+            ([("x^{1/2}+1", 1), ("x^{3/4}+1", 1)], HALVES),
+            ([("x^{3/4}+1", 2), ("x^{1/2}+2", 1)], HALVES),
+            ([("x^{3/4}+1", 3)], HALVES),
+        ],
+    )
+    def test_matches_brute_force_box(self, factors, M):
+        M = M or sf.nat_monoid()
+        f = prod((P(text, M) ** k for text, k in factors), start=P("1", M))
+        assert sf.divisors(f, "zx_fastpath").divisors == reference_divisors(f)
+
+    @pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 71, 72, 80])
+    @pytest.mark.parametrize("delta", [-2, -1, 0, 1])
+    def test_coefficients_near_the_slot_width(self, bits, delta):
+        # x + a has the bound a + 1: at a = 2^bits - 2 the largest slot is
+        # one below its width; 9- and 10-byte slots are read by slices
+        a = 2**bits + delta
+        for f in (P(f"x+{a}"), P(f"x+{a}") ** 2, P(f"x+{a}") * P("x^2+x+1")):
+            assert sf.divisors(f, "zx_fastpath").divisors == reference_divisors(f)
+
+
+CONTEXTS = [
+    ("nat", "nat", "auto"),
+    ("nat", "nat", "oracle"),
+    ("nat", "gens:2,3", "auto"),
+    ("nat", "gens:1/2,3/4", "auto"),
+    ("quad:2", "nat", "oracle"),
+    ("quad:3", "nat", "oracle"),
+    ("quad:6", "nat", "oracle"),
+]
+QUAD_COEFFS = [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (0, 2), (3, 1)]
+BUDGETS = sf.Budgets(oracle_candidates=20000)
+
+
+@st.composite
+def elements(draw):
+    """(strategy, f): f a product of two or three small factors."""
+    coeffs, monoid, strategy = draw(st.sampled_from(CONTEXTS))
+    S, M = sf.semiring_from_literal(coeffs), sf.monoid_from_literal(monoid)
+    members = [n for n in range(3 * M.denom // 2 + 2) if M.member_num(n)]
+    coeff = st.integers(1, 3) if isinstance(S, sf.Nat) else st.sampled_from(QUAD_COEFFS)
+    f = sf.PolyExpr.one(S, M)
+    for _ in range(draw(st.integers(2, 3))):
+        nums = draw(st.lists(st.sampled_from(members), min_size=1, max_size=2, unique=True))
+        f = f * sf.PolyExpr._merge_nums(S, M, [(n, draw(coeff)) for n in nums])
+    hypothesis.assume(not f.is_one)
+    return strategy, f
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(elements())
+def test_pass_matches_pairwise_atoms_and_materialised_z(case):
+    strategy, f = case
+    try:
+        lat = sf.divisors(f, strategy, BUDGETS)._lattice
+    except sf.BudgetError:
+        hypothesis.assume(False)
+    ordered = lat.ordered
+    divides = {
+        (i, j): sf.ambient_exact_div(g, h) is not None
+        for i, g in enumerate(ordered)
+        for j, h in enumerate(ordered)
+    }
+    # every proper divisor is visited before its multiples
+    rank = {t: r for r, t in enumerate(engine._visit_order(lat))}
+    assert all(rank[j] < rank[i] for (i, j), d in divides.items() if d and i != j)
+    # atoms: nonunits with no divisor other than 1 and themselves
+    proper = {(i, j) for (i, j), d in divides.items() if d and j not in (i, lat.unit)}
+    want = [i for i in range(len(ordered)) if i != lat.unit and not any(p[0] == i for p in proper)]
+    assert engine._atoms_within(lat) == tuple(want)
+    zs = sf.factorizations(f, strategy, BUDGETS)
+    lengths = frozenset(z.length for z in zs)
+    rho = Fraction(max(lengths), min(lengths))
+    assert sf.length_profile(f, strategy, BUDGETS) == (lengths, rho)
+
+
+def test_quad_visit_order_is_by_real_value():
+    # over quad:2, (0,1)*(5,1) = (2,5): sort_key puts (2,5) before its
+    # divisor (5,1), while 5 + sqrt(2) < 2 + 5*sqrt(2)
+    S = sf.Quad(2)
+    f = sf.parse("(2,5)", S, sf.nat_monoid())
+    lat = sf.divisors(f)._lattice
+    assert [str(g) for g in lat.ordered] == ["(0,1)", "(1,0)", "(2,5)", "(5,1)"]
+    assert [str(lat.ordered[t]) for t in engine._visit_order(lat)] == [
+        "(1,0)", "(0,1)", "(5,1)", "(2,5)",
+    ]
+    assert [str(lat.ordered[i]) for i in engine._atoms_within(lat)] == ["(0,1)", "(5,1)"]
+    assert sf.length_profile(f) == (frozenset({2}), Fraction(1))
+
+
+def test_lengths_spend_no_z_budget():
+    # L(f) comes from the pass, which is bounded by |D| * #atoms quotient
+    # tests; only factorizations builds Z(f) and spends --z-budget
+    f = P("x+1") ** 6 * P("x^2+x+1") ** 2
+    budgets = sf.Budgets(z_nodes=1)
+    with pytest.raises(sf.BudgetError):
+        sf.factorizations(f, budgets=budgets)
+    assert sf.length_profile(f, budgets=budgets) == sf.length_profile(f)
