@@ -77,13 +77,13 @@ STRATEGY_ZX = "zx_fastpath"
 @dataclass(eq=False)
 class _Lattice:
     """Positions of a divisor set: ``ordered`` is the set in ``sort_key``
-    order; ``vecs`` holds each divisor's multiplicity vector (zx) or is None
-    (oracle); ``pos`` maps a vector (zx) or a divisor (oracle) to its
-    position; ``unit`` and ``base`` are the positions of 1 and of f;
-    ``ones`` holds each divisor's value at x = 1 (oracle) or is None (zx);
-    ``guard`` has every vector field's guard bit set (zx).  ``atoms``,
-    ``lengths`` (L of each position as a bit set) and ``z`` are kept once
-    computed, for the budgets the lattice is cached under."""
+    order; ``pos`` maps a vector (zx) or a divisor (oracle) to its position;
+    ``unit`` and ``base`` are the positions of 1 and of f.  ``vecs`` holds
+    each divisor's multiplicity vector as one int, a guard bit (``guard``)
+    above each entry, so a proper divisor's vector is the smaller (zx), or
+    is None (oracle); ``ones`` holds each value at x = 1 (oracle) or is None
+    (zx).  ``atoms``, ``lengths`` (L of each position as a bit set) and
+    ``z`` are kept once computed, for the budgets the lattice is cached under."""
 
     ordered: tuple
     vecs: tuple | None
