@@ -8,6 +8,7 @@ invariants.  Every error prints a single machine-parsable line to stderr:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -286,9 +287,14 @@ def _pretty(payload) -> str:
 def _emit(text: str, out_path):
     if out_path:
         tmp = f"{out_path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, out_path)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise UsageError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

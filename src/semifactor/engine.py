@@ -8,9 +8,9 @@ Two divisor strategies are available and kept deliberately independent:
   irreducible factors taken with a multiplicity vector e <= m, where m is
   f's own vector, and e is kept exactly when its product and the product
   of m - e both have nonnegative coefficients and supports inside the
-  exponent monoid.  The box is walked on Kronecker-packed integers: each
-  point costs one big-integer product, its two tests are masks, and only
-  the points kept are decoded.
+  exponent monoid.  The box is walked on Kronecker-packed integers (the
+  slot codec of ``intfactor._Slots``): each point costs one big-integer
+  product, its two tests are masks, and only the points kept are decoded.
 
 * ``oracle``: enumerate candidate divisors directly.  A candidate support is
   a set of monoid members that each additively divide some support element
@@ -57,7 +57,6 @@ Z(f) once computed.  All returned values are immutable.
 from __future__ import annotations
 
 import functools
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,7 +65,7 @@ from math import isqrt, prod
 
 from .coeff import Nat
 from .errors import DEFAULT_BUDGETS, BudgetError, Budgets, DomainError, UsageError, check_degree
-from .intfactor import _SWAP, _WORD, IntPoly, _eval, factor_int_poly
+from .intfactor import IntPoly, _eval, _Slots, factor_int_poly
 from .polyexpr import PolyExpr, ambient_exact_div
 
 STRATEGY_AUTO = "auto"
@@ -204,10 +203,9 @@ def _zx_divisors(f, budgets):
         )
     mignotte = (isqrt(sum(c * c for c in f.coeffs)) + 1) << n
     bound = min(mignotte, prod(sum(map(abs, c)) ** m for c, m in entries))
-    size = bound.bit_length() // 8 + 1  # bytes per slot, one bit to spare for the sign
-    size = 1 << (size - 1).bit_length() if size <= 8 else size
-    w = 8 * size
-    H = int.from_bytes((bytes(size - 1) + b"\x80") * (n + 1), "little")
+    slots = _Slots(2 * bound)  # one bit to spare for the sign
+    w = slots.bits
+    H = slots.pack([1 << (w - 1)] * (n + 1))
     NM = sum(((1 << w) - 1) << (w * k) for k in range(n + 1) if not f.monoid.member_num(k))
     # multiplicity vectors: one field per factor, a guard bit above each
     fields, guard, shift = [], 0, 0
@@ -229,22 +227,14 @@ def _zx_divisors(f, budgets):
             if v & mask != full:
                 stack.append((v + one, G * F, k))
     top = sum(full for _, full, _, _ in fields)
-    return {
-        v: _decode(G, size, n, f.semiring, f.monoid)
-        for v, G in inside.items()
-        if top - v in inside
-    }, guard
-
-
-def _decode(G, size, n, S, M):
-    """The polynomial whose coefficients are the ``size``-byte slots 0..n of G."""
-    raw = G.to_bytes(size * (n + 1), "little")
-    if size in _WORD and not _SWAP:
-        cs = array(_WORD[size], raw)
-    else:
-        cs = [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
-    nums = [k for k in range(n, -1, -1) if cs[k]]
-    return PolyExpr(S, M, tuple(nums), tuple(cs[k] for k in nums))
+    S, M = f.semiring, f.monoid
+    out = {}
+    for v, G in inside.items():
+        if top - v in inside:
+            cs = slots.unpack(G, n + 1)
+            nums = [k for k in range(n, -1, -1) if cs[k]]
+            out[v] = PolyExpr(S, M, tuple(nums), tuple(cs[k] for k in nums))
+    return out, guard
 
 
 def _at_one(S, coeffs):

@@ -12,13 +12,14 @@ subset or its complement, whichever has at most half the degree, and prunes
 it by its trailing coefficient and its value at 1 before exact trial
 division.  All arithmetic is on integers, no rationals: divisions are
 pseudo-divisions, exact divisions, or divisions modulo p^k by a monic or
-invertible leading coefficient.  Long products use Kronecker substitution.
-Every factorization is re-multiplied before it is returned.
+invertible leading coefficient.  Every factorization is re-multiplied
+before it is returned.
 
 Arithmetic modulo a fixed monic polynomial runs on a packed kernel
 (``_Ring``): a polynomial is one int with a fixed-width slot per
-coefficient, a product is one big-integer product, and a remainder takes
-two more from the precomputed reversed inverse of the modulus.  Distinct-
+coefficient (the ``_Slots`` codec, which the engine's divisor walk shares),
+a product is one big-integer product, and a remainder takes two more from
+the precomputed reversed inverse of the modulus.  Distinct-
 degree factorization steps by one p-th power per degree, and equal-degree
 splitting takes one power a^((p^d-1)/2) per draw for odd p (Cantor and
 Zassenhaus, Math. Comp. 1981); each Hensel step divides by the monic
@@ -67,38 +68,12 @@ def _sub(a, b):
 def _mul(a, b):
     if not a or not b:
         return []
-    if len(a) * len(b) >= _KRONECKER_MIN_TERMS:
-        return _mul_kronecker(a, b)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _trim(out)
-
-
-# Below this many coefficient products the schoolbook loop is faster than
-# packing and unpacking (both about 20 us at 10 x 10 terms on CPython 3.11).
-_KRONECKER_MIN_TERMS = 100
-
-
-def _mul_kronecker(a, b):
-    """Kronecker substitution: evaluate both at 2^k, one big-integer
-    product, read the product's coefficients back as signed k-bit digits."""
-    n = len(a) + len(b) - 1
-    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-    kb = bound.bit_length() // 8 + 1  # bytes per digit, one bit to spare for the sign
-    k = 8 * kb
-    A = B = 0
-    for c in reversed(a):
-        A = (A << k) + c
-    for c in reversed(b):
-        B = (B << k) + c
-    # adding 2^(k-1) to every digit makes them all nonnegative
-    half = 1 << (k - 1)
-    halves = int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")
-    raw = (A * B + halves).to_bytes(kb * n, "little")
-    return _trim([int.from_bytes(raw[i:i + kb], "little") - half for i in range(0, kb * n, kb)])
 
 
 def _scale(a, k):
@@ -313,40 +288,18 @@ _SWAP = sys.byteorder == "big"  # packed ints are little-endian slot arrays
 _WORD = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-class _Ring:
-    """Z/m[x] modulo a monic f of degree n (coefficients in [0, m)).
+class _Slots:
+    """Packed polynomials with nonnegative coefficients below ``bound``:
+    ``size``-byte slots, read back as machine words (array ``code``) when
+    that is 1, 2, 4 or 8 bytes."""
 
-    Elements are packed polynomials of degree < n.  ``divmod`` takes packed
-    dividends of degree < n + qdeg + 1 whose slots stay below ``digit`` (by
-    default: products of two elements); the slots also hold any coefficient
-    below ``bound``, for the caller's own products."""
+    __slots__ = ("size", "code", "bits")
 
-    __slots__ = ("m", "n", "qdeg", "size", "code", "bits", "f", "g", "off")
-
-    def __init__(self, f, m, qdeg=None, digit=None, bound=0):
-        n = len(f) - 1
-        self.m, self.n = m, n
-        self.qdeg = qdeg = max(n - 2, 0) if qdeg is None else qdeg
-        digit = n * m * m if digit is None else digit
-        # the widest slots: the dividend's top times g, and a remainder
-        # before its reduction (dividend plus offset); slots of 1, 2, 4 or 8
-        # bytes are read back as machine words
-        bound = max((qdeg + 1) * digit * m, digit + 2 * n * m * m, bound)
+    def __init__(self, bound):
         size = (bound.bit_length() + 7) // 8
         self.size = size = 1 << (size - 1).bit_length() if size <= 8 else size
         self.code = _WORD.get(size)
         self.bits = 8 * size
-        # g = rev(inv) = x^(n+qdeg) div f, with inv = 1/rev(f) mod x^(qdeg+1):
-        # inv[i] = -(rev(f)[1] inv[i-1] + ... + rev(f)[n] inv[i-n]), built
-        # from the top: g = [inv[i-1], ..., inv[0]] at step i
-        back = f[n - 1::-1] if n else []
-        g = [1]
-        for _ in range(qdeg):
-            g.insert(0, -sum(map(operator.mul, back, g)) % m)
-        self.f = self.pack(f[:n])
-        self.g = self.pack(g)
-        # a multiple of m in every slot, above any coefficient of q * f
-        self.off = self.pack([n * m * m] * n)
 
     def pack(self, c):
         """One int from nonnegative coefficients below the slot bound."""
@@ -367,6 +320,37 @@ class _Ring:
             return a
         size = self.size
         return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+
+
+class _Ring(_Slots):
+    """Z/m[x] modulo a monic f of degree n (coefficients in [0, m)).
+
+    Elements are packed polynomials of degree < n.  ``divmod`` takes packed
+    dividends of degree < n + qdeg + 1 whose slots stay below ``digit`` (by
+    default: products of two elements); the slots also hold any coefficient
+    below ``bound``, for the caller's own products."""
+
+    __slots__ = ("m", "n", "qdeg", "f", "g", "off")
+
+    def __init__(self, f, m, qdeg=None, digit=None, bound=0):
+        n = len(f) - 1
+        self.m, self.n = m, n
+        self.qdeg = qdeg = max(n - 2, 0) if qdeg is None else qdeg
+        digit = n * m * m if digit is None else digit
+        # the widest slots: the dividend's top times g, and a remainder
+        # before its reduction (dividend plus offset)
+        super().__init__(max((qdeg + 1) * digit * m, digit + 2 * n * m * m, bound))
+        # g = rev(inv) = x^(n+qdeg) div f, with inv = 1/rev(f) mod x^(qdeg+1):
+        # inv[i] = -(rev(f)[1] inv[i-1] + ... + rev(f)[n] inv[i-n]), built
+        # from the top: g = [inv[i-1], ..., inv[0]] at step i
+        back = f[n - 1::-1] if n else []
+        g = [1]
+        for _ in range(qdeg):
+            g.insert(0, -sum(map(operator.mul, back, g)) % m)
+        self.f = self.pack(f[:n])
+        self.g = self.pack(g)
+        # a multiple of m in every slot, above any coefficient of q * f
+        self.off = self.pack([n * m * m] * n)
 
     def reduce(self, X, count=None):
         """Coefficients of X reduced mod m: the first n, or ``count``."""

@@ -24,6 +24,7 @@ may leave the semiring, must vanish.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,10 +79,6 @@ class PolyExpr:
     @classmethod
     def one(cls, semiring, monoid):
         return cls.from_terms(semiring, monoid, [(0, semiring.one)])
-
-    @classmethod
-    def monomial(cls, semiring, monoid, coeff, exp):
-        return cls.from_terms(semiring, monoid, [(exp, coeff)])
 
     # inspection ----------------------------------------------------------
 
@@ -245,6 +242,10 @@ def ambient_exact_div(f: PolyExpr, g: PolyExpr):
 # Whitespace is insignificant.
 
 
+# ASCII only: str.isdigit and int() also take e.g. '²' and '٣'
+_DIGITS = re.compile("[0-9]+")
+
+
 class _Scanner:
     def __init__(self, text):
         self.text = text
@@ -269,11 +270,15 @@ class _Scanner:
     def read_int(self):
         self.skip()
         start = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
-            self.i += 1
-        if self.i == start:
+        digits = _DIGITS.match(self.text, start)
+        if not digits:
             raise ParseError("expected a decimal integer", start)
-        return int(self.text[start:self.i])
+        self.i = digits.end()
+        try:
+            return int(digits[0])
+        except ValueError:  # longer than the interpreter's int-string limit
+            n = self.i - start
+            raise ParseError(f"integer literal of {n} digits is too long", start) from None
 
     def read_rational(self):
         num = self.read_int()
@@ -309,7 +314,7 @@ def parse(text: str, semiring: CoeffSemiring, monoid: ExpMonoid) -> PolyExpr:
 def _parse_term(sc: _Scanner, semiring):
     ch = sc.peek()
     coeff = None
-    if ch.isdigit():
+    if "0" <= ch <= "9":
         coeff = semiring.from_int(sc.read_int())
     elif ch == "(":
         if not isinstance(semiring, Quad):

@@ -219,6 +219,16 @@ class TestVerifyAndSweep:
         doc = json.loads(target.read_text())
         assert doc["results"][0]["status"] == "pass"
 
+    @pytest.mark.parametrize("target, is_dir", [("missing/report.json", False), ("report", True)])
+    def test_unwritable_out_is_one_usage_error(self, capsys, tmp_path, target, is_dir):
+        # a missing directory, and an existing directory in place of a file
+        path = tmp_path / target
+        if is_dir:
+            path.mkdir()
+        err = run_usage_error(capsys, "poly", "divisors", "x+1", "--out", str(path))
+        assert err.startswith(f"error[usage]: cannot write {path}: ")
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_sweep_csv(self, capsys):
         code, out, err = run(
             capsys, "sweep", "elasticity", "--n", "2", "--k", "1,2", "--output", "csv"
@@ -257,6 +267,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "poly", "lengths", "(x+2)*(x+2)")
         assert code == 1
         assert err.startswith("error[usage]")
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("x^²", "expected a decimal integer (at position 2)"),
+            ("²x+1", "expected a term, found '²' (at position 0)"),
+            ("x^٣", "expected a decimal integer (at position 2)"),
+            ("1" + "0" * 5000, "integer literal of 5001 digits is too long (at position 0)"),
+            ("x^1" + "0" * 5000, "integer literal of 5001 digits is too long (at position 2)"),
+        ],
+        ids=["superscript-exp", "superscript-coeff", "arabic-indic-exp", "long-coeff", "long-exp"],
+    )
+    def test_malformed_literal(self, capsys, expr, message):
+        err = run_usage_error(capsys, "poly", "divisors", expr)
+        assert err == f"error[usage]: {message}\n"
 
     def test_bad_radicand(self, capsys):
         code, out, err = run(capsys, "poly", "lengths", "--coeffs", "quad:4", "x")

@@ -49,10 +49,11 @@ exponents = st.one_of(
     st.integers(0, 10**6).map(str),
     st.tuples(st.integers(0, 10**6), st.integers(1, 12)).map(lambda t: f"{{{t[0]}/{t[1]}}}"),
 )
+LONG = "1" + "0" * 5000  # above Python's default 4300-digit int-string limit
 terms = st.tuples(st.integers(0, 10**6), exponents).map(lambda t: f"{t[0]}x^{t[1]}")
 expressions = st.one_of(
     st.lists(terms, min_size=1, max_size=3).map("+".join),
-    st.sampled_from(["0", "x^", "x+", "(1,2)x", "2*x"]),
+    st.sampled_from(["0", "x^", "x+", "(1,2)x", "2*x", "x^²", "²x+1", "x^٣", LONG, f"x^{LONG}"]),
 )
 
 

@@ -496,42 +496,51 @@ class TestModularDivision:
             assert all(x % p == 0 for x in diff), (a, b, p)
 
 
+def check_against_sympy(f, degree_limit):
+    """factor_int_poly(f) has sympy's factors, multiplicities and unit."""
+    sympy = pytest.importorskip("sympy")
+    fac = factor_int_poly(IntPoly.of(f), degree_limit=degree_limit)
+    unit = fac.sign
+    for q in fac.content:
+        unit *= q
+    got = {p.coeffs: m for p, m in fac.factors}
+
+    const, pairs = sympy.Poly(list(reversed(f)), sympy.Symbol("y")).factor_list()
+    want = {}
+    want_unit = int(const)
+    for poly, mult in pairs:
+        coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+        # (sign, primitive coefficients with positive leading one)
+        prim = math_gcd_content(IntPoly.of(coeffs))
+        sign = 1 if prim.coeffs[-1] * coeffs[-1] > 0 else -1
+        want_unit *= (sign * (coeffs[-1] // prim.coeffs[-1])) ** mult
+        want[prim.coeffs] = want.get(prim.coeffs, 0) + mult
+    assert got == want, f
+    assert unit == want_unit, f
+
+
+def random_cubic(rng):
+    return [rng.randint(-4, 4) for _ in range(3)] + [rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])]
+
+
 class TestSympyCrossCheck:
     def test_products_of_cubics(self):
-        sympy = pytest.importorskip("sympy")
-        y = sympy.Symbol("y")
         rng = random.Random(54)
-
-        def normal(coeffs):
-            """(sign, primitive coefficients with positive leading one)."""
-            poly = math_gcd_content(IntPoly.of(coeffs))
-            sign = 1 if poly.coeffs[-1] * coeffs[-1] > 0 else -1
-            return sign * (coeffs[-1] // poly.coeffs[-1]), poly.coeffs
-
         for _ in range(40):
-            pool = [
-                [rng.randint(-4, 4) for _ in range(3)] + [rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])]
-                for _ in range(rng.randint(3, 6))
-            ]
+            pool = [random_cubic(rng) for _ in range(rng.randint(3, 6))]
             cubics = pool + [rng.choice(pool) for _ in range(rng.randint(5, 9) - len(pool))]
             f = [1]
             for c in cubics:
                 f = _mul(f, c)
-            fac = factor_int_poly(IntPoly.of(f), degree_limit=27)
-            unit = fac.sign
-            for q in fac.content:
-                unit *= q
-            got = {p.coeffs: m for p, m in fac.factors}
+            check_against_sympy(f, 27)
 
-            const, pairs = sympy.Poly(list(reversed(f)), y).factor_list()
-            want = {}
-            want_unit = int(const)
-            for poly, mult in pairs:
-                scale, coeffs = normal([int(c) for c in reversed(poly.all_coeffs())])
-                want_unit *= scale**mult
-                want[coeffs] = want.get(coeffs, 0) + mult
-            assert got == want, f
-            assert unit == want_unit, f
+    def test_product_of_thirty_cubics(self):
+        # degree 90: long products and many modular factors to recombine
+        rng = random.Random(56)
+        f = [1]
+        for _ in range(30):
+            f = _mul(f, random_cubic(rng))
+        check_against_sympy(f, 100)
 
     def test_half_degree_factor_with_large_coefficients(self):
         # the lifting precision only covers factors of degree <= n/2; here
