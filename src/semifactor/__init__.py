@@ -1,7 +1,7 @@
 """Exact factorization invariants for polynomial expressions with
 nonnegative coefficients and rational exponents."""
 
-from .coeff import Nat, Quad, semiring_from_literal
+from .coeff import Nat, Quad
 from .engine import (
     CertificateReport,
     DivisorSet,
@@ -26,8 +26,9 @@ from .errors import (
     UsageError,
 )
 from .intfactor import IntFactorization, IntPoly, factor_int_poly, squarefree_decompose
-from .monoid import ExpElem, ExpMonoid, make_monoid, monoid_from_literal, nat_monoid
+from .monoid import ExpElem, ExpMonoid, make_monoid, nat_monoid
 from .polyexpr import PolyExpr, ambient_exact_div, format_poly, inspect, parse
+from .polyexpr import monoid_from_literal, semiring_from_literal
 
 __all__ = [
     "Budgets",

@@ -13,12 +13,10 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
-from fractions import Fraction
 
 from . import engine, paperlab
-from .coeff import semiring_from_literal
-from .errors import BudgetError, Budgets, DomainError, InternalError, UsageError
-from .monoid import monoid_from_literal
+from .errors import BudgetError, Budgets, DomainError, InternalError, ParseError, UsageError
+from .polyexpr import monoid_from_literal, read_number, semiring_from_literal
 from .polyexpr import parse as parse_poly
 
 
@@ -27,21 +25,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text):
-    try:
-        n = int(text)
-        if n > 0:
-            return n
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"want a positive integer, got {text!r}")
+def _number(want, least=0, rational=False):
+    """An argparse ``type``: the whole argument read by ``read_number``,
+    at least ``least``; else the usage error ``want`` naming the text."""
+
+    def convert(text):
+        with contextlib.suppress(ParseError):
+            if (q := read_number(text, rational)) >= least:
+                return q
+        raise argparse.ArgumentTypeError(want.format(text))
+
+    return convert
 
 
-def _rational(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+_positive_int = _number("want a positive integer, got {!r}", least=1)
+_nonnegative_int = _number("want a nonnegative integer, got {!r}")
+_rational = _number("not a rational number: {!r}", rational=True)
 
 
 def _report_flags(p):
@@ -101,9 +100,9 @@ def build_parser():
         p.add_argument("expr")
     fam = poly_sub.add_parser("expand-family")
     _common_flags(fam)
-    fam.add_argument("--n", type=int, required=True)
-    fam.add_argument("--m", type=int, default=None, help="defaults to n")
-    fam.add_argument("--k", type=int, default=0)
+    fam.add_argument("--n", type=_nonnegative_int, required=True)
+    fam.add_argument("--m", type=_nonnegative_int, default=None, help="defaults to n")
+    fam.add_argument("--k", type=_nonnegative_int, default=0)
 
     mon = sub.add_parser("monoid", help="operations on exponent monoids")
     mon_sub = mon.add_subparsers(dest="op", required=True)
@@ -151,7 +150,7 @@ def _strategy(args):
     return {"auto": "auto", "oracle": "oracle", "zx": "zx_fastpath"}[args.strategy]
 
 
-def _frac(q: Fraction) -> str:
+def _frac(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -255,9 +254,9 @@ def _run_verify(args):
 def _run_sweep(args):
     b = _budgets(args)
     try:
-        n_values = [int(v) for v in args.n.split(",")]
-        k_values = [int(v) for v in args.k.split(",")]
-    except ValueError:
+        n_values = [read_number(v) for v in args.n.split(",")]
+        k_values = [read_number(v) for v in args.k.split(",")]
+    except ParseError:
         raise UsageError("--n and --k take comma-separated integers") from None
     rows = paperlab.elasticity_sweep(n_values, k_values, b)
     if args.output == "csv":

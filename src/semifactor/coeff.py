@@ -9,7 +9,7 @@ ring operation that leaves S, ``sub``; ``exact_div`` divides a ring value by
 a semiring value and answers only with a quotient back in S.
 
 All functions are pure; semiring objects are frozen and safe to share
-between threads.
+between threads.  ``polyexpr`` reads the ``quad:<d>`` literal.
 """
 from __future__ import annotations
 
@@ -530,16 +530,3 @@ class Quad(CoeffSemiring):
 
     def literal(self):
         return f"quad:{self.d}"
-
-
-def semiring_from_literal(text: str) -> CoeffSemiring:
-    """Parse "nat" or "quad:<d>" into a semiring object."""
-    if text == "nat":
-        return Nat()
-    if text.startswith("quad:"):
-        try:
-            d = int(text[5:])
-        except ValueError:
-            raise UsageError(f"bad quadratic radicand in {text!r}") from None
-        return Quad(d)
-    raise UsageError(f"unknown coefficient semiring literal {text!r} (want nat or quad:<d>)")

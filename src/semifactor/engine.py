@@ -374,21 +374,23 @@ def monolithic_decompose(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Bu
 
 def _visit_order(lat: _Lattice):
     """The positions with every proper divisor first.  zx: by packed vector,
-    which grows with every entry.  Oracle: by degree, then by the value at
-    1 as the real number b + c*sqrt(d): if g = h*q with q not 1, either
-    deg q > 0 or q is a constant above 1 (1 is the semiring's only unit)."""
+    which grows with every entry.  Oracle: by degree, then ``_value_key``
+    (a proper divisor has a lower degree or a constant cofactor)."""
     if lat.vecs is not None:
         return sorted(range(len(lat.vecs)), key=lat.vecs.__getitem__)
     S = lat.ordered[0].semiring
-    keys = [(g.nums[0], v if type(v) is tuple else (v, 0)) for g, v in zip(lat.ordered, lat.ones)]
+    keys = [(g.nums[0], _value_key(S, v)) for g, v in zip(lat.ordered, lat.ones)]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
-    def cmp(i, j):
-        (di, (bi, ci)), (dj, (bj, cj)) = keys[i], keys[j]
-        x, y = bi - bj, ci - cj
-        # sign of x + y*sqrt(d): that of x + y if x*y >= 0, else sign(x)*sign(x^2 - d*y^2)
-        return di - dj or (x + y if x * y >= 0 else (x * x - S.d * y * y) * x)
 
-    return sorted(range(len(keys)), key=functools.cmp_to_key(cmp))
+def _value_key(S, v):
+    """floor(4v) for the value v = g(1) = b + c*sqrt(d) over quad, v itself
+    over nat.  If g = h*q with q a constant other than 1 (the only unit),
+    then q(1) >= sqrt(2) and h(1) >= 1, so 4v grows by at least 1.66."""
+    if type(v) is not tuple:
+        return v
+    b, c = v
+    return 4 * b + isqrt(16 * S.d * c * c)
 
 
 def _atoms_within(lat: _Lattice):
@@ -476,11 +478,12 @@ def atomic_certificate(
 ) -> CertificateReport:
     """Per-part check that coefficient and exponent lists admit maximal
     common divisors, over some monolithic decomposition of f."""
+    budgets = budgets or DEFAULT_BUDGETS
     parts = monolithic_decompose(f, strategy, budgets)
     per = []
     for part in parts:
         cm = frozenset(part.semiring.mcd_set(part.coeffs))
-        em = part.monoid.mcd(e for e, _ in part.terms)
+        em = part.monoid.mcd((e for e, _ in part.terms), budgets.knapsack_nodes)
         per.append(PartCertificate(part, cm, em, bool(cm) and bool(em)))
     return CertificateReport(
         target=f,

@@ -91,18 +91,11 @@ def _eval(a, x):
     return out
 
 
-def _content(a):
-    g = 0
-    for x in a:
-        g = math.gcd(g, x)
-    return g
-
-
 def _primitive(a):
     """(content, primitive part with positive leading coefficient)."""
     if not a:
         return 0, []
-    g = _content(a)
+    g = math.gcd(*a)
     if a[-1] < 0:
         g = -g
     return g, [x // g for x in a]

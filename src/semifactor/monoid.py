@@ -20,7 +20,8 @@ one minimizes w.  For each class the table keeps the lexicographically
 least pair (w, r) over the sums r of the other minimal generators in that
 class; then L(n) = (n - w)/a exactly when n >= r.  Below that threshold
 (r <= (a - 1) * max generator, independent of n) a DP up to n answers,
-its n + 1 cells counted against a node budget.
+its n + 1 cells counted against a node budget.  ``polyexpr`` reads the
+``gens:`` literal.
 """
 from __future__ import annotations
 
@@ -79,12 +80,6 @@ def _least_sums(a: int, steps, table: str) -> list:
     return dist
 
 
-def _apery_table(gens: tuple[int, ...]) -> tuple[int, list]:
-    """Least monoid element in each residue class mod min(gens); None = empty class."""
-    a = min(gens)
-    return a, _least_sums(a, gens, "Apery")
-
-
 def _length_table(gens: tuple[int, ...]) -> list:
     """Per residue class mod a = min(gens): the lexicographically least
     (w, r) over sums r of the other generators in that class, where
@@ -113,7 +108,8 @@ class ExpMonoid:
             raise UsageError("monoid needs a positive denominator and positive integer generators")
         self.denom = denom
         self.gens = gens
-        self._amin, self._apery = _apery_table(tuple(gens))
+        self._amin = min(gens)
+        self._apery = _least_sums(self._amin, gens, "Apery")
         # g is an atom exactly when no smaller generator h leaves a member
         # g - h: a sum of two or more generators equal to g has only smaller parts
         self.min_gens = frozenset(
@@ -315,19 +311,3 @@ def make_monoid(rational_gens) -> ExpMonoid:
 
 def nat_monoid() -> ExpMonoid:
     return make_monoid([1])
-
-
-def monoid_from_literal(text: str) -> ExpMonoid:
-    """Parse "nat" or "gens:q1,q2,..." into an ExpMonoid."""
-    if text == "nat":
-        return nat_monoid()
-    if text.startswith("gens:"):
-        body = text[5:]
-        try:
-            fracs = [Fraction(part) for part in body.split(",") if part != ""]
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"bad generator list in {text!r}") from None
-        if not fracs:
-            raise UsageError(f"empty generator list in {text!r}")
-        return make_monoid(fracs)
-    raise UsageError(f"unknown monoid literal {text!r} (want nat or gens:q1,q2,...)")

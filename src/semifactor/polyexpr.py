@@ -21,6 +21,9 @@ exponents into integers.  Each quotient term is final once computed, so the
 division stops with no quotient at the first term whose coefficient is not
 in the semiring or whose exponent is not in the monoid; the remainder, which
 may leave the semiring, must vanish.
+
+All text is read here, by one scanner: expressions, the context literals
+and, through ``read_number``, every number on the command line.
 """
 from __future__ import annotations
 
@@ -28,9 +31,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import CoeffSemiring, Quad
+from .coeff import CoeffSemiring, Nat, Quad
 from .errors import DomainError, ExponentNotInMonoidError, ParseError, UsageError
-from .monoid import ExpElem, ExpMonoid
+from .monoid import ExpElem, ExpMonoid, make_monoid, nat_monoid
 
 
 @dataclass(frozen=True)
@@ -234,10 +237,12 @@ def ambient_exact_div(f: PolyExpr, g: PolyExpr):
 # text form ---------------------------------------------------------------
 #
 #   poly  := term ('+' term)*
-#   term  := coeff ['*'] [xpart] | xpart
+#   term  := coeff [['*'] xpart] | xpart
 #   coeff := decimal-integer | '(' int ',' int ')'     (pairs only for quad)
 #   xpart := 'x' ['^' exp]
 #   exp   := int ['/' int] | '{' int ['/' int] '}'
+#   coeffs := 'nat' | 'quad:' int
+#   monoid := 'nat' | 'gens:' int ['/' int] (',' int ['/' int])*
 #
 # Whitespace is insignificant.
 
@@ -291,6 +296,41 @@ class _Scanner:
         return Fraction(num)
 
 
+def read_number(text: str, rational=False):
+    """The whole of ``text`` as an int, or with ``rational`` an int or int/int; else ParseError."""
+    sc = _Scanner(text)
+    q = sc.read_rational() if rational else sc.read_int()
+    if not sc.at_end():
+        raise ParseError("expected the end of the number", sc.i)
+    return q
+
+
+def semiring_from_literal(text: str) -> CoeffSemiring:
+    """Parse "nat" or "quad:<d>" into a semiring object."""
+    if text == "nat":
+        return Nat()
+    if text.startswith("quad:"):
+        try:
+            d = read_number(text[5:])
+        except ParseError:
+            raise UsageError(f"bad quadratic radicand in {text!r}") from None
+        return Quad(d)
+    raise UsageError(f"unknown coefficient semiring literal {text!r} (want nat or quad:<d>)")
+
+
+def monoid_from_literal(text: str) -> ExpMonoid:
+    """Parse "nat" or "gens:q1,q2,..." into an ExpMonoid."""
+    if text == "nat":
+        return nat_monoid()
+    if text.startswith("gens:"):
+        try:
+            gens = [read_number(part, rational=True) for part in text[5:].split(",")]
+        except ParseError:
+            raise UsageError(f"bad generator list in {text!r}") from None
+        return make_monoid(gens)
+    raise UsageError(f"unknown monoid literal {text!r} (want nat or gens:q1,q2,...)")
+
+
 def parse(text: str, semiring: CoeffSemiring, monoid: ExpMonoid) -> PolyExpr:
     sc = _Scanner(text)
     if sc.at_end():
@@ -328,23 +368,16 @@ def _parse_term(sc: _Scanner, semiring):
     if coeff is not None:
         if sc.peek() == "*":
             sc.i += 1
-            exp = _parse_xpart(sc, required=True)
-        elif sc.peek() == "x":
-            exp = _parse_xpart(sc, required=True)
-        else:
-            exp = Fraction(0)
-        return (exp, coeff)
+        elif sc.peek() != "x":
+            return (Fraction(0), coeff)
+        return (_parse_xpart(sc), coeff)
     if ch == "x":
-        return (_parse_xpart(sc, required=True), semiring.one)
+        return (_parse_xpart(sc), semiring.one)
     raise ParseError(f"expected a term, found {ch!r}" if ch else "expected a term", sc.i)
 
 
-def _parse_xpart(sc: _Scanner, required):
-    if sc.peek() != "x":
-        if required:
-            raise ParseError("expected 'x'", sc.i)
-        return Fraction(0)
-    sc.i += 1
+def _parse_xpart(sc: _Scanner):
+    sc.take("x")
     if sc.peek() != "^":
         return Fraction(1)
     sc.i += 1

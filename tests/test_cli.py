@@ -348,6 +348,36 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["monoid", "member", "٣"],
+            ["monoid", "member", "1.5"],
+            ["monoid", "atoms", "--monoid", "gens:٣,5"],
+            ["monoid", "atoms", "--monoid", "gens:0.5,0.75"],
+            ["monoid", "atoms", "--monoid", "gens:2,,3"],
+            ["poly", "divisors", "--coeffs", "quad:٦", "x+1"],
+            ["poly", "divisors", "--z-budget", "٥", "x+1"],
+            ["poly", "divisors", "--oracle-budget", "1_000", "x+1"],
+            ["poly", "divisors", "--degree-limit", "+5", "x+1"],
+            ["poly", "expand-family", "--n", "٢"],
+            ["sweep", "elasticity", "--n", "٢", "--k", "1"],
+            ["monoid", "mcd", "--monoid", "gens:2,3", "4", "1_0"],
+        ],
+    )
+    def test_numbers_follow_the_expression_grammar(self, capsys, argv):
+        # int() and Fraction() once took these: other Unicode digits,
+        # decimals, underscores, a sign, an empty generator
+        run_usage_error(capsys, *argv)
+
+    def test_certify_spends_the_knapsack_budget(self, capsys):
+        # the exponent mcd of x^12+x^10 over <5,7> tries 11 candidates
+        argv = ["poly", "certify", "--monoid", "gens:5,7", "x^12+x^10"]
+        code, out, err = run(capsys, *argv, "--knapsack-budget", "1")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error[budget]: "), err
+        assert run_json(capsys, *argv)["passes"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["verify", "paper", "--coeffs", "quad:6"],
             ["verify", "paper", "--strategy", "oracle"],
             ["sweep", "elasticity", "--n", "2", "--k", "1", "--monoid", "gens:2,3"],

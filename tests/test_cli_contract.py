@@ -24,14 +24,17 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from semifactor import paperlab  # noqa: E402
 from semifactor.cli import main  # noqa: E402
 
+# number forms that int() or Fraction() take but the expression grammar does not
+NON_GRAMMAR = ["٣", "1.5", "1_0", "+5"]
 rationals = st.one_of(
     st.integers(0, 10**6).map(str),
     st.tuples(st.integers(0, 10**6), st.integers(1, 12)).map(lambda t: f"{t[0]}/{t[1]}"),
-    st.sampled_from(["-3", "1/0", "abc", ""]),
+    st.sampled_from(["-3", "1/0", "abc", "", *NON_GRAMMAR]),
 )
 generators = st.one_of(
     st.integers(1, 1000).map(str),
     st.tuples(st.integers(1, 1000), st.integers(1, 12)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["", *NON_GRAMMAR]),
 )
 monoid_literals = st.one_of(
     st.just("nat"),
@@ -41,7 +44,7 @@ monoid_literals = st.one_of(
 budget_flags = st.lists(
     st.tuples(
         st.sampled_from(["--knapsack-budget", "--z-budget", "--oracle-budget", "--degree-limit"]),
-        st.integers(1, 2000).map(str),
+        st.one_of(st.integers(1, 2000).map(str), st.sampled_from(NON_GRAMMAR)),
     ),
     max_size=2,
 ).map(lambda pairs: [x for pair in pairs for x in pair])
@@ -111,7 +114,7 @@ poly_monoids = st.one_of(
 node_budget_flags = st.lists(
     st.tuples(
         st.sampled_from(["--knapsack-budget", "--z-budget", "--oracle-budget"]),
-        st.integers(1, 20000).map(str),
+        st.one_of(st.integers(1, 20000).map(str), st.sampled_from(NON_GRAMMAR)),
     ),
     max_size=2,
 ).map(lambda pairs: [x for pair in pairs for x in pair])
@@ -133,7 +136,10 @@ def poly_argvs(draw):
     ]
 
 
-family_values = st.one_of(st.integers(-3, 30), st.integers(-(10**6), 10**6)).map(str)
+family_values = st.one_of(
+    st.one_of(st.integers(-3, 30), st.integers(-(10**6), 10**6)).map(str),
+    st.sampled_from(NON_GRAMMAR),
+)
 
 
 @st.composite
@@ -158,7 +164,7 @@ sweep_values = st.one_of(
     st.lists(st.one_of(st.integers(-2, 12), st.integers(13, 10**6)), min_size=1, max_size=3).map(
         lambda vs: ",".join(map(str, vs))
     ),
-    st.sampled_from(["", "a", "2,,3", "1.5", "2;3", " 2"]),
+    st.sampled_from(["", "a", "2,,3", "2;3", " 2", *NON_GRAMMAR]),
 )
 
 

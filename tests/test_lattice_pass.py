@@ -4,7 +4,7 @@ elasticity) against the pairwise atom definition and the materialised
 Z(f).  hypothesis and sympy are test-only dependencies."""
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
@@ -153,6 +153,22 @@ def test_quad_visit_order_is_by_real_value():
     ]
     assert [str(lat.ordered[i]) for i in engine._atoms_within(lat)] == ["(0,1)", "(5,1)"]
     assert sf.length_profile(f) == (frozenset({2}), Fraction(1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_quad_value_key_grows_under_every_nonunit_constant(d):
+    # every nonzero h and every constant q other than 0 and 1, components <= 12
+    S = sf.Quad(d)
+    values = [v for v in product(range(13), repeat=2) if v != (0, 0)]
+    nonunits = [q for q in values if q != (1, 0)]
+
+    def grows(key):
+        return all(key(h) < key(S._mul(h, q)) for h in values for q in nonunits)
+
+    assert grows(lambda v: engine._value_key(S, v))
+    # floor(v) would not do: over quad:2, 2 and 2*sqrt(2) both floor to 2
+    if d == 2:
+        assert not grows(lambda v: v[0] + isqrt(d * v[1] * v[1]))
 
 
 def test_lengths_spend_no_z_budget():
