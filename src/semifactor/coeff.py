@@ -8,6 +8,10 @@ semiring object carries the arithmetic, the divisibility theory and the one
 ring operation that leaves S, ``sub``; ``exact_div`` divides a ring value by
 a semiring value and answers only with a quotient back in S.
 
+Each public operation is written once, in ``CoeffSemiring``: it checks its
+arguments once and calls the semiring's ``_``-kernel, which takes canonical
+values unchecked; library code holding canonical values calls the kernels.
+
 All functions are pure; semiring objects are frozen and safe to share
 between threads.  ``polyexpr`` reads the ``quad:<d>`` literal.
 """
@@ -233,18 +237,24 @@ class CoeffSemiring:
     def divisors_of(self, a, budget=None):
         """All divisors of a nonzero a; a search that tries candidates
         counts them against budget first (default: the oracle budget)."""
-        raise NotImplementedError
+        if self.validate(a) == self.zero:
+            raise DomainError("0 has no divisor set")
+        return self._divisors_of(a, budget)
 
     def exact_div(self, a, b):
         """The q in the semiring with q*b == a, or None.
 
         b is a nonzero semiring value; a may be any value of the ambient ring.
         """
-        raise NotImplementedError
+        if self.validate(b) == self.zero:
+            raise DomainError("division by 0")
+        return self._exact_div(a, b)
 
     def atom_factorizations(self, a):
         """Complete set of atom multisets with product a, as sorted tuples."""
-        raise NotImplementedError
+        if self.validate(a) in (self.zero, self.one):
+            raise DomainError(f"{self.render(a)} has no factorization into atoms")
+        return self._atom_factorizations(a)
 
     def mcd_set(self, vals):
         """All maximal common divisors of a nonempty list of nonzero values.
@@ -253,10 +263,18 @@ class CoeffSemiring:
         no other common divisor is a proper multiple of d.  Equivalently the
         quotients vals/d admit no common non-unit divisor.
         """
-        raise NotImplementedError
+        vals = list(vals)
+        if not vals:
+            raise UsageError("mcd of an empty list")
+        for v in vals:
+            if self.validate(v) == self.zero:
+                raise DomainError("mcd undefined when 0 is among the values")
+        return self._mcd_set(vals)
 
     def length(self, a):
-        raise NotImplementedError
+        if self.validate(a) == self.zero:
+            raise DomainError("length undefined at 0")
+        return self._length(a)
 
     def render(self, v):
         raise NotImplementedError
@@ -298,47 +316,28 @@ class Nat(CoeffSemiring):
     def sub(self, a, b):
         return a - b
 
-    def divisors_of(self, a, budget=None):
+    def _divisors_of(self, a, budget):
         # built from the prime factorization, which has its own budget
-        self.validate(a)
-        if a == 0:
-            raise DomainError("0 has no divisor set")
         divs = [1]
         for q, e in Counter(prime_factors(a)).items():
             divs = [d * q**i for d in divs for i in range(e + 1)]
         return set(divs)
 
-    def exact_div(self, a, b):
-        self.validate(b)
-        if b == 0:
-            raise DomainError("division by 0")
+    def _exact_div(self, a, b):
         q, r = divmod(a, b)
         return q if r == 0 and q >= 0 else None
 
-    def atom_factorizations(self, a):
-        self.validate(a)
-        if a in (0, 1):
-            raise DomainError(f"{a} has no factorization into atoms")
+    def _atom_factorizations(self, a):
         return frozenset({tuple(prime_factors(a))})
 
-    def mcd_set(self, vals):
-        vals = list(vals)
-        if not vals:
-            raise UsageError("mcd of an empty list")
-        for v in vals:
-            self.validate(v)
-            if v == 0:
-                raise DomainError("mcd undefined when 0 is among the values")
-        return {math.gcd(*vals)} if len(vals) > 1 else {vals[0]}
+    def _mcd_set(self, vals):
+        return {math.gcd(*vals)}
 
-    def length(self, a):
-        self.validate(a)
-        if a == 0:
-            raise DomainError("length undefined at 0")
-        return len(prime_factors(a)) if a > 1 else 0
+    def _length(self, a):
+        return len(prime_factors(a))
 
     def render(self, v):
-        return str(v)
+        return str(self.validate(v))
 
     def max_component(self, v):
         return v
@@ -410,15 +409,12 @@ class Quad(CoeffSemiring):
     def sub(self, a, b):
         return (a[0] - b[0], a[1] - b[1])
 
-    def divisors_of(self, a, budget=None):
+    def _divisors_of(self, a, budget):
         # Every divisor (b', c') of (b, c) satisfies b' + c' <= b + c: the
         # cofactor is nonzero, so each of its components contributes at least
         # once (or d >= 2 times) to the componentwise sums of the product.
         # The scan tries every such pair, so it is counted against the
-        # budget before it starts.
-        self.validate(a)
-        if a == self.zero:
-            raise DomainError("0 has no divisor set")
+        # budget (default: the oracle budget) before it starts.
         total = a[0] + a[1]
         pairs = (total + 1) * (total + 2) // 2 - 1
         budget = budget or DEFAULT_BUDGETS.oracle_candidates
@@ -427,22 +423,16 @@ class Quad(CoeffSemiring):
                 f"divisors of {self.render(a)} need {pairs} candidate pairs, "
                 f"over the budget of {budget}"
             )
-        out = set()
-        for b in range(total + 1):
-            for c in range(total + 1 - b):
-                s = (b, c)
-                if s == self.zero:
-                    continue
-                if self.exact_div(a, s) is not None:
-                    out.add(s)
-        return out
+        return {
+            (b, c)
+            for b in range(total + 1)
+            for c in range(0 if b else 1, total + 1 - b)
+            if self._exact_div(a, (b, c)) is not None
+        }
 
-    def exact_div(self, a, b):
+    def _exact_div(self, a, b):
         # a/b = a*conj(b)/N(b) with the norm N(b) = b0^2 - d*b1^2, which may
         # be negative but is nonzero for b != 0 since d is not a square
-        self.validate(b)
-        if b == self.zero:
-            raise DomainError("division by 0")
         n = b[0] * b[0] - self.d * b[1] * b[1]
         p, rp = divmod(a[0] * b[0] - self.d * a[1] * b[1], n)
         q, rq = divmod(a[1] * b[0] - a[0] * b[1], n)
@@ -450,12 +440,9 @@ class Quad(CoeffSemiring):
             return None
         return (p, q)
 
-    def atom_factorizations(self, a):
-        self.validate(a)
-        if a in (self.zero, self.one):
-            raise DomainError(f"{self.render(a)} has no factorization into atoms")
-        divs = self.divisors_of(a)
-        atoms = sorted(s for s in divs if s != self.one and len(self.divisors_of(s)) == 2)
+    def _atom_factorizations(self, a):
+        divs = self._divisors_of(a, None)
+        atoms = sorted(s for s in divs if s != self.one and len(self._divisors_of(s, None)) == 2)
 
         results = set()
 
@@ -464,7 +451,7 @@ class Quad(CoeffSemiring):
                 results.add(tuple(stack))
                 return
             for j in range(start, len(atoms)):
-                q = self.exact_div(target, atoms[j])
+                q = self._exact_div(target, atoms[j])
                 if q is not None:
                     stack.append(atoms[j])
                     rec(q, j, stack)
@@ -473,31 +460,21 @@ class Quad(CoeffSemiring):
         rec(a, 0, [])
         return frozenset(results)
 
-    def mcd_set(self, vals):
-        vals = list(vals)
-        if not vals:
-            raise UsageError("mcd of an empty list")
-        for v in vals:
-            self.validate(v)
-            if v == self.zero:
-                raise DomainError("mcd undefined when 0 is among the values")
+    def _mcd_set(self, vals):
         commons = [
             s
-            for s in self.divisors_of(vals[0])
-            if all(self.exact_div(v, s) is not None for v in vals[1:])
+            for s in self._divisors_of(vals[0], None)
+            if all(self._exact_div(v, s) is not None for v in vals[1:])
         ]
         return {
             s
             for s in commons
-            if not any(s2 != s and self.exact_div(s2, s) is not None for s2 in commons)
+            if not any(s2 != s and self._exact_div(s2, s) is not None for s2 in commons)
         }
 
-    def length(self, a):
+    def _length(self, a):
         # b + floor(sqrt(d))*c - 1 is superadditive whenever floor(sqrt(d))^2
         # <= d; it separates units only when floor(sqrt(d)) >= 2, i.e. d >= 4.
-        self.validate(a)
-        if a == self.zero:
-            raise DomainError("length undefined at 0")
         t = math.isqrt(self.d)
         if t < 2:
             raise LengthFunctionUnavailableError(
@@ -524,9 +501,7 @@ class Quad(CoeffSemiring):
         return _Pairs(bound + 1)
 
     def from_int(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise UsageError(f"not a nonnegative integer: {n!r}")
-        return (n, 0)
+        return (Nat().validate(n), 0)
 
     def literal(self):
         return f"quad:{self.d}"

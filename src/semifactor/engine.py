@@ -288,7 +288,7 @@ def _oracle_divisors(f, budgets):
                     g1 = _at_one(S, combo)
                     ok = divides_f1.get(g1)
                     if ok is None:
-                        ok = divides_f1[g1] = S.exact_div(f1, g1) is not None
+                        ok = divides_f1[g1] = S._exact_div(f1, g1) is not None
                     if ok:
                         tuples.append(combo[::-1])
             exps = support[::-1]
@@ -327,7 +327,7 @@ def _quot(lat: _Lattice, i: int, j: int):
         d = (lat.vecs[i] | guard) - lat.vecs[j]
         return lat.pos.get(d ^ guard) if d & guard == guard else None
     g = lat.ordered[i]
-    if g.semiring.exact_div(lat.ones[i], lat.ones[j]) is None:
+    if g.semiring._exact_div(lat.ones[i], lat.ones[j]) is None:
         return None
     q = ambient_exact_div(g, lat.ordered[j])
     return None if q is None else lat.pos[q]

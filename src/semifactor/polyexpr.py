@@ -219,7 +219,7 @@ def ambient_exact_div(f: PolyExpr, g: PolyExpr):
             return None
         # a leading remainder with a negative component has no quotient in S
         # either: products of semiring values are never negative
-        qc = S.exact_div(rem[rdeg], glc)
+        qc = S._exact_div(rem[rdeg], glc)
         if qc is None:
             return None
         qnums.append(qe)

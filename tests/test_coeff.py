@@ -288,6 +288,84 @@ class TestRender:
     def test_nat_text(self):
         assert NAT.render(17) == "17"
 
+    @pytest.mark.parametrize("S,v", [(NAT, -5), (NAT, True), (NAT, (1, 0)), (Q6, (1, -1))])
+    def test_render_validates(self, S, v):
+        with pytest.raises(UsageError, match="not a nonnegative"):
+            S.render(v)
+
+
+@pytest.mark.parametrize("S", [NAT, Q6])
+@pytest.mark.parametrize("n", [True, False, -1, 1.0, "3"])
+def test_from_int_refuses_what_nat_refuses(S, n):
+    with pytest.raises(UsageError) as err:
+        S.from_int(n)
+    assert str(err.value) == f"not a nonnegative integer: {n!r}"
+
+
+def _contract_cases():
+    """(semiring, operation, arguments, exception class, exact text, case)
+    for each public operation on bad input, in the order of its checks."""
+    bad = {
+        NAT: {"shape": ((1, 0), "not a nonnegative integer: (1, 0)"),
+              "negative": (-1, "not a nonnegative integer: -1"),
+              "bool": (True, "not a nonnegative integer: True")},
+        Q6: {"shape": (7, "not a nonnegative (b, c) pair: 7"),
+             "negative": ((1, -1), "not a nonnegative (b, c) pair: (1, -1)"),
+             "bool": ((True, 0), "not a nonnegative (b, c) pair: (True, 0)")},
+    }
+    for S in (NAT, Q6):
+        one, zero, two = S.one, S.zero, S.from_int(2)
+        for kind, (v, text) in bad[S].items():
+            yield S, "divisors_of", (v,), UsageError, text, kind
+            yield S, "exact_div", (one, v), UsageError, text, kind
+            yield S, "atom_factorizations", (v,), UsageError, text, kind
+            yield S, "mcd_set", ([v],), UsageError, text, kind
+            yield S, "mcd_set", ([two, v, zero],), UsageError, text, kind + " before zero"
+            yield S, "length", (v,), UsageError, text, kind
+        yield S, "divisors_of", (zero,), DomainError, "0 has no divisor set", "zero"
+        yield S, "exact_div", (one, zero), DomainError, "division by 0", "zero"
+        yield S, "atom_factorizations", (zero,), DomainError, \
+            "0 has no factorization into atoms", "zero"
+        yield S, "atom_factorizations", (one,), DomainError, \
+            "1 has no factorization into atoms", "unit"
+        yield S, "mcd_set", ([two, zero, bad[S]["shape"][0]],), DomainError, \
+            "mcd undefined when 0 is among the values", "zero"
+        yield S, "mcd_set", ([],), UsageError, "mcd of an empty list", "empty"
+        yield S, "mcd_set", (iter([]),), UsageError, "mcd of an empty list", "empty iterator"
+        yield S, "length", (zero,), DomainError, "length undefined at 0", "zero"
+
+
+@pytest.mark.parametrize(
+    "S,op,args,exc,text",
+    [pytest.param(*c[:5], id=f"{c[0].literal()}-{c[1]}-{c[5]}") for c in _contract_cases()],
+)
+def test_public_operation_contract(S, op, args, exc, text):
+    """Every public semiring operation refuses bad input with the same
+    exception class and text, whichever semiring runs it."""
+    with pytest.raises(exc) as err:
+        getattr(S, op)(*args)
+    assert type(err.value) is exc
+    assert str(err.value) == text
+
+
+def test_divisors_and_factorizations_validate_only_public_input(monkeypatch):
+    # canonical values are checked once, where they enter: the library's own
+    # divisor scans, atom recursion and long divisions call the kernels
+    S, M = Q6, sf.nat_monoid()
+    f = sf.parse("(36,0)*x^4+(0,24)*x^3+(36,0)*x^2+(0,4)*x+(1,0)", S, M)
+    sf.engine.clear_caches()
+    calls = []
+    validate = sf.Quad.validate
+
+    def counted(self, v):
+        calls.append(v)
+        return validate(self, v)
+
+    monkeypatch.setattr(sf.Quad, "validate", counted)
+    assert len(sf.divisors(f).divisors) == 5
+    assert len(sf.factorizations(f)) == 1
+    assert len(calls) <= 4, len(calls)
+
 
 def small_primes(bound):
     return [q for q in range(2, bound) if all(q % r for r in range(2, int(q**0.5) + 1))]
