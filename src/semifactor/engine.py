@@ -38,12 +38,13 @@ exactly when g/h is again in D(f).  For zx that is the vector e_g - e_h:
 v_g with every guard bit set, minus v_h, keeps all guard bits exactly when
 no entry is negative, then one lookup; for the oracle it is one
 ``ambient_exact_div``, run only when h(1) divides g(1) in S.
-``monolithic_decompose`` splits each part inside the list of f, because
-D(g) = {h in D(f) : g/h in D(f)} and filtering keeps the order.  Atoms
-and L(f) come from one pass (``_atoms_within``) that visits every divisor
-after its proper divisors, the dynamic programming of Barron, O'Neill and
-Pelayo (Math. Comp. 2017) on the divisor lattice; only ``factorizations``
-builds Z(f).
+Atoms, L(f) and splits come from one pass (``_atoms_within``) that visits
+every divisor after its proper divisors, the dynamic programming of
+Barron, O'Neill and Pelayo (Math. Comp. 2017) on the divisor lattice; only
+``factorizations`` builds Z(f).  Additive reduction gives supp(gh) =
+supp g + supp h, so a non-monomial has a non-monomial atom, and t = g*h
+with g, h non-monomials exactly when a non-monomial atom a | t has a
+non-monomial t/a = (g/a)*h: the pass keeps the sort-least such a per t.
 
 The engine reads a polynomial's scaled exponent numerators ``nums`` and
 its ``coeffs`` and builds every divisor from them; it never builds an
@@ -51,12 +52,13 @@ its ``coeffs`` and builds every divisor from them; it never builds an
 
 Divisor sets are cached per canonical form, strategy and budgets by
 ``functools.lru_cache``, at most 1024 of them (the least recently used is
-evicted first); the cached lattice also keeps its atoms, length sets and
-Z(f) once computed.  All returned values are immutable.
+evicted first); the cached lattice also keeps its atoms, length sets,
+splits and Z(f) once computed.  All returned values are immutable.
 """
 from __future__ import annotations
 
 import functools
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,8 +83,9 @@ class _Lattice:
     each divisor's multiplicity vector as one int, a guard bit (``guard``)
     above each entry, so a proper divisor's vector is the smaller (zx), or
     is None (oracle); ``ones`` holds each value at x = 1 (oracle) or is None
-    (zx).  ``atoms``, ``lengths`` (L of each position as a bit set) and
-    ``z`` are kept once computed, for the budgets the lattice is cached under."""
+    (zx).  ``atoms``, ``lengths`` (L of each position as a bit set),
+    ``splits`` (each position's atom to peel, or -1) and ``z`` are kept
+    once computed, for the budgets the lattice is cached under."""
 
     ordered: tuple
     vecs: tuple | None
@@ -93,6 +96,7 @@ class _Lattice:
     guard: int = 0
     atoms: tuple | None = None
     lengths: tuple | None = None
+    splits: tuple | None = None
     z: frozenset | None = None
 
 
@@ -333,19 +337,6 @@ def _quot(lat: _Lattice, i: int, j: int):
     return None if q is None else lat.pos[q]
 
 
-def _split(lat: _Lattice, t: int):
-    """The first (i, k), in sort_key order of i, with ordered[t] =
-    ordered[i] * ordered[k] and neither side a monomial; None if there is
-    none.  The divisors of ordered[t] are {h in D(f) : ordered[t]/h in D(f)}
-    in the same order, so this is the split that divisors(ordered[t]) gives."""
-    for i, g in enumerate(lat.ordered):
-        if len(g.nums) >= 2:
-            k = _quot(lat, t, i)
-            if k is not None and len(lat.ordered[k].nums) >= 2:
-                return i, k
-    return None
-
-
 def is_monolithic(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None) -> bool:
     """True when every splitting f = g*h has a monomial side."""
     if f.is_zero:
@@ -353,23 +344,24 @@ def is_monolithic(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets =
     if len(f.nums) == 1:
         return True
     lat = divisors(f, strategy, budgets)._lattice
-    return _split(lat, lat.base) is None
+    _atoms_within(lat)
+    return lat.splits[lat.base] < 0
 
 
 def monolithic_decompose(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None):
-    """Some list of monolithic parts with product f (not unique in general)."""
+    """Monolithic parts with product f: each but the last is the sort-least
+    non-monomial atom of what remains whose cofactor is not a monomial."""
     if f.is_zero or f.is_one:
         raise DomainError("monolithic decomposition needs a nonzero nonunit")
     if len(f.nums) == 1:
         return [f]
     lat = divisors(f, strategy, budgets)._lattice
-
-    def parts(t):
-        # both sides of a split have strictly smaller support
-        split = _split(lat, t)
-        return [lat.ordered[t]] if split is None else parts(split[0]) + parts(split[1])
-
-    return parts(lat.base)
+    _atoms_within(lat)
+    parts, t = [], lat.base
+    while (a := lat.splits[t]) >= 0:
+        parts.append(lat.ordered[a])
+        t = _quot(lat, t, a)
+    return parts + [lat.ordered[t]]
 
 
 def _visit_order(lat: _Lattice):
@@ -395,25 +387,31 @@ def _value_key(S, v):
 
 def _atoms_within(lat: _Lattice):
     """Positions of the atoms of a divisor set, in sort_key order, from one
-    pass in ``_visit_order`` that also fills ``lat.lengths``: t is an atom
-    when no atom before it divides it (a nonunit's least nonunit divisor is
-    an atom), else L(t) is the union of 1 + L(t/a) over the atoms a | t.
-    A length set is a bit set (bit k for length k), so 1 + L is a shift."""
+    pass in ``_visit_order`` that also fills ``lat.lengths`` and
+    ``lat.splits``: t is an atom when no atom before it divides it (a
+    nonunit's least nonunit divisor is an atom), else L(t) is the union of
+    1 + L(t/a) over the atoms a | t, and splits[t] is the first of these a
+    (in position order) with a and t/a non-monomials.  A length set is a
+    bit set (bit k for length k), so 1 + L is a shift."""
     if lat.atoms is None:
-        lengths = [1] * len(lat.ordered)
+        wide = [len(g.nums) > 1 for g in lat.ordered]
+        lengths, splits = [1] * len(wide), [-1] * len(wide)
         atoms = []
         for t in _visit_order(lat):
             if t == lat.unit:
                 continue
-            bits = 0
+            bits, split = 0, -1
             for a in atoms:
                 if (q := _quot(lat, t, a)) is not None:
                     bits |= lengths[q]
+                    if split < 0 and wide[q] and wide[a]:
+                        split = a
             if not bits:
-                atoms.append(t)
+                insort(atoms, t)
                 bits = 1
-            lengths[t] = bits << 1
-        lat.atoms, lat.lengths = tuple(sorted(atoms)), tuple(lengths)
+            lengths[t], splits[t] = bits << 1, split
+        # atoms last: a thread that sees them reads lengths and splits
+        lat.lengths, lat.splits, lat.atoms = tuple(lengths), tuple(splits), tuple(atoms)
     return lat.atoms
 
 

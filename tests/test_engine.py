@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -355,7 +356,6 @@ class TestCaches:
         engine.clear_caches()
 
     def test_bound_holds_under_threads(self):
-        import sys
         import threading
 
         engine.clear_caches()
@@ -542,6 +542,22 @@ def ref_decompose(f, strategy):
     return [f]
 
 
+def ref_peel(f, dset):
+    """The decomposition rule from the atoms of D(f): peel the sort-least
+    non-monomial atom whose cofactor is not a monomial while there is one."""
+    atoms = [a for a in ref_atoms(dset) if len(a.terms) >= 2]
+    parts = []
+    while True:
+        for a in atoms:
+            q = sf.ambient_exact_div(f, a)
+            if q is not None and len(q.terms) >= 2:
+                parts.append(a)
+                f = q
+                break
+        else:
+            return parts + [f]
+
+
 def ref_certificate(f, strategy):
     parts = ref_decompose(f, strategy)
     per = []
@@ -606,7 +622,25 @@ class TestDivisorLattice:
             zs, _ = ref_factorizations(f, ds.divisors)
             assert sf.factorizations(f) == zs
             assert sf.is_monolithic(f) == ref_is_monolithic(f, ds.divisors)
-            assert sf.monolithic_decompose(f) == ref_decompose(f, "auto")
+            assert sf.monolithic_decompose(f) == ref_peel(f, ds.divisors)
+
+    @pytest.mark.parametrize(
+        "text, monoid, parts",
+        [
+            # sqrt(6) sorts before the atom x+1 but is not an atom: (0,1)^2 = 6
+            ("(0,1)*x^2+(0,3)*x+(0,2)", "nat", ["x+(1,0)", "(0,1)*x+(0,2)"]),
+            (
+                "(0,4)*x^8+(0,4)*x^7+(0,2)*x^5+(0,2)*x^4",
+                "gens:2,3",
+                ["x^3+x^2", "(0,4)*x^5+(0,2)*x^2"],
+            ),
+        ],
+    )
+    def test_quad_decomposition_peels_atoms(self, text, monoid, parts):
+        f = P(text, Q6, sf.monoid_from_literal(monoid))
+        got = sf.monolithic_decompose(f)
+        assert [str(p) for p in got] == parts
+        assert got == ref_peel(f, sf.divisors(f).divisors)
 
     def test_negative_parent_nonnegative_child(self):
         # over Z, x^3+1 = (x+1)(x^2-x+1): the box point of x^2-x+1 lies
@@ -636,9 +670,33 @@ class TestDivisorLattice:
         assert sf.factorizations(f, strategy) == zs
         assert sf.length_profile(f, strategy) == (frozenset({2, 3}), Fraction(3, 2))
         assert calls == []
+        # splits come from the same pass: no quotient to test monolithic, one
+        # per peeled atom to decompose
+        assert not sf.is_monolithic(f, strategy)
+        assert calls == []
+        assert strs(sf.monolithic_decompose(f, strategy)) == ["x+1", "x^4+3x^3+x^2+4"]
+        assert len(calls) == 1
+        calls.clear()
         # other budgets index another lattice and recompute
         assert sf.factorizations(f, strategy, sf.Budgets(z_nodes=999)) == zs
         assert calls
+
+    def test_deep_decomposition_needs_no_recursion(self):
+        # the parts are peeled in a loop: with the lattice cached, 120 parts
+        # need only a few frames above the caller's
+        f = P("x+1") ** 120
+        budgets = sf.Budgets(degree_limit=120)
+        sf.divisors(f, budgets=budgets)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            parts = sf.monolithic_decompose(f, budgets=budgets)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert parts == [P("x+1")] * 120
 
     def test_zx_box_budget(self):
         # 36 = 2^2 * 3^2 and (x+1)^2: a box of 3 * 3 * 3 = 27 points

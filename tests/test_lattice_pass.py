@@ -1,7 +1,7 @@
 """The divisor lattice: the packed zx box walk against a brute-force box
 over sympy's factorization, and the one divisor-first pass (atoms, L(f),
-elasticity) against the pairwise atom definition and the materialised
-Z(f).  hypothesis and sympy are test-only dependencies."""
+elasticity, monolithic splits) against the pairwise definitions and the
+materialised Z(f).  hypothesis and sympy are test-only dependencies."""
 from fractions import Fraction
 from itertools import product
 from math import isqrt, prod
@@ -139,6 +139,28 @@ def test_pass_matches_pairwise_atoms_and_materialised_z(case):
     lengths = frozenset(z.length for z in zs)
     rho = Fraction(max(lengths), min(lengths))
     assert sf.length_profile(f, strategy, BUDGETS) == (lengths, rho)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(elements())
+def test_splits_match_pairwise_splits(case):
+    strategy, f = case
+    try:
+        ds = sf.divisors(f, strategy, BUDGETS)
+    except sf.BudgetError:
+        hypothesis.assume(False)
+
+    def wide(g):
+        return len(g.nums) >= 2
+
+    # monolithic: no non-monomial g in D(f) with a non-monomial f/g
+    split = any(wide(g) and wide(sf.ambient_exact_div(f, g)) for g in ds.divisors)
+    assert sf.is_monolithic(f, strategy, BUDGETS) is not split
+    parts = sf.monolithic_decompose(f, strategy, BUDGETS)
+    assert prod(parts, start=sf.PolyExpr.one(f.semiring, f.monoid)) == f
+    assert all(sf.is_monolithic(p, strategy, BUDGETS) for p in parts)
+    assert all(wide(p) and sf.is_atom(p, strategy, BUDGETS) for p in parts[:-1])
+    assert len(parts) == 1 or split
 
 
 def test_quad_visit_order_is_by_real_value():
