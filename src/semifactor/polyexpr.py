@@ -164,7 +164,7 @@ class PolyExpr:
         )
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise UsageError(f"polynomial powers need a nonnegative integer, got {n!r}")
         out = PolyExpr.one(self.semiring, self.monoid)
         for _ in range(n):

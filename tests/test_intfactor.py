@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from semifactor import intfactor
-from semifactor.errors import BudgetError, DomainError, InternalError
+from semifactor.errors import BudgetError, DomainError, InternalError, UsageError
 from semifactor.intfactor import (
     _EDF_SEED,
     IntPoly,
@@ -182,6 +182,23 @@ def rational_quotient(a, b):
     return None if any(rem) else quo
 
 
+class TestIntPolyPower:
+    def test_matches_repeated_products(self):
+        rng = random.Random(57)
+        for _ in range(50):
+            f = random_int_poly(rng, rng.randint(0, 4))
+            want = ONE
+            for n in range(10):
+                assert IntPoly.of(f) ** n == want, (f, n)
+                want = want * IntPoly.of(f)
+
+    def test_refuses_negative_and_non_int_exponents(self):
+        # the same refusal as PolyExpr.__pow__
+        for n in (-2, True, False, 2.0, None):
+            with pytest.raises(UsageError, match="polynomial powers need a nonnegative integer"):
+                ip(1, 1) ** n
+
+
 class TestExactDivision:
     def test_matches_rational_division(self):
         rng = random.Random(37)
@@ -240,7 +257,91 @@ class TestSquarefree:
             assert content * prod == h
 
 
+class TestSquarefreeByEvaluation:
+    def test_high_power_stays_below_the_value_cap(self, monkeypatch):
+        # the first gcd of (x+1)^1000 would evaluate to about 10^6 bits
+        evaluated, prems = [], [0]
+        eval_, prem = intfactor._eval, intfactor._prem
+
+        def recording_eval(a, x):
+            v = eval_(a, x)
+            evaluated.append(v.bit_length())
+            return v
+
+        def counting_prem(a, b):
+            prems[0] += 1
+            return prem(a, b)
+
+        monkeypatch.setattr(intfactor, "_eval", recording_eval)
+        monkeypatch.setattr(intfactor, "_prem", counting_prem)
+        assert squarefree_decompose(ip(1, 1) ** 1000) == [(ip(1, 1), 1000)]
+        assert prems[0] > 0
+        assert max(evaluated, default=0) <= intfactor._HEU_BITS
+
+    @staticmethod
+    def forbid_prem(monkeypatch):
+        def no_prem(a, b):
+            raise AssertionError("primitive PRS run")
+
+        monkeypatch.setattr(intfactor, "_prem", no_prem)
+
+    def test_squarefree_degree_27_without_remainder_sequence(self, monkeypatch):
+        self.forbid_prem(monkeypatch)
+        rng = random.Random(58)
+        f = IntPoly.of([rng.randint(-9, 9) for _ in range(27)] + [6])
+        assert squarefree_decompose(f) == [(math_gcd_content(f), 1)]
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_witness_family_without_remainder_sequence(self, monkeypatch, n):
+        # (x+n)^n (x^2-x+1), the paper's witness family
+        self.forbid_prem(monkeypatch)
+        q = ip(1, -1, 1)
+        want = [(q, 1), (ip(n, 1), n)] if n > 1 else [(ip(n, 1) * q, 1)]
+        assert squarefree_decompose(ip(n, 1) ** n * q) == want
+
+    def test_matches_sympy_sqf_list(self):
+        sympy = pytest.importorskip("sympy")
+        y = sympy.Symbol("y")
+        rng = random.Random(59)
+        repeated = 0
+        for _ in range(60):
+            f = [rng.choice([-1, 1]) * rng.randint(1, 10**6)]
+            while True:
+                deg = rng.randint(1, 4)
+                mult = rng.randint(1, 4)
+                if len(f) - 1 + deg * mult > 60:
+                    break
+                g = [rng.randint(-(10**6), 10**6) for _ in range(deg)] + [rng.randint(1, 10**6)]
+                f = _mul(f, intfactor._pow(g, mult))
+            got = {(p.coeffs, m) for p, m in squarefree_decompose(IntPoly.of(f))}
+            want = set()
+            for poly, mult in sympy.Poly(list(reversed(f)), y).sqf_list()[1]:
+                coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+                want.add((math_gcd_content(IntPoly.of(coeffs)).coeffs, mult))
+            assert got == want, f
+            repeated += any(m > 1 for _, m in got)
+        assert repeated > 30
+
+
 class TestFactor:
+    def test_failed_product_check_raises(self, monkeypatch):
+        # (x+1)^2 (x^2-x+1): a wrong multiplicity, and factors off by 2^k in
+        # one coefficient, must all fail the check by evaluation
+        f = ip(1, 1) ** 2 * ip(1, -1, 1)
+        true = ((tuple(ip(1, 1).coeffs), 2), (tuple(ip(1, -1, 1).coeffs), 1))
+        wrong = [((true[0][0], 3), true[1]), ((true[0][0], 1), true[1])]
+        for k in (1, 2, 8, 64, 200):
+            for i in range(3):
+                c = list(true[1][0])
+                c[i] += 2**k
+                wrong.append((true[0], (tuple(c), 1)))
+        for pairs in wrong:
+            monkeypatch.setattr(intfactor, "_factor_primitive", lambda prim, pairs=pairs: pairs)
+            with pytest.raises(InternalError, match="re-multiplication"):
+                factor_int_poly(f)
+        monkeypatch.setattr(intfactor, "_factor_primitive", lambda prim: true)
+        assert factor_int_poly(f).expand() == f
+
     def test_quartic_cyclotomic_product(self):
         fac = factor_int_poly(ip(1, 0, 1, 0, 1))
         assert fac.sign == 1 and fac.content == ()
@@ -453,6 +554,21 @@ class TestGcdKernel:
         assert _gcd_z([6], [2, 4, 2]) == [1]
         assert _gcd_z([1, 2, 1], [-5]) == [1]
         assert _gcd_z([4], [6]) == [1]
+
+    def test_second_evaluation(self, monkeypatch):
+        # x^2 + 1 and x + 60657 are coprime, but both values at the first
+        # point, 1024, are multiples of the prime 61681 = 60*1024 + 241,
+        # which reads back as 60x + 241
+        points = []
+        eval_ = intfactor._eval
+
+        def recording_eval(a, x):
+            points.append(x)
+            return eval_(a, x)
+
+        monkeypatch.setattr(intfactor, "_eval", recording_eval)
+        assert _gcd_z([1, 0, 1], [60657, 1]) == [1]
+        assert points[0] == 1024 and len(set(points)) > 1
 
     def test_negative_leading_coefficients_and_content(self):
         # -6(x+1)(x-2) and 4(x+1)(2x+3)

@@ -171,6 +171,13 @@ class TestOps:
         with pytest.raises(UsageError):
             P("x") * parse("x", Q6, sf.nat_monoid())
 
+    def test_power_needs_a_nonnegative_int(self):
+        f = P("x+1")
+        assert f**0 == P("1") and f**3 == f * f * f
+        for n in (-2, True, 2.0):
+            with pytest.raises(UsageError, match="nonnegative integer"):
+                f**n
+
     def test_ring_laws_random(self):
         rng = random.Random(12)
         M = sf.nat_monoid()
