@@ -20,6 +20,7 @@ from semifactor.intfactor import (
     _lift_root,
     _mul,
     _p_divmod,
+    _pow,
     _Ring,
     factor_int_poly,
     squarefree_decompose,
@@ -312,7 +313,7 @@ class TestSquarefreeByEvaluation:
                 if len(f) - 1 + deg * mult > 60:
                     break
                 g = [rng.randint(-(10**6), 10**6) for _ in range(deg)] + [rng.randint(1, 10**6)]
-                f = _mul(f, intfactor._pow(g, mult))
+                f = _mul(f, _pow(g, mult))
             got = {(p.coeffs, m) for p, m in squarefree_decompose(IntPoly.of(f))}
             want = set()
             for poly, mult in sympy.Poly(list(reversed(f)), y).sqf_list()[1]:
