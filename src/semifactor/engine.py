@@ -494,7 +494,7 @@ def atomic_certificate(
 def length_fn(f: PolyExpr, budgets: Budgets = None) -> int:
     """Length function built from the coefficient and exponent lengths plus
     the support size; zero exactly at the unit, superadditive under products.
-    The exponent length's DP counts against ``budgets.knapsack_nodes``."""
+    The exponent length's staircases count against ``budgets.knapsack_nodes``."""
     budgets = budgets or DEFAULT_BUDGETS
     if f.is_zero:
         raise DomainError("the zero polynomial has no length")

@@ -2,8 +2,9 @@
 
 Pipeline: integer content and sign extraction, Yun squarefree decomposition
 (each gcd and both its cofactors from one integer gcd of two values, the
-heuristic gcd, with the primitive polynomial remainder sequence for inputs
-whose values would be too large), factorization modulo
+heuristic gcd; for inputs whose values would be too large, a coprimality
+test modulo three small primes, then the primitive polynomial remainder
+sequence), factorization modulo
 a small deterministic prime by distinct-degree factorization and
 Cantor-Zassenhaus equal-degree splitting (a seeded local random source),
 lifting to exactly p^l, the least prime power above twice a Mignotte bound
@@ -42,7 +43,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import combinations, zip_longest
+from itertools import combinations, islice, zip_longest
 
 from .coeff import prime_factors
 from .errors import DEFAULT_BUDGETS, DomainError, InternalError, UsageError, check_degree
@@ -184,7 +185,10 @@ def _gcd_cofactors(a, b):
     the two values that is not a value of g still reads back as content of
     H.  A failed check grows xi, for at most ``_HEU_ROUNDS`` values; once the
     values would exceed ``_HEU_BITS`` bits, the primitive polynomial
-    remainder sequence decides instead."""
+    remainder sequence decides instead.  Before it runs, the images modulo
+    each of the first three primes p not dividing gcd(lc a, lc b) are
+    tried: p does not divide lc g, so deg gcd(a mod p, b mod p) >= deg g,
+    and coprime images prove g = 1."""
     if len(a) == 1 or len(b) == 1:
         return [1], a, b
     na, nb = max(map(abs, a)), max(map(abs, b))
@@ -211,6 +215,10 @@ def _gcd_cofactors(a, b):
             if qb is not None:
                 return G, qa, qb
         xi = xi * 73794 // 27011
+    lc = math.gcd(a[-1], b[-1])
+    for p in islice((p for p in _primes() if lc % p), 3):
+        if len(_p_gcd(_p_trim(a, p), _p_trim(b, p), p)) == 1:
+            return [1], a, b
     g, r = _primitive(a)[1], _primitive(b)[1]
     while r:
         g, r = r, _primitive(_prem(g, r))[1]

@@ -6,29 +6,24 @@ computation reduces to integer arithmetic.  Between parsing and rendering an
 exponent is handled as its scaled numerator n = D * num / denom: ``num_of``
 checks that n is an integer and a member with integers only, and
 ``Fraction`` appears only where the input is a rational (``num_of``,
-``member``, ``make_monoid``) and in ``ExpElem.value``.  Membership is
-answered in O(1) from the Apery table of D*M (least member in each residue
-class modulo the smallest generator a), built once at construction with a
-Dijkstra sweep.  Both tables have one entry per class, so a is checked
-against the default knapsack budget before either is allocated.
+``member``, ``make_monoid``) and in ``ExpElem.value``.
 
-The greatest factorization length is answered in O(1) from a second table
-with one entry per residue class mod a, built by the same sweep at the
-first ``length`` call.  A factorization of n whose parts other than a are
-g_1, ..., g_k has length (n - w)/a with w = sum(g_i - a), so the longest
-one minimizes w.  For each class the table keeps the lexicographically
-least pair (w, r) over the sums r of the other minimal generators in that
-class; then L(n) = (n - w)/a exactly when n >= r.  Below that threshold
-(r <= (a - 1) * max generator, independent of n) a DP up to n answers,
-its n + 1 cells counted against a node budget.  ``polyexpr`` reads the
-``gens:`` literal.
+One search per residue class modulo the smallest generator a serves
+membership and the greatest factorization length L.  A sum r of k
+generators has w = r - a*k, and each member n >= r of its class has a
+factorization of length (n - w)/a.  The first pair (r, w) of each class
+gives the Apery table (least members), built at construction; run to the
+end at the first ``length`` call, the search gives each class's staircase
+of pairs no other beats in both r and w, and L(n) exactly for every n.
+``polyexpr`` reads the ``gens:`` literal.
 """
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .errors import DEFAULT_BUDGETS, BudgetError, DomainError, UsageError
 
@@ -54,53 +49,45 @@ class ExpElem:
         return str(self.num) if self.denom == 1 else f"{self.num}/{self.denom}"
 
 
-def _least_sums(a: int, steps, table: str) -> list:
-    """Least sum of a multiset of ``steps`` in each residue class mod a
-    (Dijkstra over the classes); None = no sum lies in that class.  The a
-    classes are checked against the default knapsack budget before the
-    ``table`` is allocated."""
-    budget = DEFAULT_BUDGETS.knapsack_nodes
-    if a > budget:
-        raise BudgetError(
-            f"{table} table needs {a} residue classes, over the budget of {budget}"
-        )
-    dist = [None] * a
-    dist[0] = 0
-    heap = [(0, 0)]
-    while heap:
-        d, r = heapq.heappop(heap)
-        if dist[r] != d:
-            continue
-        for g in steps:
-            nd = d + g
-            nr = nd % a
-            if dist[nr] is None or nd < dist[nr]:
-                dist[nr] = nd
-                heapq.heappush(heap, (nd, nr))
-    return dist
-
-
-def _length_table(gens: tuple[int, ...]) -> list:
-    """Per residue class mod a = min(gens): the lexicographically least
-    (w, r) over sums r of the other generators in that class, where
-    w = sum(g - a); None = no such sum.
-
-    The pair is packed as w*K + r with K a multiple of a above every r the
-    sweep compares (a settled sum has at most a - 1 parts, and the sweep
-    looks one part further), so each packed step is congruent to its
-    generator, packed sums order lexicographically, and one sweep of
-    ``_least_sums`` builds the table.
+def _staircase(a: int, gens, budget: int, table: str, whole: bool):
+    """Iterator, by ascending r, over the pairs (r, w) with r a sum of
+    ``gens`` and w = r - a * (number of parts) that no pair of the same
+    class mod a matches or beats in both: w descends within a class.  With
+    ``whole`` false every w counts as 0, so each class keeps only its least
+    sum.  A heap settles pairs by r (the shortest-path view of Boecker and
+    Liptak, Algorithmica 48, 2007); a popped pair is kept when its w is
+    below its class's last kept w, and only kept pairs are extended, since
+    one beating a prefix of a sum beats the sum.  ``budget`` counts the a
+    classes before the ``table`` is allocated, then every kept pair.
     """
-    a = min(gens)
-    K = 2 * a * max(gens)
-    packed = _least_sums(a, [(g - a) * K + g for g in gens if g != a], "length")
-    return [None if p is None else divmod(p, K) for p in packed]
+    if a > budget:
+        raise BudgetError(f"{table} table needs {a} residue classes, over the budget of {budget}")
+    steps = [(g, g - a if whole else 0) for g in gens if g != a]
+
+    def settle():
+        bar = [inf] * a  # w of the last pair kept in each class
+        kept = 0
+        heap = [(0, 0)]
+        while heap:
+            pair = r, w = heapq.heappop(heap)
+            if w >= bar[r % a]:
+                continue
+            kept += 1
+            if kept > budget:
+                raise BudgetError(f"{table} table exceeded the budget of {budget} pairs")
+            bar[r % a] = w
+            yield pair
+            for g, dw in steps:
+                if w + dw < bar[(r + g) % a]:
+                    heapq.heappush(heap, (r + g, w + dw))
+
+    return settle()
 
 
 class ExpMonoid:
     """A reduced, finitely generated submonoid of (Q>=0, +)."""
 
-    __slots__ = ("denom", "gens", "min_gens", "_amin", "_apery", "_lengths")
+    __slots__ = ("denom", "gens", "min_gens", "_amin", "_apery", "_stairs")
 
     def __init__(self, denom: int, gens):
         gens = frozenset(gens)
@@ -108,14 +95,17 @@ class ExpMonoid:
             raise UsageError("monoid needs a positive denominator and positive integer generators")
         self.denom = denom
         self.gens = gens
-        self._amin = min(gens)
-        self._apery = _least_sums(self._amin, gens, "Apery")
+        self._amin = a = min(gens)
+        pairs = _staircase(a, gens, DEFAULT_BUDGETS.knapsack_nodes, "Apery", False)
+        self._apery = [None] * a
+        for r, _ in pairs:
+            self._apery[r % a] = r
         # g is an atom exactly when no smaller generator h leaves a member
         # g - h: a sum of two or more generators equal to g has only smaller parts
         self.min_gens = frozenset(
             g for g in gens if not any(h < g and self.member_num(g - h) for h in gens)
         )
-        self._lengths = None  # built by the first length() call
+        self._stairs = None  # built by the first length() call
 
     def __eq__(self, other):
         if not isinstance(other, ExpMonoid):
@@ -261,33 +251,25 @@ class ExpMonoid:
     def length(self, m, node_budget: int = DEFAULT_BUDGETS.knapsack_nodes) -> int:
         """Greatest factorization length of m; superadditive and 0 only at 0.
 
-        With a the smallest atom and (w, r) the length-table entry of the
-        class of n = D*m mod a, L(n) = (n - w)/a once n >= r; below r a DP
-        over 0..n answers (r, and so the DP, is bounded by the generators).
-        The DP's n + 1 cells count against ``node_budget`` before any is
-        allocated.
+        With a the smallest atom, L(n) = (n - w)/a for n = D*m and (r, w)
+        the last pair with r <= n of n's class staircase.  The staircases are
+        built at the first call, their a classes and then their pairs counted
+        against ``node_budget``.
         """
         return self._length_num(self.num_of(m), node_budget)
 
     def _length_num(self, n: int, node_budget: int) -> int:
         """``length`` of the member with scaled numerator n."""
-        if self._lengths is None:
-            self._lengths = _length_table(tuple(sorted(self.min_gens)))
-        # n is a member, so its class holds a sum of the other atoms
-        w, r = self._lengths[n % self._amin]
-        if n >= r:
-            return (n - w) // self._amin
-        if n + 1 > node_budget:
-            raise BudgetError(f"length DP needs {n + 1} cells, over the budget of {node_budget}")
-        best = [None] * (n + 1)
-        best[0] = 0
-        mins = sorted(self.min_gens)
-        for i in range(1, n + 1):
-            if not self.member_num(i):
-                continue
-            cands = [best[i - g] for g in mins if g <= i and best[i - g] is not None]
-            best[i] = max(cands) + 1
-        return best[n]
+        a = self._amin
+        if self._stairs is None:
+            pairs = _staircase(a, self.min_gens, node_budget, "length", True)
+            stairs = [[] for _ in range(a)]
+            for pair in pairs:
+                stairs[pair[0] % a].append(pair)
+            self._stairs = stairs
+        # n is a member, so the first pair of its class has r <= n, and w <= r
+        stair = self._stairs[n % a]
+        return (n - stair[bisect_right(stair, (n, n)) - 1][1]) // a
 
 
 def make_monoid(rational_gens) -> ExpMonoid:

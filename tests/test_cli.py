@@ -91,20 +91,25 @@ class TestPolyCommands:
         assert payload["length"] == expected
 
     def test_lenfn_budget(self, capsys):
+        # the length table's 500 classes are counted before it is allocated
+        argv = ["poly", "lenfn", "--monoid", "gens:500,501,999", "--knapsack-budget"]
         start = time.perf_counter()
-        code, out, err = run(
-            capsys,
-            "poly", "lenfn", "--monoid", "gens:500,501,999", "--knapsack-budget", "10",
-            "x^248998",
-        )
+        code, out, err = run(capsys, *argv, "10", "x^248998")
         assert time.perf_counter() - start < 0.5
         assert code == 2
         assert out == ""
-        assert err == "error[budget]: length DP needs 248999 cells, over the budget of 10\n"
-        # x^13 over <5,6,13> is below its class threshold: a DP of 14 cells
+        assert err == "error[budget]: length table needs 500 residue classes, over the budget of 10\n"
+        # then its 665 staircase pairs
+        code, out, err = run(capsys, *argv, "664", "x^248998")
+        assert (code, out) == (2, "")
+        assert err == "error[budget]: length table exceeded the budget of 664 pairs\n"
+        code, out, err = run(capsys, *argv, "665", "x^248998")
+        assert code == 0, err
+        assert json.loads(out)["length"] == 496
+        # <5,6,13> has 7 pairs, two of them in the class of 13
         argv = ["poly", "lenfn", "--monoid", "gens:5,6,13", "--knapsack-budget"]
-        assert run(capsys, *argv, "14", "x^13")[0] == 0
-        assert run(capsys, *argv, "13", "x^13")[0] == 2
+        assert run(capsys, *argv, "7", "x^13")[0] == 0
+        assert run(capsys, *argv, "6", "x^13")[0] == 2
 
     def test_expand_family(self, capsys):
         payload = run_json(capsys, "poly", "expand-family", "--n", "2", "--k", "1")

@@ -1,5 +1,6 @@
 import random
 import threading
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -291,6 +292,19 @@ class TestSquarefreeByEvaluation:
         rng = random.Random(58)
         f = IntPoly.of([rng.randint(-9, 9) for _ in range(27)] + [6])
         assert squarefree_decompose(f) == [(math_gcd_content(f), 1)]
+
+    def test_squarefree_above_the_value_cap_by_a_modular_test(self, monkeypatch):
+        # degree 60 with 1100-bit coefficients: the heuristic's values are
+        # over the cap, and the images modulo a small prime are coprime
+        self.forbid_prem(monkeypatch)
+        rng = random.Random(5)
+        f = IntPoly.of(
+            [rng.randint(-(1 << 1100), 1 << 1100) for _ in range(60)]
+            + [rng.randint(1, 1 << 1100)]
+        )
+        start = time.perf_counter()
+        assert squarefree_decompose(f) == [(math_gcd_content(f), 1)]
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_witness_family_without_remainder_sequence(self, monkeypatch, n):

@@ -294,9 +294,16 @@ class TestLengthTable:
         [4, 6],
         [Fraction(1, 2), Fraction(3, 4)],
         [6, 9, 20],
-        [5, 6, 13],  # 13 is below the threshold 18 = 6+6+6 of its class
+        [5, 6, 13],  # class 3 steps down at 18 = 6+6+6, past 13
         [1],
         [7],
+        # the other lenfn monoids of the cli-mixed benchmark, a geometric
+        # truncation <(3/2)^n : n <= 6> scaled by 64, and a large first atom
+        [5, 7, 11],
+        [4, 7, 10],
+        [7, 8, 13],
+        [64, 96, 144, 216, 324, 486, 729],
+        [500, 501, 999],
     ]
 
     def monoids(self):
@@ -307,8 +314,11 @@ class TestLengthTable:
             yield sf.make_monoid([rng.randint(1, 25) for _ in range(rng.randint(1, 4))])
 
     def test_matches_dp_on_both_sides_of_each_threshold(self):
+        # every staircase pair (r, w) is a threshold of its class: each member
+        # n >= r has a factorization of length (n - w)/a, the last pair with
+        # r <= n gives the longest, and a pair with r > n would overstate it
         limit = 600
-        below = 0
+        above = 0
         for m in self.monoids():
             a = min(m.min_gens)
             best = dp_max_lengths(sorted(m.min_gens), limit)
@@ -317,25 +327,39 @@ class TestLengthTable:
                 if best[n] is None:
                     continue
                 assert m.length(Fraction(n, m.denom)) == best[n], (m, n)
-                # the closed form holds exactly from the threshold r up
-                w, r = m._lengths[n % a]
-                assert r <= (a - 1) * max(m.min_gens) <= limit
-                if n >= r:
-                    assert a * best[n] == n - w, (m, n)
-                else:
-                    below += 1
-                    assert a * best[n] < n - w, (m, n)
-        assert below > 0
+                stair = m._stairs[n % a]
+                reached = [w for r, w in stair if r <= n]
+                assert a * best[n] == n - reached[-1], (m, n)
+                for r, w in stair:
+                    if r > n:
+                        above += 1
+                        assert a * best[n] < n - w, (m, n)
+            for c, stair in enumerate(m._stairs):
+                rs, ws = [r for r, _ in stair], [w for _, w in stair]
+                assert rs == sorted(set(rs)) and ws == sorted(set(ws), reverse=True), (m, c)
+                assert (rs[0] if rs else None) == m._apery[c], (m, c)
+                assert all(r % a == c and (r - w) % a == 0 and 0 <= w <= r for r, w in stair)
+        assert above > 0
 
     def test_table_is_built_at_the_first_length_call(self):
         m = sf.make_monoid([6, 9, 20])
-        assert m._lengths is None
+        assert m._stairs is None
         m.member(7)
         m.factorizations(12)
-        assert m._lengths is None
+        assert m._stairs is None
         assert m.length(20) == 1
-        # classes mod 6: 0 empty, 9+20+20, 20, 9, 20+20, 9+20
-        assert m._lengths == [(0, 0), (31, 49), (14, 20), (3, 9), (28, 40), (17, 29)]
+        # classes mod 6: 0 empty, 9+20+20, 20, 9, 20+20, 9+20, one pair each
+        assert m._stairs == [[(0, 0)], [(49, 31)], [(20, 14)], [(9, 3)], [(40, 28)], [(29, 17)]]
+        m = sf.make_monoid([5, 6, 13])
+        assert m.length(13) == 1 and m.length(18) == 3
+        # class 3 mod 5: 13 in one part, then 6+6+6 in three
+        assert m._stairs[3] == [(13, 8), (18, 3)]
+
+    def test_large_first_atom_answers_at_once(self):
+        m = sf.make_monoid([500, 501, 999])
+        start = time.perf_counter()
+        assert m.length(248998) == 496
+        assert time.perf_counter() - start < 0.05
 
     @pytest.mark.parametrize(
         "gens, n, expected",
@@ -442,22 +466,30 @@ class TestTableBudgets:
         # a redundant generator between the others is still dropped
         assert sf.make_monoid([2, 4, 20000001]).min_gens == frozenset({2, 20000001})
 
-    def test_length_dp_budget_counts_cells(self):
+    def test_length_budget_counts_pairs(self):
+        # <5,6,13> has 7 staircase pairs: 0, 6, 12, 13 and 18, 19 and 24
+        assert sf.make_monoid([5, 6, 13]).length(13, node_budget=7) == 1
         m = sf.make_monoid([5, 6, 13])
-        # 13 is below the threshold of its class: the DP fills cells 0..13
-        assert m.length(13, node_budget=14) == 1
-        with pytest.raises(BudgetError, match="length DP needs 14 cells"):
-            m.length(13, node_budget=13)
-        # at or above the threshold the table answers, with no DP
+        with pytest.raises(BudgetError) as info:
+            m.length(13, node_budget=6)
+        assert str(info.value) == "length table exceeded the budget of 6 pairs"
+        # a refused table is not kept, and the next call builds it whole
+        assert m._stairs is None
+        assert m.length(18, node_budget=7) == 3
+        assert sum(map(len, m._stairs)) == 7
+        # once built, the table answers whatever the budget
         assert m.length(18, node_budget=1) == 3
 
-    def test_length_dp_budget_before_allocation(self):
+    def test_length_budget_counts_classes_before_allocation(self):
         m = sf.make_monoid([500, 501, 999])
-        assert m.length(0) == 0
         start = time.perf_counter()
-        with pytest.raises(BudgetError, match="248999 cells, over the budget of 248998"):
-            m.length(248998, node_budget=248998)
+        with pytest.raises(BudgetError) as info:
+            m.length(248998, node_budget=499)
+        assert str(info.value) == "length table needs 500 residue classes, over the budget of 499"
         assert time.perf_counter() - start < 0.1
+        with pytest.raises(BudgetError, match="^length table exceeded the budget of 664 pairs$"):
+            m.length(248998, node_budget=664)
+        assert m.length(248998, node_budget=665) == 496
 
 
 class TestScalingInvariance:
