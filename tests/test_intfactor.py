@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -472,16 +473,23 @@ class TestFactor:
         assert all(r == results[0] for r in results)
 
     def test_cache_is_bounded_and_keeps_the_newest(self):
-        info = intfactor._irreducible_factors.cache_info
+        memo = intfactor._memo
         intfactor.clear_cache()
-        parts = [(n, 0, 1) for n in range(1, info().maxsize + 7)]  # x^2 + n, squarefree
-        outs = [intfactor._irreducible_factors(p) for p in parts]
-        assert info().currsize == info().maxsize
-        assert intfactor._irreducible_factors(parts[-1]) is outs[-1]
-        assert intfactor._irreducible_factors(parts[0]) is not outs[0]
-        assert info().currsize == info().maxsize
+        assert intfactor._MEMO_SIZE == 1024
+        parts = [(n, 0, 1) for n in range(1, 1024 + 7)]  # x^2 + n, irreducible
+        for p in parts:
+            assert intfactor._irreducible_factors(p) == (p,)
+        assert len(memo) == 1024
+        assert list(memo)[-1] == parts[-1]
+        assert parts[5] not in memo and list(memo)[0] == parts[6]
+        # a hit makes the oldest entry the newest, so the next one is evicted
+        assert intfactor._irreducible_factors(parts[6]) == (parts[6],)
+        assert intfactor._irreducible_factors((2000, 0, 1)) == ((2000, 0, 1),)
+        assert len(memo) == 1024
+        assert parts[6] in memo and parts[7] not in memo
+        assert list(memo)[-2:] == [parts[6], (2000, 0, 1)]
         intfactor.clear_cache()
-        assert info().currsize == 0
+        assert len(memo) == 0
 
     def test_cache_is_shared_by_squarefree_parts(self, monkeypatch):
         # (x^2+1)(x+2)^2 and 3(x^2+1)^3: the part x^2+1 is recombined once
@@ -501,6 +509,134 @@ class TestFactor:
         fac = factor_int_poly(ip(0, 0, 0, 5))
         assert fac.content == (5,)
         assert [(p.coeffs, m) for p, m in fac.factors] == [((0, 1), 3)]
+
+
+def fill_memo():
+    """A cold memo filled with the 1024 irreducibles x^2 + x + n, n = 2..1025
+    (none of them in ``shared_products``), as a set of coefficient tuples."""
+    intfactor.clear_cache()
+    fillers = {(n, 1, 1) for n in range(2, 1026)}
+    for g in sorted(fillers):
+        intfactor._irreducible_factors(g)
+    assert set(intfactor._memo) == fillers
+    return fillers
+
+
+def shared_products(rng, count):
+    """Products of two to five irreducibles from a small pool, with
+    multiplicities, signs and contents, so that consecutive ones share some
+    factors but seldom all of them."""
+    pool = [[1, 1], [1, -1, 1], [2, 1], [1, 0, 1], [1, 1, 1], [-3, 1], [3, 2],
+            [1, 0, 0, 2], [-2, 0, 0, 1], [5, 1, 0, 1], [1, 1, 1, 1, 1]]
+    out = []
+    for _ in range(count):
+        f = [rng.choice([-6, -1, 1, 2, 3])]
+        for g in rng.sample(pool, rng.randint(2, 5)):
+            f = _mul(f, _pow(g, rng.randint(1, 3)))
+        out.append(f)
+    return out
+
+
+class TestIrreducibleMemo:
+    def test_shared_factors_skip_recombination(self, monkeypatch):
+        calls = []
+        zassenhaus = intfactor._zassenhaus
+        monkeypatch.setattr(intfactor, "_zassenhaus", lambda f: calls.append(list(f)) or zassenhaus(f))
+        intfactor.clear_cache()
+        factor_int_poly(IntPoly.of(_mul(_mul([1, 1], [1, 0, 1]), [1, 2])))
+        calls.clear()
+        fac = factor_int_poly(IntPoly.of(_mul(_mul(_pow([1, 1], 2), [1, 2]), [1, 1, 1])))
+        assert calls == [[1, 1, 1]]
+        assert [(p.coeffs, m) for p, m in fac.factors] == [
+            ((1, 1), 2), ((1, 2), 1), ((1, 1, 1), 1)]
+        intfactor.clear_cache()
+
+    def test_clear_cache_empties_the_memo(self):
+        intfactor.clear_cache()
+        factor_int_poly(IntPoly.of(_mul([1, 1], [1, 0, 1])))
+        assert set(intfactor._memo) == {(1, 1), (1, 0, 1)}
+        intfactor.clear_cache()
+        assert not intfactor._memo
+
+    def test_warm_equals_cold_and_sympy(self):
+        for seed in (81, 82, 83):
+            fs = shared_products(random.Random(seed), 30)
+            intfactor.clear_cache()
+            warm = [factor_int_poly(IntPoly.of(f), degree_limit=60) for f in fs]
+            cold = []
+            for f in fs:
+                intfactor.clear_cache()
+                cold.append(factor_int_poly(IntPoly.of(f), degree_limit=60))
+            assert warm == cold
+        for f in shared_products(random.Random(84), 30):
+            check_against_sympy(f, 60)
+        intfactor.clear_cache()
+
+    def test_full_memo_of_unrelated_irreducibles(self, monkeypatch):
+        fs = shared_products(random.Random(85), 20)
+        fs.append(_mul(_pow([3, 1], 3), _mul([1, -1, 1], _pow([1, 1], 2))))
+        # a part vanishing at 0 and 1: every g(0) and g(1) divides 0, so the
+        # tests read f/x at 0 and f/(x-1) at 1 instead
+        fs.append(_mul(_mul([0, 1], [-1, 1]), _mul([3, 1], [1, 0, 1])))
+        cold = []
+        for f in fs:
+            intfactor.clear_cache()
+            cold.append(factor_int_poly(IntPoly.of(f), degree_limit=60))
+        fillers = fill_memo()
+        tried = []
+
+        def counting_div(u, v):
+            if tuple(v) in fillers:
+                tried.append(tuple(v))
+            return _div_exact(u, v)
+
+        monkeypatch.setattr(intfactor, "_div_exact", counting_div)
+        warm = [factor_int_poly(IntPoly.of(f), degree_limit=60) for f in fs]
+        assert warm == cold
+        # the integer tests reject every filler a scan reaches before any
+        # division
+        assert tried == []
+        intfactor.clear_cache()
+
+    def test_threads_share_a_full_evicting_memo(self):
+        rng = random.Random(86)
+        # every product holds a new cubic x^3 + n, so factoring it evicts
+        # fillers while other threads scan
+        jobs = [[_mul(f, [k * 80 + i + 2, 0, 0, 1]) for i, f in enumerate(shared_products(rng, 60))]
+                for k in range(8)]
+        cold = []
+        for fs in jobs:
+            row = []
+            for f in fs:
+                intfactor.clear_cache()
+                row.append(factor_int_poly(IntPoly.of(f), degree_limit=60))
+            cold.append(row)
+        fillers = fill_memo()
+        results = [None] * 8
+        barrier = threading.Barrier(8, timeout=30)
+
+        def work(k):
+            barrier.wait()
+            results[k] = [factor_int_poly(IntPoly.of(f), degree_limit=60) for f in jobs[k]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == cold
+        # bounded, and holding only fillers and factors of the answers
+        irreducibles = {p.coeffs for row in cold for fac in row for p, _ in fac.factors}
+        assert len(intfactor._memo) == 1024
+        assert set(intfactor._memo) <= fillers | irreducibles
+        assert not fillers <= set(intfactor._memo)
+        intfactor.clear_cache()
 
 
 def rational_gcd(a, b):
