@@ -861,10 +861,11 @@ def clear_cache():
 
 
 def _part_values(f):
-    """deg f, lc f, f(0), f(1), and the values at 0 and 1 that an
-    irreducible g with g(0) != 0, or g(1) != 0, must divide when it divides
-    f: f(0), or f[1] = (f/x)(0) where f(0) = 0; f(1), or f'(1) = (f/(x-1))(1)
-    where f(1) = 0.  For a squarefree f neither replacement is 0."""
+    """(deg f, lc f, f(0), v0, f(1), v1) for the memo's integer tests.  An
+    irreducible g other than x that divides f divides f/x, so g(0) divides
+    v0 = f(0), or (f/x)(0) = f[1] where f(0) = 0; likewise g(1) divides
+    v1 = f(1), or (f/(x-1))(1) = f'(1) where f(1) = 0.  For a squarefree f
+    neither replacement is 0."""
     f0, f1 = f[0], sum(f)
     v0 = f0 or f[1]
     v1 = f1 or sum(i * c for i, c in enumerate(f))
