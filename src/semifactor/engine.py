@@ -8,9 +8,10 @@ Two divisor strategies are available and kept deliberately independent:
   irreducible factors taken with a multiplicity vector e <= m, where m is
   f's own vector, and e is kept exactly when its product and the product
   of m - e both have nonnegative coefficients and supports inside the
-  exponent monoid.  The box is walked on Kronecker-packed integers (the
-  slot codec of ``intfactor._Slots``): each point costs one big-integer
-  product, its two tests are masks, and only the points kept are decoded.
+  exponent monoid.  The box is built a factor at a time on Kronecker-packed
+  integers (the slot codec of ``intfactor._Slots``): each point costs one
+  big-integer product, its two tests are masks, and the packed values order
+  the kept points as ``sort_key`` does, so each is decoded once, in order.
 
 * ``oracle``: enumerate candidate divisors directly.  A candidate support is
   a set of monoid members that each additively divide some support element
@@ -29,10 +30,10 @@ Two divisor strategies are available and kept deliberately independent:
   size, before any long division; every candidate still counts against the
   budget.
 
-``divisors`` indexes a divisor set once: its members in ``sort_key`` order
-and, for zx, the vector of each as one int with a guard bit above each
-entry.  Atoms, Z(f), ``is_monolithic`` and ``monolithic_decompose`` work
-on positions in that order, and every divisibility question among them
+A divisor set is indexed once, as a lattice: its members in ``sort_key``
+order and, for zx, the vector of each as one int with a guard bit above
+each entry.  Atoms, Z(f), ``is_monolithic`` and ``monolithic_decompose``
+read positions in that order, and every divisibility question among them
 goes through one quotient kernel, ``_quot``: for g, h in D(f), h divides g
 exactly when g/h is again in D(f).  For zx that is the vector e_g - e_h:
 v_g with every guard bit set, minus v_h, keeps all guard bits exactly when
@@ -50,10 +51,11 @@ The engine reads a polynomial's scaled exponent numerators ``nums`` and
 its ``coeffs`` and builds every divisor from them; it never builds an
 ``ExpElem``.
 
-Divisor sets are cached per canonical form, strategy and budgets by
+Lattices are cached per canonical form, strategy and budgets by
 ``functools.lru_cache``, at most 1024 of them (the least recently used is
-evicted first); the cached lattice also keeps its atoms, length sets,
-splits and Z(f) once computed.  All returned values are immutable.
+evicted first).  Each keeps its atoms, length sets, splits and Z(f) once
+computed, and the ``DivisorSet`` that only ``divisors`` builds, on its
+first call.  All returned values are immutable.
 """
 from __future__ import annotations
 
@@ -62,7 +64,7 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import isqrt, prod
 
 from .coeff import Nat
@@ -77,16 +79,17 @@ STRATEGY_ZX = "zx_fastpath"
 
 @dataclass(eq=False)
 class _Lattice:
-    """Positions of a divisor set: ``ordered`` is the set in ``sort_key``
-    order; ``pos`` maps a vector (zx) or a divisor (oracle) to its position;
-    ``unit`` and ``base`` are the positions of 1 and of f.  ``vecs`` holds
-    each divisor's multiplicity vector as one int, a guard bit (``guard``)
-    above each entry, so a proper divisor's vector is the smaller (zx), or
-    is None (oracle); ``ones`` holds each value at x = 1 (oracle) or is None
-    (zx).  ``atoms``, ``lengths`` (L of each position as a bit set),
-    ``splits`` (each position's atom to peel, or -1) and ``z`` are kept
-    once computed, for the budgets the lattice is cached under."""
+    """Positions of a divisor set found by ``strategy``: ``ordered`` is the
+    set in ``sort_key`` order; ``pos`` maps a vector (zx) or a divisor
+    (oracle) to its position; ``unit`` and ``base`` are the positions of 1
+    and of f.  ``vecs`` holds each multiplicity vector as one int, a guard
+    bit (``guard``) above each entry, so a proper divisor's is the smaller
+    (zx), or is None (oracle); ``ones`` holds each value at x = 1 (oracle)
+    or is None (zx).  ``atoms``, ``lengths`` (L of each position as a bit
+    set), ``splits`` (each position's atom to peel, or -1), ``z`` and the
+    ``DivisorSet`` that ``divisors`` returns are kept once computed."""
 
+    strategy: str
     ordered: tuple
     vecs: tuple | None
     pos: dict
@@ -98,6 +101,7 @@ class _Lattice:
     lengths: tuple | None = None
     splits: tuple | None = None
     z: frozenset | None = None
+    divisor_set: DivisorSet | None = None
 
 
 @dataclass(frozen=True)
@@ -147,25 +151,26 @@ def divisors(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None
     """All g in the semidomain with g*h = f for some h, plus the strategy used."""
     if f.is_zero:
         raise DomainError("the zero polynomial has no divisor set")
+    lat = _lattice_of(f, strategy, budgets)
+    if lat.divisor_set is None:  # threads that race here build equal sets
+        lat.divisor_set = DivisorSet(f, frozenset(lat.ordered), lat.strategy, lat)
+    return lat.divisor_set
+
+
+def _lattice_of(f, strategy, budgets):
     return _divisor_set(f, _resolve_strategy(f, strategy), budgets or DEFAULT_BUDGETS)
 
 
 @functools.lru_cache(maxsize=1024)
 def _divisor_set(f, strat, budgets):
-    """``divisors`` for a resolved strategy and budgets, indexed once."""
+    """The ``_Lattice`` of f for a resolved strategy and budgets."""
     if strat == STRATEGY_ZX:
-        found, guard = _zx_divisors(f, budgets)
-        vecs, ordered = zip(*sorted(found.items(), key=lambda kv: sort_key(kv[1])))
-        pos = {v: i for i, v in enumerate(vecs)}
-        # f's vector is the componentwise, hence the packed, maximum
-        lattice = _Lattice(ordered, vecs, pos, pos[0], pos[max(vecs)], guard=guard)
-    else:
-        ordered = tuple(sorted(_oracle_divisors(f, budgets), key=sort_key))
-        pos = {g: i for i, g in enumerate(ordered)}
-        ones = tuple(_at_one(f.semiring, g.coeffs) for g in ordered)
-        unit = pos[PolyExpr.one(f.semiring, f.monoid)]
-        lattice = _Lattice(ordered, None, pos, unit, pos[f], ones)
-    return DivisorSet(f, frozenset(ordered), strat, lattice)
+        return _zx_divisors(f, budgets)
+    ordered = tuple(sorted(_oracle_divisors(f, budgets), key=sort_key))
+    pos = {g: i for i, g in enumerate(ordered)}
+    ones = tuple(_at_one(f.semiring, g.coeffs) for g in ordered)
+    unit = pos[PolyExpr.one(f.semiring, f.monoid)]
+    return _Lattice(strat, ordered, None, pos, unit, pos[f], ones)
 
 
 def _resolve_strategy(f, strategy):
@@ -181,17 +186,19 @@ def _resolve_strategy(f, strategy):
 
 
 def _zx_divisors(f, budgets):
-    """(packed multiplicity vector -> divisor, guard bits) over the box of
-    sub-multisets of the content primes and irreducible factors of f(y^D),
-    walked depth-first: a point's parent lowers its last nonzero entry.
+    """The lattice of the box of sub-multisets of the content primes and
+    irreducible factors of f(y^D), built one factor at a time.
 
     A point g divides f(y), so |g_i| <= 2^n*||f||_2 (Mignotte), and the
     product of the factors' 1-norms bounds it too.  With 2^(w-1) above the
     smaller, X = g(2^w) + H has slots g_i + 2^(w-1): g >= 0 when all their
     top bits (H) are set, and its support lies in the monoid when the
     non-member slots (NM) hold 2^(w-1) alone.  A point is kept when it and
-    its cofactor pass; a failing point can have passing children, e.g.
-    (y^2-y+1)(y+1) = y^3+1."""
+    its cofactor pass; a failing point can lie below passing ones, e.g.
+    (y^2-y+1)(y+1) = y^3+1.  The kept points are sorted by G = g(2^w):
+    with nonnegative coefficients in fixed slots the top slot compares
+    first and 0 sorts below any coefficient, which is ``sort_key`` order,
+    so 1 comes first and f last; each is decoded once, in that order."""
     n = f.nums[0]
     check_degree(n, budgets.degree_limit)
     dense = [0] * (n + 1)
@@ -211,34 +218,26 @@ def _zx_divisors(f, budgets):
     w = slots.bits
     H = slots.pack([1 << (w - 1)] * (n + 1))
     NM = sum(((1 << w) - 1) << (w * k) for k in range(n + 1) if not f.monoid.member_num(k))
-    # multiplicity vectors: one field per factor, a guard bit above each
-    fields, guard, shift = [], 0, 0
+    # (multiplicity vector, a guard bit above each factor's field; value at
+    # 2^w) per point; the last factor's points are tested, never all stored
+    box, steps, guard, shift = [(0, 1)], [(0, 1)], 0, 0
     for coeffs, m in entries:
-        bits = m.bit_length()
-        fields.append((1 << shift, m << shift, ((1 << bits) - 1) << shift, _eval(coeffs, 1 << w)))
-        guard |= 1 << (shift + bits)
-        shift += bits + 1
-    inside = {}
-    # (point, its value at 2^w, the first factor its children may raise)
-    stack = [(0, 1, 0)]
-    while stack:
-        v, G, j = stack.pop()
-        X = G + H
-        if X & H == H and not (X ^ H) & NM:
-            inside[v] = G
-        for k in range(j, len(fields)):
-            one, full, mask, F = fields[k]
-            if v & mask != full:
-                stack.append((v + one, G * F, k))
-    top = sum(full for _, full, _, _ in fields)
+        box = [(v + d, G * P) for v, G in box for d, P in steps]
+        F = _eval(coeffs, 1 << w)
+        steps = [(k << shift, F**k) for k in range(m + 1)]
+        shift += m.bit_length() + 1
+        guard |= 1 << (shift - 1)
+    box = ((v + d, G * P) for v, G in box for d, P in steps)
+    inside = {v: G for v, G in box if (X := G + H) & H == H and not (X ^ H) & NM}
+    top = max(inside)  # f's vector, the componentwise hence packed maximum
+    vecs = sorted((v for v in inside if top - v in inside), key=inside.__getitem__)
     S, M = f.semiring, f.monoid
-    out = {}
-    for v, G in inside.items():
-        if top - v in inside:
-            cs = slots.unpack(G, n + 1)
-            nums = [k for k in range(n, -1, -1) if cs[k]]
-            out[v] = PolyExpr(S, M, tuple(nums), tuple(cs[k] for k in nums))
-    return out, guard
+    ordered, down = [], range(n, -1, -1)
+    for v in vecs:
+        cs = slots.unpack(inside[v], n + 1)[::-1]
+        ordered.append(PolyExpr(S, M, tuple(compress(down, cs)), tuple(filter(None, cs))))
+    pos = {v: i for i, v in enumerate(vecs)}
+    return _Lattice(STRATEGY_ZX, tuple(ordered), tuple(vecs), pos, 0, len(vecs) - 1, guard=guard)
 
 
 def _at_one(S, coeffs):
@@ -314,7 +313,7 @@ def is_atom(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None)
         raise DomainError("0 is not eligible for atom testing")
     if f.is_one:
         return False
-    return len(divisors(f, strategy, budgets).divisors) == 2
+    return len(_lattice_of(f, strategy, budgets).ordered) == 2
 
 
 def _quot(lat: _Lattice, i: int, j: int):
@@ -343,7 +342,7 @@ def is_monolithic(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets =
         raise DomainError("0 is not eligible for monolithic testing")
     if len(f.nums) == 1:
         return True
-    lat = divisors(f, strategy, budgets)._lattice
+    lat = _lattice_of(f, strategy, budgets)
     _atoms_within(lat)
     return lat.splits[lat.base] < 0
 
@@ -355,7 +354,7 @@ def monolithic_decompose(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Bu
         raise DomainError("monolithic decomposition needs a nonzero nonunit")
     if len(f.nums) == 1:
         return [f]
-    lat = divisors(f, strategy, budgets)._lattice
+    lat = _lattice_of(f, strategy, budgets)
     _atoms_within(lat)
     parts, t = [], lat.base
     while (a := lat.splits[t]) >= 0:
@@ -422,7 +421,7 @@ def factorizations(
     budgets = budgets or DEFAULT_BUDGETS
     if f.is_zero or f.is_one:
         raise DomainError("factorization sets are defined for nonzero nonunits")
-    lat = divisors(f, strategy, budgets)._lattice
+    lat = _lattice_of(f, strategy, budgets)
     if lat.z is not None:
         return lat.z
     atoms = _atoms_within(lat)
@@ -464,7 +463,7 @@ def length_profile(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets 
         raise DomainError("the zero polynomial has no length set")
     if f.is_one:
         return frozenset(), Fraction(1)
-    lat = divisors(f, strategy, budgets)._lattice
+    lat = _lattice_of(f, strategy, budgets)
     _atoms_within(lat)
     bits = lat.lengths[lat.base]
     lengths = frozenset(k for k in range(bits.bit_length()) if bits >> k & 1)

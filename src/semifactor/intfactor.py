@@ -1,12 +1,13 @@
 """Complete factorization of univariate integer polynomials.
 
-Pipeline: integer content and sign extraction, Yun squarefree decomposition
+Pipeline: integer content and sign extraction; division by x and x - 1 as
+often as they divide; one scan of a bounded memo of the irreducibles
+already proved (least recently used evicted first), each hit divided out
+as often as it divides; Yun squarefree decomposition of the cofactor left
 (each gcd and both its cofactors from one integer gcd of two values, the
 heuristic gcd; for inputs whose values would be too large, a coprimality
 test modulo three small primes, then the primitive polynomial remainder
-sequence), trial division of each squarefree part by a bounded memo of
-the irreducibles already proved (least recently used evicted first), and,
-for the cofactor left, factorization modulo
+sequence); and, for each squarefree part, factorization modulo
 a small deterministic prime by distinct-degree factorization and
 Cantor-Zassenhaus equal-degree splitting (a seeded local random source;
 a product of linear factors over a small field by its roots instead),
@@ -46,7 +47,7 @@ import sys
 import threading
 from array import array
 from dataclasses import dataclass
-from itertools import combinations, islice, zip_longest
+from itertools import accumulate, combinations, islice, zip_longest
 
 from .coeff import prime_factors
 from .errors import DEFAULT_BUDGETS, DomainError, InternalError, UsageError, check_degree
@@ -849,7 +850,8 @@ def _zassenhaus(f):
 
 # The irreducibles proved by _zassenhaus, least recently used first: each
 # primitive coefficient tuple with positive lc maps to its degree, lc and
-# values at 0 and 1.
+# values at 0 and 1.  Entries come from inputs with x and x - 1 divided out,
+# so no entry is x or x - 1 and neither value is 0.
 _MEMO_SIZE = 1024
 _memo = {}
 _memo_lock = threading.Lock()
@@ -861,64 +863,68 @@ def clear_cache():
 
 
 def _part_values(f):
-    """(deg f, lc f, f(0), v0, f(1), v1) for the memo's integer tests.  An
-    irreducible g other than x that divides f divides f/x, so g(0) divides
-    v0 = f(0), or (f/x)(0) = f[1] where f(0) = 0; likewise g(1) divides
-    v1 = f(1), or (f/(x-1))(1) = f'(1) where f(1) = 0.  For a squarefree f
-    neither replacement is 0."""
-    f0, f1 = f[0], sum(f)
-    v0 = f0 or f[1]
-    v1 = f1 or sum(i * c for i, c in enumerate(f))
-    return len(f) - 1, f[-1], f0, v0, f1, v1
+    """(deg f, lc f, f(0), f(1)) for the memo's integer tests.  A memo
+    entry g that divides f has deg g <= deg f, lc g | lc f, g(0) | f(0) and
+    g(1) | f(1); those tests reject little when f(0) or f(1) is 0, since
+    every integer divides 0, so ``_factor_primitive`` divides x and x - 1
+    out of f before any scan."""
+    return len(f) - 1, f[-1], f[0], sum(f)
 
 
 def _irreducible_factors(part):
     """The irreducible factors of a squarefree part, given as a coefficient
-    tuple, as a sorted tuple of coefficient tuples.
-
-    The part is first divided by the memo's irreducibles, newest first.  An
-    entry g is tried by exact division only when deg g <= deg f, lc g | lc f,
-    and g(0) and g(1) divide the values ``_part_values`` gives for the
-    cofactor f left so far (where g vanishes, f must too).  Each entry
-    divides the part at most once, and the cofactor stays primitive and
-    squarefree, so the scan stops once it is constant; only a cofactor that
-    is not goes through ``_zassenhaus``, whose irreducibles join the memo.
-    Inputs that share some irreducibles recombine each of them once."""
-    rest = list(part)
-    found = []
+    tuple, as a sorted tuple of coefficient tuples, from ``_zassenhaus``;
+    they join the memo as its newest entries."""
+    new = [tuple(u) for u in _zassenhaus(list(part))]
     with _memo_lock:
-        df, lf, f0, v0, f1, v1 = _part_values(rest)
-        for g, (dg, lg, g0, g1) in reversed(_memo.items()):
-            if dg > df or lf % lg or (v0 % g0 if g0 else f0) or (v1 % g1 if g1 else f1):
-                continue
-            q = _div_exact(rest, g)
-            if q is not None:
-                found.append(g)
-                rest = q
-                if len(rest) == 1:
-                    break
-                df, lf, f0, v0, f1, v1 = _part_values(rest)
-        for g in found:
-            _memo[g] = _memo.pop(g)
-    if len(rest) > 1:
-        new = [tuple(u) for u in _zassenhaus(rest)]
-        with _memo_lock:
-            for g in new:
-                _memo.pop(g, None)
-                _memo[g] = (len(g) - 1, g[-1], g[0], sum(g))
-            while len(_memo) > _MEMO_SIZE:
-                del _memo[next(iter(_memo))]
-        found += new
-    return tuple(sorted(found, key=lambda u: (len(u), u)))
+        for g in new:
+            _memo.pop(g, None)
+            _memo[g] = _part_values(g)
+        while len(_memo) > _MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+    return tuple(sorted(new, key=lambda u: (len(u), u)))
 
 
 def _factor_primitive(prim):
     """Irreducible factors with multiplicities of a primitive polynomial
-    with positive leading coefficient."""
-    counts = {}
-    for part, mult in squarefree_decompose(IntPoly(tuple(prim))):
-        for t in _irreducible_factors(part.coeffs):
-            counts[t] = counts.get(t, 0) + mult
+    with positive leading coefficient.
+
+    x and x - 1 are divided out first, then the memo is scanned once,
+    newest first, over all that is left: an entry g is tried by exact
+    division only when it passes the tests of ``_part_values``, and a hit
+    is divided out as often as it divides and moves to the newest end.
+    Only a cofactor that is not constant goes through Yun's squarefree
+    decomposition, and each of its parts through ``_irreducible_factors``:
+    no memo entry divides a part, since it would have divided the whole."""
+    k = next(i for i, c in enumerate(prim) if c)
+    rest = prim[k:]
+    counts = {(0, 1): k} if k else {}
+    while sum(rest) == 0:
+        # rest = (x - 1) q, q[i] = rest[i + 1] + ... + rest[n]
+        rest = list(accumulate(rest[:0:-1]))[::-1]
+        counts[(-1, 1)] = counts.get((-1, 1), 0) + 1
+    df, lf, f0, f1 = _part_values(rest)
+    hits = []
+    with _memo_lock:
+        for g, (dg, lg, g0, g1) in reversed(_memo.items()):
+            if df == 0:
+                break
+            m = 0
+            while not (dg > df or lf % lg or f0 % g0 or f1 % g1):
+                q = _div_exact(rest, g)
+                if q is None:
+                    break
+                rest, m = q, m + 1
+                df, lf, f0, f1 = _part_values(rest)
+            if m:
+                counts[g] = m
+                hits.append(g)
+        for g in hits:
+            _memo[g] = _memo.pop(g)
+    if df > 0:
+        for part, mult in squarefree_decompose(IntPoly(tuple(rest))):
+            for t in _irreducible_factors(part.coeffs):
+                counts[t] = counts.get(t, 0) + mult
     return tuple(sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 

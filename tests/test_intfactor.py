@@ -575,8 +575,8 @@ class TestIrreducibleMemo:
     def test_full_memo_of_unrelated_irreducibles(self, monkeypatch):
         fs = shared_products(random.Random(85), 20)
         fs.append(_mul(_pow([3, 1], 3), _mul([1, -1, 1], _pow([1, 1], 2))))
-        # a part vanishing at 0 and 1: every g(0) and g(1) divides 0, so the
-        # tests read f/x at 0 and f/(x-1) at 1 instead
+        # a part vanishing at 0 and 1: every g(0) and g(1) divides 0, so x
+        # and x - 1 are divided out before the scan
         fs.append(_mul(_mul([0, 1], [-1, 1]), _mul([3, 1], [1, 0, 1])))
         cold = []
         for f in fs:
@@ -596,6 +596,21 @@ class TestIrreducibleMemo:
         # the integer tests reject every filler a scan reaches before any
         # division
         assert tried == []
+        intfactor.clear_cache()
+
+    def test_full_memo_guard_for_zeros_at_0_and_1(self, monkeypatch):
+        # x^3 (x-1)^2 (x+2)(x^2+1): f(0) = f[1] = 0 and f(1) = f'(1) = 0, so
+        # a scan before x and x - 1 are divided out would try every filler
+        f = _mul(_mul(_pow([0, 1], 3), _pow([-1, 1], 2)), _mul([2, 1], [1, 0, 1]))
+        intfactor.clear_cache()
+        cold = factor_int_poly(IntPoly.of(f))
+        fill_memo()
+        calls = []
+        monkeypatch.setattr(
+            intfactor, "_div_exact", lambda u, v: calls.append(v) or _div_exact(u, v)
+        )
+        assert factor_int_poly(IntPoly.of(f)) == cold
+        assert len(calls) <= 8, len(calls)
         intfactor.clear_cache()
 
     def test_threads_share_a_full_evicting_memo(self):

@@ -1,7 +1,10 @@
-"""The divisor lattice: the packed zx box walk against a brute-force box
-over sympy's factorization, and the one divisor-first pass (atoms, L(f),
-elasticity, monolithic splits) against the pairwise definitions and the
-materialised Z(f).  hypothesis and sympy are test-only dependencies."""
+"""The divisor lattice: the packed zx box against a brute-force box over
+sympy's factorization, its packed order against ``sort_key``, the one
+divisor-first pass (atoms, L(f), elasticity, monolithic splits) against
+the pairwise definitions and the materialised Z(f), and the work the
+queries other than ``divisors`` skip.  hypothesis and sympy are test-only
+dependencies."""
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 from math import isqrt, prod
@@ -9,11 +12,11 @@ from math import isqrt, prod
 import pytest
 
 import semifactor as sf
-from semifactor import engine
+from semifactor import engine, intfactor
 
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 NAT = sf.Nat()
 Y = sympy.Symbol("y")
@@ -201,3 +204,92 @@ def test_lengths_spend_no_z_budget():
     with pytest.raises(sf.BudgetError):
         sf.factorizations(f, budgets=budgets)
     assert sf.length_profile(f, budgets=budgets) == sf.length_profile(f)
+
+
+# prime powers above 2^63: the zx slots are wider than 8 bytes, while the
+# oracle tries only the 65, 42 or 29 constants dividing lc and tc
+WIDE = [2**64, 3**41, 5**28]
+
+
+@st.composite
+def packed_cases(draw):
+    """A nonnegative f over nat or <1/2, 3/4>: a product of one or two
+    small factors, or a binomial or monomial with a coefficient in WIDE."""
+    M = sf.monoid_from_literal(draw(st.sampled_from(["nat", "gens:1/2,3/4"])))
+    members = [n for n in range(7) if M.member_num(n)]
+    if draw(st.booleans()):
+        nums = draw(st.lists(st.sampled_from(members), min_size=1, max_size=2, unique=True))
+        return sf.PolyExpr._merge_nums(NAT, M, [(n, draw(st.sampled_from(WIDE))) for n in nums])
+    f = sf.PolyExpr.one(NAT, M)
+    for _ in range(draw(st.integers(1, 2))):
+        nums = draw(st.lists(st.sampled_from(members), min_size=1, max_size=3, unique=True))
+        f = f * sf.PolyExpr._merge_nums(NAT, M, [(n, draw(st.integers(1, 3))) for n in nums])
+    return f
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(packed_cases())
+@example(P(f"{2**64}x^2+{2**64}"))
+@example(P(f"{5**28}x^{{3/4}}+{5**28}x^{{1/2}}", HALVES))
+def test_packed_order_is_sort_key_order(f):
+    # G = g(2^w) compares the top slot first, and 0 below any coefficient
+    ordered = sf.divisors(f, "zx_fastpath")._lattice.ordered
+    assert list(ordered) == sorted(ordered, key=engine.sort_key)
+    assert set(ordered) == sf.divisors(f, "oracle").divisors
+
+
+def test_wide_cases_take_the_byte_slices(monkeypatch):
+    sizes = []
+
+    def recording(bound):
+        slots = intfactor._Slots(bound)
+        sizes.append(slots.size)
+        return slots
+
+    monkeypatch.setattr(engine, "_Slots", recording)
+    engine.clear_caches()
+    for c in WIDE:
+        sf.divisors(P(f"{c}x+{c}"), "zx_fastpath")
+    assert min(sizes) > 8
+    engine.clear_caches()
+
+
+class TestWorkCounters:
+    QUERIES = ("is_atom", "factorizations", "length_profile", "is_monolithic",
+               "monolithic_decompose", "atomic_certificate")
+
+    def test_queries_read_the_lattice(self, monkeypatch):
+        f = P("x^7+3x^6+4x^5+3x^4+x^3")
+        engine.clear_caches()
+        keys, sets = [], []
+        sort_key, divisor_set = engine.sort_key, engine.DivisorSet
+        monkeypatch.setattr(engine, "sort_key", lambda g: keys.append(g) or sort_key(g))
+        monkeypatch.setattr(engine, "DivisorSet", lambda *a: sets.append(a) or divisor_set(*a))
+        for name in self.QUERIES:
+            getattr(sf, name)(f)
+        assert keys == [] and sets == []
+        ds = sf.divisors(f)
+        assert type(ds) is divisor_set and type(ds.divisors) is frozenset
+        assert len(ds.divisors) == 24 and ds.strategy_used == "zx_fastpath"
+        with pytest.raises(FrozenInstanceError):
+            ds.divisors = frozenset()
+        assert sf.divisors(f) is ds
+        assert keys == [] and len(sets) == 1
+
+    def test_memo_factors_before_yun(self, monkeypatch):
+        engine.clear_caches()
+        intfactor.clear_cache()
+        sf.divisors(P("x^3+2x^2+2x+1"))  # (x+1)(x^2+x+1) joins the memo
+        calls = []
+        squarefree = intfactor.squarefree_decompose
+        monkeypatch.setattr(intfactor, "squarefree_decompose",
+                            lambda F: calls.append(F) or squarefree(F))
+        # x^3 (x+1)^2 (x^2+x+1): x is divided out, the rest found in the memo
+        assert sf.length_profile(P("x^7+3x^6+4x^5+3x^4+x^3")) == (frozenset({6}), Fraction(1))
+        # (x-1)^2 (x+1)^3 (x^2+x+1) over Z: x - 1 is divided out too
+        F = intfactor._mul(intfactor._pow([-1, 1], 2), intfactor._pow([1, 1], 3))
+        fac = intfactor.factor_int_poly(sf.IntPoly.of(intfactor._mul(F, [1, 1, 1])))
+        assert [(p.coeffs, m) for p, m in fac.factors] == [
+            ((-1, 1), 2), ((1, 1), 3), ((1, 1, 1), 1)]
+        assert calls == []
+        intfactor.clear_cache()
