@@ -4,11 +4,11 @@ Pipeline: integer content and sign extraction; division by x and x - 1 as
 often as they divide; one scan of a bounded memo of the irreducibles
 already proved (least recently used evicted first), each hit divided out
 as often as it divides; Yun squarefree decomposition of the cofactor left
-(each gcd and both its cofactors from one integer gcd of two values, the
-heuristic gcd; for inputs whose values would be too large, a coprimality
-test modulo three small primes, then the primitive polynomial remainder
-sequence); and, for each squarefree part, factorization modulo
-a small deterministic prime by distinct-degree factorization and
+(each gcd and both its cofactors from one heuristic evaluation, then a
+modular gcd: one integer gcd of two values read back as a polynomial,
+else, when that fails or the values would be too large, Brown's
+small-primes modular gcd); and, for each squarefree part, factorization
+modulo a small deterministic prime by distinct-degree factorization and
 Cantor-Zassenhaus equal-degree splitting (a seeded local random source;
 a product of linear factors over a small field by its roots instead),
 lifting to exactly p^l, the least prime power above twice a Mignotte bound
@@ -18,8 +18,8 @@ lifting of their cofactor.  Recombination builds each candidate from the
 subset or its complement, whichever has at most half the degree, and prunes
 it by its trailing coefficient and its value at 1 before exact trial
 division.  All arithmetic is on integers, no rationals: divisions are
-pseudo-divisions, exact divisions, or divisions modulo p^k by a monic or
-invertible leading coefficient.  Every factorization is checked before it
+exact divisions or divisions modulo p^k by a monic or invertible leading
+coefficient.  Every factorization is checked before it
 is returned, by comparing values at a power of two large enough that equal
 values mean equal polynomials.
 
@@ -47,7 +47,7 @@ import sys
 import threading
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice, zip_longest
+from itertools import accumulate, combinations, zip_longest
 
 from .coeff import prime_factors
 from .errors import DEFAULT_BUDGETS, DomainError, InternalError, UsageError, check_degree
@@ -131,20 +131,6 @@ def _div_exact(a, b):
     return _trim(quo)
 
 
-def _prem(a, b):
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, over Z."""
-    rem = list(a)
-    db = _deg(b)
-    blc = b[-1]
-    for pos in range(len(rem) - 1 - db, -1, -1):
-        t = rem[pos + db]
-        for i in range(pos + db):
-            rem[i] *= blc
-        for j in range(db):
-            rem[pos + j] -= t * b[j]
-    return _trim(rem[:db])
-
-
 def _pow(a, n):
     """a^n for n >= 0, by repeated squaring."""
     out = [1]
@@ -159,12 +145,8 @@ def _pow(a, n):
 
 # The heuristic gcd forms values of up to (deg + 2) * bits(xi) bits, and its
 # cost grows with the square of that size: about 1.4 ms at 2^14 bits and
-# 13 ms at 2^16.  The primitive PRS is short only when the gcd is most of
-# the input, as in (x+1)^n (x^2-x+1), where it stays near 1 ms and wins from
-# about 2 000 bits (n = 40); on other inputs of 2^14 to 2^16 bits it takes
-# 0.04 to 2 s.  Above this cap the PRS runs.
+# 13 ms at 2^16.  Above this cap the modular gcd runs instead.
 _HEU_BITS = 1 << 16
-_HEU_ROUNDS = 6
 
 
 def _gcd_cofactors(a, b):
@@ -172,35 +154,52 @@ def _gcd_cofactors(a, b):
     positive leading coefficient; when g = 1 the cofactors are a and b
     themselves.
 
-    The heuristic gcd (GCDHEU: Char, Geddes and Gonnet, J. Symbolic Comput.
-    1989): for an integer xi >= 2*min(|a|inf, |b|inf) + 2, read
-    gamma = gcd(a(xi), b(xi)) back as balanced base-xi digits (each at most
-    xi/2 in absolute value) into H, and let G be its primitive part.  G is
-    accepted when it divides a and b, and the two quotients are the
+    First the heuristic gcd at one point (GCDHEU: Char, Geddes and Gonnet,
+    J. Symbolic Comput. 1989): for an integer xi >= 2*min(|a|inf, |b|inf) + 2,
+    read gamma = gcd(a(xi), b(xi)) back as balanced base-xi digits (each at
+    most xi/2 in absolute value) into H, and let G be its primitive part.  G
+    is accepted when it divides a and b, and the two quotients are the
     cofactors.  An accepted G is the gcd: G divides g, so g = G*k in Z[x],
     and g(xi) divides gamma = cont(H)*G(xi), so k(xi) divides cont(H), with
     0 < |cont(H)| <= xi/2.  Every root of k is a root of a and of b, so it
     lies below 1 + min(|a|inf, |b|inf) <= xi/2 in absolute value (Cauchy),
     and |k(xi)| > (xi/2)^deg k: k is constant, and 1 since g and G are
     primitive with positive leading coefficients.  When gamma <= xi/2, H is
-    that constant and G = 1 needs no check.
+    that constant and G = 1 needs no check.  xi is 256 times that bound, so
+    that a small common factor of the two values that is not a value of g
+    still reads back as content of H.
 
-    The first xi is 256 times that bound, so that a small common factor of
-    the two values that is not a value of g still reads back as content of
-    H.  A failed check grows xi, for at most ``_HEU_ROUNDS`` values; once the
-    values would exceed ``_HEU_BITS`` bits, the primitive polynomial
-    remainder sequence decides instead.  Before it runs, the images modulo
-    each of the first three primes p not dividing gcd(lc a, lc b) are
-    tried: p does not divide lc g, so deg gcd(a mod p, b mod p) >= deg g,
-    and coprime images prove g = 1."""
+    When G fails its check, or the values would exceed ``_HEU_BITS`` bits,
+    the small-primes modular gcd decides (Brown, JACM 1971).  A prime p not
+    dividing c = gcd(lc a, lc b) does not divide lc g, so the monic gcd of
+    the images mod p has degree at least deg g: a constant image proves
+    g = 1, and one of degree deg g is g/lc(g) mod p.  Images of the least
+    degree seen so far, scaled to leading coefficient c, are combined by
+    Chinese remaindering into H = (c/lc g)*g mod the product of their
+    primes; an image of higher degree is skipped, one of lower degree
+    starts H again.  When the symmetric lift of H repeats, its primitive
+    part G is checked as above.  A G that divides a and b divides g and has
+    the least image degree, at least deg g, so G = g.  Finitely many primes
+    give a higher degree, so once the product of the primes exceeds twice
+    the coefficients of (c/lc g)*g the lift repeats and passes."""
     if len(a) == 1 or len(b) == 1:
         return [1], a, b
+    for G in _gcd_candidates(a, b):
+        if len(G) == 1:
+            return [1], a, b
+        qa = _div_exact(a, G)
+        if qa is not None:
+            qb = _div_exact(b, G)
+            if qb is not None:
+                return G, qa, qb
+
+
+def _gcd_candidates(a, b):
+    """The primitive candidates of ``_gcd_cofactors`` for non-constant a and
+    b, in order; [1] is proved, the others need the check."""
     na, nb = max(map(abs, a)), max(map(abs, b))
     xi = (2 * min(na, nb) + 2) << 8
-    size = max(len(a), len(b)) + 1
-    for _ in range(_HEU_ROUNDS):
-        if size * max(xi, na, nb).bit_length() > _HEU_BITS:
-            break
+    if (max(len(a), len(b)) + 1) * max(xi, na, nb).bit_length() <= _HEU_BITS:
         gamma = math.gcd(_eval(a, xi), _eval(b, xi))
         half = xi >> 1
         h = []
@@ -210,25 +209,28 @@ def _gcd_cofactors(a, b):
                 r -= xi
                 gamma += 1
             h.append(r)
-        G = _primitive(h)[1]
-        if len(G) == 1:
-            return [1], a, b
-        qa = _div_exact(a, G)
-        if qa is not None:
-            qb = _div_exact(b, G)
-            if qb is not None:
-                return G, qa, qb
-        xi = xi * 73794 // 27011
-    lc = math.gcd(a[-1], b[-1])
-    for p in islice((p for p in _primes() if lc % p), 3):
-        if len(_p_gcd(_p_trim(a, p), _p_trim(b, p), p)) == 1:
-            return [1], a, b
-    g, r = _primitive(a)[1], _primitive(b)[1]
-    while r:
-        g, r = r, _primitive(_prem(g, r))[1]
-    if len(g) == 1:
-        return [1], a, b
-    return g, _div_exact(a, g), _div_exact(b, g)
+        yield _primitive(h)[1]
+    c = math.gcd(a[-1], b[-1])
+    H, m = [], 1
+    for p in _primes():
+        if c % p == 0:
+            continue
+        u = _p_gcd(_p_trim(a, p), _p_trim(b, p), p)
+        if len(u) == 1:
+            yield [1]
+        if H and len(u) > len(H):
+            continue
+        if len(u) != len(H):
+            H, m = _tr([c * x for x in u], p), p
+            continue
+        # H + m*t agrees with H mod m and with c*u mod p
+        inv = pow(m, -1, p)
+        t = [(c * x - y) * inv % p for x, y in zip(u, H)]
+        if any(t):
+            H = _tr([y + m * s for y, s in zip(H, t)], m * p)
+        else:
+            yield _primitive(H)[1]
+        m *= p
 
 
 def _gcd_z(a, b):
@@ -939,18 +941,11 @@ def _is_product(F, fac):
     bound = c
     for poly, mult in fac.factors:
         bound *= sum(map(abs, poly.coeffs)) ** mult
-    w = (max(map(abs, F.coeffs)) + bound).bit_length()
-
-    def at(coeffs):
-        v = 0
-        for x in reversed(coeffs):
-            v = (v << w) + x
-        return v
-
+    x = 1 << (max(map(abs, F.coeffs)) + bound).bit_length()
     value = fac.sign * c
     for poly, mult in fac.factors:
-        value *= at(poly.coeffs) ** mult
-    return at(F.coeffs) == value
+        value *= _eval(poly.coeffs, x) ** mult
+    return _eval(F.coeffs, x) == value
 
 
 def factor_int_poly(

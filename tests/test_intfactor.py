@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -260,36 +261,53 @@ class TestSquarefree:
             assert content * prod == h
 
 
+def record_calls(monkeypatch, name, log, key):
+    """Wrap intfactor.<name>, appending key(args, result) to log per call."""
+    real = getattr(intfactor, name)
+
+    def recording(*args):
+        out = real(*args)
+        log.append(key(args, out))
+        return out
+
+    monkeypatch.setattr(intfactor, name, recording)
+
+
+def forbid_calls(monkeypatch, name):
+    """Make a call of intfactor.<name> fail the test."""
+    def forbidden(*args):
+        raise AssertionError(f"intfactor.{name} called")
+
+    monkeypatch.setattr(intfactor, name, forbidden)
+
+
+def sympy_sqf(sympy, f):
+    """sympy's squarefree parts of f, primitive with positive lc, as the set
+    of (coefficient tuple, multiplicity) that squarefree_decompose gives."""
+    y = sympy.Symbol("y")
+    want = set()
+    for poly, mult in sympy.Poly(list(reversed(f)), y).sqf_list()[1]:
+        coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+        want.add((math_gcd_content(IntPoly.of(coeffs)).coeffs, mult))
+    return want
+
+
 class TestSquarefreeByEvaluation:
     def test_high_power_stays_below_the_value_cap(self, monkeypatch):
-        # the first gcd of (x+1)^1000 would evaluate to about 10^6 bits
-        evaluated, prems = [], [0]
-        eval_, prem = intfactor._eval, intfactor._prem
-
-        def recording_eval(a, x):
-            v = eval_(a, x)
-            evaluated.append(v.bit_length())
-            return v
-
-        def counting_prem(a, b):
-            prems[0] += 1
-            return prem(a, b)
-
-        monkeypatch.setattr(intfactor, "_eval", recording_eval)
-        monkeypatch.setattr(intfactor, "_prem", counting_prem)
+        # the first gcd of (x+1)^1000 would evaluate to about 10^6 bits, so
+        # the modular gcd answers it, with no evaluation at all
+        evaluated, images = [], []
+        record_calls(monkeypatch, "_eval", evaluated, lambda args, v: v.bit_length())
+        record_calls(monkeypatch, "_p_gcd", images, lambda args, u: args[2])
+        start = time.perf_counter()
         assert squarefree_decompose(ip(1, 1) ** 1000) == [(ip(1, 1), 1000)]
-        assert prems[0] > 0
+        assert time.perf_counter() - start < 0.5
+        assert images
         assert max(evaluated, default=0) <= intfactor._HEU_BITS
 
-    @staticmethod
-    def forbid_prem(monkeypatch):
-        def no_prem(a, b):
-            raise AssertionError("primitive PRS run")
-
-        monkeypatch.setattr(intfactor, "_prem", no_prem)
-
     def test_squarefree_degree_27_without_remainder_sequence(self, monkeypatch):
-        self.forbid_prem(monkeypatch)
+        # one evaluation decides: no modular fallback
+        forbid_calls(monkeypatch, "_p_gcd")
         rng = random.Random(58)
         f = IntPoly.of([rng.randint(-9, 9) for _ in range(27)] + [6])
         assert squarefree_decompose(f) == [(math_gcd_content(f), 1)]
@@ -297,7 +315,7 @@ class TestSquarefreeByEvaluation:
     def test_squarefree_above_the_value_cap_by_a_modular_test(self, monkeypatch):
         # degree 60 with 1100-bit coefficients: the heuristic's values are
         # over the cap, and the images modulo a small prime are coprime
-        self.forbid_prem(monkeypatch)
+        forbid_calls(monkeypatch, "_eval")
         rng = random.Random(5)
         f = IntPoly.of(
             [rng.randint(-(1 << 1100), 1 << 1100) for _ in range(60)]
@@ -309,15 +327,55 @@ class TestSquarefreeByEvaluation:
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_witness_family_without_remainder_sequence(self, monkeypatch, n):
-        # (x+n)^n (x^2-x+1), the paper's witness family
-        self.forbid_prem(monkeypatch)
+        # (x+n)^n (x^2-x+1), the paper's witness family: one evaluation
+        # per gcd decides, with no modular fallback
+        forbid_calls(monkeypatch, "_p_gcd")
         q = ip(1, -1, 1)
         want = [(q, 1), (ip(n, 1), n)] if n > 1 else [(ip(n, 1) * q, 1)]
         assert squarefree_decompose(ip(n, 1) ** n * q) == want
 
+    def test_square_times_large_factor_above_the_cap(self, monkeypatch):
+        # g h^2, g of degree 30-40 with 2000-3000-bit coefficients, h a small
+        # quadratic: Yun's first two gcds are over the cap, and the primitive
+        # PRS took 23-43 s on these four
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(77)
+        for _ in range(4):
+            bits = rng.randint(2000, 3000)
+            g = [rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(30, 40))]
+            g.append(rng.randint(1, 1 << bits))
+            h = [rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)]
+            f = _mul(g, _pow(h, 2))
+            images = []
+            with monkeypatch.context() as patch:
+                record_calls(patch, "_p_gcd", images, lambda args, u: args[2])
+                start = time.perf_counter()
+                got = squarefree_decompose(IntPoly.of(f))
+                assert time.perf_counter() - start < 0.5
+            assert images
+            assert {(p.coeffs, m) for p, m in got} == sympy_sqf(sympy, f)
+
+    def test_repeated_large_factors_match_sympy(self, monkeypatch):
+        # products of 3 or 4 powers (exponents 1-3) of factors of degree 1-5
+        # with 900-bit coefficients; most are over the cap
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(2024)
+        modular = 0
+        for _ in range(16):
+            f = [1]
+            for _ in range(rng.randint(3, 4)):
+                g = [rng.randint(-(1 << 900), 1 << 900) for _ in range(rng.randint(1, 5))]
+                f = _mul(f, _pow(g + [rng.randint(1, 1 << 900)], rng.randint(1, 3)))
+            images = []
+            with monkeypatch.context() as patch:
+                record_calls(patch, "_p_gcd", images, lambda args, u: args[2])
+                got = squarefree_decompose(IntPoly.of(f))
+            modular += bool(images)
+            assert {(p.coeffs, m) for p, m in got} == sympy_sqf(sympy, f), f
+        assert modular >= 12
+
     def test_matches_sympy_sqf_list(self):
         sympy = pytest.importorskip("sympy")
-        y = sympy.Symbol("y")
         rng = random.Random(59)
         repeated = 0
         for _ in range(60):
@@ -330,11 +388,7 @@ class TestSquarefreeByEvaluation:
                 g = [rng.randint(-(10**6), 10**6) for _ in range(deg)] + [rng.randint(1, 10**6)]
                 f = _mul(f, _pow(g, mult))
             got = {(p.coeffs, m) for p, m in squarefree_decompose(IntPoly.of(f))}
-            want = set()
-            for poly, mult in sympy.Poly(list(reversed(f)), y).sqf_list()[1]:
-                coeffs = [int(c) for c in reversed(poly.all_coeffs())]
-                want.add((math_gcd_content(IntPoly.of(coeffs)).coeffs, mult))
-            assert got == want, f
+            assert got == sympy_sqf(sympy, f), f
             repeated += any(m > 1 for _, m in got)
         assert repeated > 30
 
@@ -722,19 +776,60 @@ class TestGcdKernel:
         assert _gcd_z([4], [6]) == [1]
 
     def test_second_evaluation(self, monkeypatch):
-        # x^2 + 1 and x + 60657 are coprime, but both values at the first
+        # x^2 + 1 and x + 60657 are coprime, but both values at the one
         # point, 1024, are multiples of the prime 61681 = 60*1024 + 241,
-        # which reads back as 60x + 241
-        points = []
-        eval_ = intfactor._eval
-
-        def recording_eval(a, x):
-            points.append(x)
-            return eval_(a, x)
-
-        monkeypatch.setattr(intfactor, "_eval", recording_eval)
+        # which reads back as 60x + 241 and fails its check; the modular
+        # gcd then finds a common root mod 2 (x + 1) and coprime images mod 3
+        points, primes = [], []
+        record_calls(monkeypatch, "_eval", points, lambda args, v: args[1])
+        record_calls(monkeypatch, "_p_gcd", primes, lambda args, u: args[2])
         assert _gcd_z([1, 0, 1], [60657, 1]) == [1]
-        assert points[0] == 1024 and len(set(points)) > 1
+        assert points == [1024, 1024]
+        assert primes == [2, 3]
+
+    def test_above_the_cap_matches_rational_euclid(self, monkeypatch):
+        forbid_calls(monkeypatch, "_eval")
+        # a common factor of degree 3-5 with 12000-14000-bit coefficients
+        # times small cofactors: at least 6 * 12000 value bits, and a gcd
+        # that takes about a thousand primes to lift
+        rng = random.Random(52)
+        for _ in range(6):
+            big = 1 << rng.randint(12000, 14000)
+            common = random_int_poly(rng, rng.randint(3, 5), -big, big)
+            a = _mul(common, random_int_poly(rng, rng.randint(1, 3)))
+            b = _mul(common, random_int_poly(rng, rng.randint(1, 3)))
+            want = rational_gcd(a, b)
+            assert len(want) > 3
+            assert _gcd_z(a, b) == want, (a, b)
+            assert _gcd_z(b, a) == want, (a, b)
+
+    def test_above_the_cap_skips_and_restarts(self, monkeypatch):
+        # a = g(x+1) and b = g(x+15), g of degree 4 with leading coefficient
+        # 3 and 10000-bit coefficients below it: 3 divides gcd(lc a, lc b)
+        # and is passed over, and x+1 and x+15 share a root mod 2 and mod 7
+        # only, so the image mod 2 has degree 5, the one mod 5 degree 4 and
+        # starts the accumulation again, and the one mod 7 is skipped
+        forbid_calls(monkeypatch, "_eval")
+        rng = random.Random(53)
+        g = [rng.randint(-(1 << 10000), 1 << 10000) for _ in range(4)] + [3]
+        a, b = _mul(g, [1, 1]), _mul(g, [15, 1])
+        images = []
+        record_calls(monkeypatch, "_p_gcd", images, lambda args, u: (args[2], len(u) - 1))
+        assert _gcd_z(a, b) == g == rational_gcd(a, b)
+        assert images[:4] == [(2, 5), (5, 4), (7, 5), (11, 4)]
+
+    def test_above_the_cap_checks_a_repeated_lift(self, monkeypatch):
+        # a = (x^2+1)(x+1) and b = (x^2+1)(x+1+k), k the product of the
+        # primes below 10^4 (about 14 000 bits): every image mod those 1229
+        # primes is (x^2+1)(x+1), whose lift repeats from the third prime on
+        # and divides a but not b, so only the check keeps it out
+        forbid_calls(monkeypatch, "_eval")
+        k = math.prod(p for p in range(2, 10**4) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+        a, b = [1, 1, 1, 1], _mul([1, 0, 1], [1 + k, 1])
+        images = []
+        record_calls(monkeypatch, "_p_gcd", images, lambda args, u: len(u) - 1)
+        assert _gcd_z(a, b) == [1, 0, 1] == rational_gcd(a, b)
+        assert images.count(3) == 1229
 
     def test_negative_leading_coefficients_and_content(self):
         # -6(x+1)(x-2) and 4(x+1)(2x+3)
