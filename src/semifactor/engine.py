@@ -42,7 +42,12 @@ no entry is negative, then one lookup; for the oracle it is one
 Atoms, L(f) and splits come from one pass (``_atoms_within``) that visits
 every divisor after its proper divisors, the dynamic programming of
 Barron, O'Neill and Pelayo (Math. Comp. 2017) on the divisor lattice; only
-``factorizations`` builds Z(f).  Additive reduction gives supp(gh) =
+``factorizations`` builds Z(f), from the same order.  Its keys (t, s) stand
+for the factorizations of t into atoms s, s+1, ...: a walk multiples first
+finds the keys f needs, and the budget ``z_nodes`` counts them before any
+factorization is built (x^360 over <7, ..., 13> has 2055 keys, so a budget
+of 2054 refuses it at once); a walk divisors first then fills each key from
+its children (t/a_j, j), j >= s.  Additive reduction gives supp(gh) =
 supp g + supp h, so a non-monomial has a non-monomial atom, and t = g*h
 with g, h non-monomials exactly when a non-monomial atom a | t has a
 non-monomial t/a = (g/a)*h: the pass keeps the sort-least such a per t.
@@ -425,32 +430,26 @@ def factorizations(
     if lat.z is not None:
         return lat.z
     atoms = _atoms_within(lat)
-    # memo[(t, s)]: the factorizations of position t into atoms s, s+1, ...
-    # as index tuples, depth-first on an explicit stack (a chain of quotients
-    # is as long as the longest factorization).  A frame is its key, its
-    # children (t / atom j, j), listed on its first visit, and the next child
-    # to wait for; a key is pushed once and is on the stack or in memo.
-    memo = {}
-    stack = [[(lat.base, 0), None, 0]]
-    while stack:
-        frame = stack[-1]
-        (t, s), children, i = frame
-        if children is None:
-            if len(memo) + len(stack) > budgets.z_nodes:
-                raise BudgetError(f"factorization recursion exceeded {budgets.z_nodes} nodes")
-            children = frame[1] = [] if t == lat.unit else [
-                (q, j) for j in range(s, len(atoms)) if (q := _quot(lat, t, atoms[j])) is not None
+    # key (t, s): the factorizations of position t into atoms s, s+1, ...
+    # Multiples first, a needed position lists its children (t / atom j, j)
+    # once, for every j from its least needed s, and needs them in turn; the
+    # keys are counted before any set is built, then filled divisors first.
+    needs, children = {lat.base: {0}}, {}
+    for t in reversed(_visit_order(lat)):
+        if t in needs and t != lat.unit:
+            children[t] = kids = [
+                (q, j)
+                for j in range(min(needs[t]), len(atoms))
+                if (q := _quot(lat, t, atoms[j])) is not None
             ]
-        while i < len(children) and children[i] in memo:
-            i += 1
-        frame[2] = i
-        if i < len(children):
-            stack.append([children[i], None, 0])
-            continue
-        stack.pop()
-        memo[t, s] = frozenset(
-            [()] if t == lat.unit else ((j,) + z for q, j in children for z in memo[q, j])
-        )
+            for q, j in kids:
+                needs.setdefault(q, set()).add(j)
+    if sum(map(len, needs.values())) > budgets.z_nodes:
+        raise BudgetError(f"factorization recursion exceeded {budgets.z_nodes} nodes")
+    memo = {(lat.unit, s): frozenset([()]) for s in needs[lat.unit]}
+    for t, kids in reversed(children.items()):
+        for s in needs[t]:
+            memo[t, s] = frozenset((j,) + z for q, j in kids if j >= s for z in memo[q, j])
     lat.z = frozenset(
         Factorization(tuple(lat.ordered[atoms[j]] for j in tup)) for tup in memo[(lat.base, 0)]
     )

@@ -233,15 +233,6 @@ def _gcd_candidates(a, b):
         m *= p
 
 
-def _gcd_z(a, b):
-    """Primitive gcd with positive leading coefficient, [] for two zero
-    inputs."""
-    a, b = _trim(list(a)), _trim(list(b))
-    if not a or not b:
-        return _primitive(a or b)[1]
-    return _gcd_cofactors(a, b)[0]
-
-
 # -- public types -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -648,36 +639,16 @@ def _tr(c, m):
     return _trim([half - (half - x) % m for x in c])
 
 
-def _lift_factors(m, M, f, g, h, s, t, ring):
-    """Lift f = g*h mod m to mod M, given s*g + t*h = 1 mod m (h monic);
-    ``ring`` divides by h modulo M/m, and its slots hold the step's products."""
+def _lift_correction(m, M, X, count, G, s, t, ring):
+    """(u, r) for the x whose ``count`` slots in X hold m*x mod M (plus
+    multiples of M): (q, r) = divmod(s*x, h) and u = t*x + q*g mod M/m, with
+    count - deg h coefficients.  ``ring`` divides by h modulo M/m, and G is
+    g packed.  For x = (f - g*h)/m the lift is g + m*u, h + m*r; for
+    x = (s*g + t*h - 1)/m it is s - m*r, t - m*u."""
     mq = M // m
-    n = len(f)
-    G = ring.pack(g)
-    # e = f - g*h vanishes mod m; a multiple of M in every slot stays above
-    # any coefficient of g*h
-    off = -(-min(len(g), len(h)) * m * m // M) * M
-    E = ring.pack([x % M + off for x in f]) - G * ring.pack(h)
-    P = ring.pack([x // m % mq for x in ring.unpack(E, n)])
-    # with e/m: (q, r) = divmod(s*e/m, h), then g + m*(t*e/m + q*g) and h + m*r
-    q, r = ring.divmod(ring.pack(s) * P, len(s) + n - 1)
-    dg = ring.reduce(ring.pack(t) * P + ring.pack(q) * G, len(g))
-    return [x + m * y for x, y in zip(g, dg)], [x + m * y for x, y in zip(h, r)] + [1]
-
-
-def _lift_bezout(m, M, g1, h1, s, t, ring):
-    """Lift s*g + t*h = 1 from mod m to mod M for the lifted g1, h1."""
-    mq = M // m
-    n = len(g1) + len(h1) - 2  # deg(s*g1 + t*h1) < deg g1 + deg h1
-    G, S, T = ring.pack(g1), ring.pack(s), ring.pack(t)
-    # b = s*g1 + t*h1 - 1 (M - 1 for -1) vanishes mod m
-    B = S * G + T * ring.pack(h1) + M - 1
-    P = ring.pack([x // m % mq for x in ring.unpack(B, n)])
-    # with b/m: (c, d) = divmod(s*b/m, h1), then s - m*d and t - m*(t*b/m + c*g1)
-    c, d = ring.divmod(S * P, len(s) + n - 1)
-    dt = ring.reduce(T * P + ring.pack(c) * G, len(g1) - 1)
-    return ([(x - m * y) % M for x, y in zip_longest(s, d, fillvalue=0)],
-            [(x - m * y) % M for x, y in zip_longest(t, dt, fillvalue=0)])
+    P = ring.pack([y // m % mq for y in ring.unpack(X, count)])
+    q, r = ring.divmod(ring.pack(s) * P, len(s) + count - 1)
+    return ring.reduce(ring.pack(t) * P + ring.pack(q) * G, count - ring.n), r
 
 
 def _hensel_lift(p, f, fs, l):
@@ -703,11 +674,23 @@ def _hensel_lift(p, f, fs, l):
     while m < pl:
         M = min(m * m, pl)
         mq = M // m
-        # division by h mod M/m; the slots also hold s*g1 + t*h1, below 2n*m*M
+        # division by h mod M/m; the slots also hold s*g + t*h, below 2n*m*M
         ring = _Ring([x % mq for x in h], mq, n - 2, n * m * mq, (2 * n * m + 1) * M)
-        g, h = _lift_factors(m, M, f, g, h, s, t, ring)
+        # f - g*h vanishes mod m; a multiple of M in every slot stays above
+        # any coefficient of g*h
+        G = ring.pack(g)
+        off = -(-min(len(g), len(h)) * m * m // M) * M
+        E = ring.pack([x % M + off for x in f]) - G * ring.pack(h)
+        u, r = _lift_correction(m, M, E, n, G, s, t, ring)
+        g = [x + m * y for x, y in zip(g, u)]
+        h = [x + m * y for x, y in zip(h, r)] + [1]
         if M < pl:
-            s, t = _lift_bezout(m, M, g, h, s, t, ring)
+            # s*g + t*h - 1 (M - 1 for -1) vanishes mod m, for the lifted g, h
+            G = ring.pack(g)
+            B = ring.pack(s) * G + ring.pack(t) * ring.pack(h) + M - 1
+            u, r = _lift_correction(m, M, B, len(g) + len(h) - 2, G, s, t, ring)
+            s = [(x - m * y) % M for x, y in zip_longest(s, r, fillvalue=0)]
+            t = [(x - m * y) % M for x, y in zip_longest(t, u, fillvalue=0)]
         m = M
     return _hensel_lift(p, g, fs[:k], l) + _hensel_lift(p, h, fs[k:], l)
 

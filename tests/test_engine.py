@@ -1,4 +1,6 @@
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +17,18 @@ from conftest import oracle_candidates, random_poly
 
 NAT = sf.Nat()
 Q6 = sf.Quad(6)
+SRC = str(Path(sf.__file__).resolve().parent.parent)
+# The child sets its address-space limit before it imports the library.
+Z_REFUSAL = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import semifactor as sf
+f = sf.parse("x^360", sf.Nat(), sf.monoid_from_literal("gens:7,8,9,10,11,12,13"))
+try:
+    sf.factorizations(f, budgets=sf.Budgets(degree_limit=100000, z_nodes=2054))
+except sf.BudgetError as err:
+    print(err)
+"""
 
 
 def P(text, S=NAT, M=None):
@@ -652,12 +666,35 @@ class TestDivisorLattice:
         assert sf.monolithic_decompose(f) == [P("x+2"), P("x^3+1")]
         assert sf.divisors(f, "oracle").divisors == ds.divisors
 
-    def test_z_budget_counts_the_same_nodes(self):
-        f = P("x^5+x^4+x^3+x^2+x+1") * P("x^2+x+1") * P("x+1")
+    @pytest.mark.parametrize(
+        "text, S, monoid",
+        [
+            # (x^5+x^4+x^3+x^2+x+1)(x^2+x+1)(x+1)
+            ("x^8+3x^7+5x^6+6x^5+6x^4+6x^3+5x^2+3x+1", NAT, "nat"),
+            ("x^24", NAT, "gens:3,5,7"),
+            # oracle: 6(x+1)^2 = 2*3*(x+1)^2 = sqrt(6)^2*(x+1)^2
+            ("(6,0)*x^2+(12,0)*x+(6,0)", Q6, "nat"),
+        ],
+        ids=["nat", "gens", "quad-oracle"],
+    )
+    def test_z_budget_counts_the_same_nodes(self, text, S, monoid):
+        f = P(text, S, sf.monoid_from_literal(monoid))
         zs, nodes = ref_factorizations(f, sf.divisors(f).divisors)
         assert sf.factorizations(f, budgets=sf.Budgets(z_nodes=nodes)) == zs
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError) as err:
             sf.factorizations(f, budgets=sf.Budgets(z_nodes=nodes - 1))
+        assert str(err.value) == f"factorization recursion exceeded {nodes - 1} nodes"
+
+    def test_z_budget_refuses_before_any_set_is_built(self):
+        # x^360 over <7, ..., 13> has 2055 keys (t, s); one below that the
+        # refusal must come from the count alone, since the sets of its keys
+        # do not fit in the child's 1 GiB of address space
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", Z_REFUSAL],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=10,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr[-400:])
+        assert proc.stdout == "factorization recursion exceeded 2054 nodes\n"
 
     @pytest.mark.parametrize("strategy", ["zx_fastpath", "oracle"])
     def test_z_is_kept_on_the_lattice(self, monkeypatch, strategy):
