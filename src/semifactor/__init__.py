@@ -27,7 +27,7 @@ from .errors import (
 )
 from .intfactor import IntFactorization, IntPoly, factor_int_poly, squarefree_decompose
 from .monoid import ExpElem, ExpMonoid, make_monoid, nat_monoid
-from .polyexpr import PolyExpr, ambient_exact_div, format_poly, inspect, parse
+from .polyexpr import PolyExpr, ambient_exact_div, format_poly, parse
 from .polyexpr import monoid_from_literal, semiring_from_literal
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "factor_int_poly",
     "factorizations",
     "format_poly",
-    "inspect",
     "is_atom",
     "is_monolithic",
     "length_fn",

@@ -67,8 +67,99 @@ def _context_flags(p, strategy=True):
     p.add_argument("--coeffs", default="nat", help="coefficient semiring: nat or quad:<d>")
     _monoid_flag(p)
     if strategy:
-        p.add_argument("--strategy", default="auto", choices=["auto", "oracle", "zx"])
+        p.add_argument("--strategy", default="auto", choices=["auto", "oracle"])
 
+
+def _elem_jsonable(e):
+    return e.num if e.denom == 1 else str(e)
+
+
+def _divisors(f, args, b):
+    ds = engine.divisors(f, args.strategy, b)
+    ordered = sorted(ds.divisors, key=engine.sort_key)
+    return {
+        "strategy_used": ds.strategy_used,
+        "count": len(ordered),
+        "divisors": [str(g) for g in ordered],
+    }
+
+
+def _factorizations(f, args, b):
+    zs = engine.factorizations(f, args.strategy, b)
+    z_out = sorted(sorted(str(p) for p in z.parts) for z in zs)
+    return {"count": len(z_out), "Z": z_out}
+
+
+def _lengths(f, args, b):
+    lengths, rho = engine.length_profile(f, args.strategy, b)
+    return {"L": sorted(lengths), "elasticity": f"{rho.numerator}/{rho.denominator}"}
+
+
+def _certify(f, args, b):
+    rep = engine.atomic_certificate(f, args.strategy, b)
+    return {
+        "passes": rep.passes,
+        "parts": [
+            {
+                "part": str(p.part),
+                "coeff_mcd": sorted(f.semiring.render(v) for v in p.coeff_mcd),
+                "exp_mcd": sorted((_elem_jsonable(e) for e in p.exp_mcd), key=str),
+                "passes": p.passes,
+            }
+            for p in rep.per_part
+        ],
+    }
+
+
+# op -> handler(f, args, budgets): the payload after "expr"; poly
+# expand-family reads no expression and is dispatched on its own
+_POLY_OPS = {
+    "divisors": _divisors,
+    "factorizations": _factorizations,
+    "lengths": _lengths,
+    "elasticity": _lengths,
+    "is-atom": lambda f, args, b: {"is_atom": engine.is_atom(f, args.strategy, b)},
+    "is-monolithic": lambda f, args, b: {
+        "is_monolithic": engine.is_monolithic(f, args.strategy, b)
+    },
+    "decompose": lambda f, args, b: {
+        "parts": [str(p) for p in engine.monolithic_decompose(f, args.strategy, b)]
+    },
+    "certify": _certify,
+    "lenfn": lambda f, args, b: {"length": engine.length_fn(f, b)},
+}
+
+
+def _factorize(M, args, b):
+    q = args.args[0]
+    zs = M.factorizations(q, node_budget=b.knapsack_nodes)
+    ordered = sorted(zs, key=lambda z: tuple(map(M.num_of, z)))
+    return {
+        "m": _elem_jsonable(M.elem(q)),
+        "Z": [[_elem_jsonable(e) for e in z] for z in ordered],
+        "L": sorted({len(z) for z in zs}),
+    }
+
+
+def _mcd(M, args, b):
+    out = sorted(M.mcd(args.args, node_budget=b.knapsack_nodes))
+    return {"mcd": [_elem_jsonable(e) for e in out]}
+
+
+def _gcd(M, args, b):
+    g = M.gcd(args.args, node_budget=b.knapsack_nodes)
+    return {"gcd": None if g is None else _elem_jsonable(g)}
+
+
+# op -> (number of q arguments, handler(M, args, budgets)): the payload
+# after "monoid"
+_MONOID_OPS = {
+    "atoms": (0, lambda M, args, b: {"atoms": [_elem_jsonable(a) for a in sorted(M.atoms())]}),
+    "member": (1, lambda M, args, b: {"q": str(args.args[0]), "member": M.member(args.args[0])}),
+    "factorize": (1, _factorize),
+    "mcd": ("+", _mcd),
+    "gcd": ("+", _gcd),
+}
 
 _PARSER = None
 
@@ -84,17 +175,7 @@ def build_parser():
 
     poly = sub.add_parser("poly", help="operations on polynomial expressions")
     poly_sub = poly.add_subparsers(dest="op", required=True)
-    for op in (
-        "divisors",
-        "factorizations",
-        "lengths",
-        "elasticity",
-        "is-atom",
-        "is-monolithic",
-        "decompose",
-        "certify",
-        "lenfn",
-    ):
+    for op in _POLY_OPS:
         p = poly_sub.add_parser(op)
         _context_flags(p, op != "lenfn")
         p.add_argument("expr")
@@ -106,13 +187,7 @@ def build_parser():
 
     mon = sub.add_parser("monoid", help="operations on exponent monoids")
     mon_sub = mon.add_subparsers(dest="op", required=True)
-    for op, nargs in (
-        ("atoms", 0),
-        ("member", 1),
-        ("factorize", 1),
-        ("mcd", "+"),
-        ("gcd", "+"),
-    ):
+    for op, (nargs, _) in _MONOID_OPS.items():
         p = mon_sub.add_parser(op)
         _common_flags(p)
         _monoid_flag(p)
@@ -142,105 +217,19 @@ def _budgets(args) -> Budgets:
     return replace(Budgets(), **{k: v for k, v in given.items() if v is not None})
 
 
-def _context(args):
-    return semiring_from_literal(args.coeffs), monoid_from_literal(args.monoid)
-
-
-def _strategy(args):
-    return {"auto": "auto", "oracle": "oracle", "zx": "zx_fastpath"}[args.strategy]
-
-
-def _frac(q) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _elem_jsonable(e):
-    return e.num if e.denom == 1 else str(e)
-
-
-def _sorted_polys(polys):
-    return [str(g) for g in sorted(polys, key=engine.sort_key)]
-
-
 def _run_poly(args):
     b = _budgets(args)
     if args.op == "expand-family":
         m = args.m if args.m is not None else args.n
         f = paperlab.expand_family(args.n, m, args.k, b.degree_limit)
         return {"n": args.n, "m": m, "k": args.k, "expr": str(f)}
-    S, M = _context(args)
-    f = parse_poly(args.expr, S, M)
-    if args.op == "lenfn":
-        return {"expr": str(f), "length": engine.length_fn(f, b)}
-    strat = _strategy(args)
-    if args.op == "divisors":
-        ds = engine.divisors(f, strat, b)
-        return {
-            "expr": str(f),
-            "strategy_used": ds.strategy_used,
-            "count": len(ds.divisors),
-            "divisors": _sorted_polys(ds.divisors),
-        }
-    if args.op == "factorizations":
-        zs = engine.factorizations(f, strat, b)
-        z_out = sorted(sorted(str(p) for p in z.parts) for z in zs)
-        return {"expr": str(f), "count": len(z_out), "Z": z_out}
-    if args.op in ("lengths", "elasticity"):
-        lengths, rho = engine.length_profile(f, strat, b)
-        return {"expr": str(f), "L": sorted(lengths), "elasticity": _frac(rho)}
-    if args.op == "is-atom":
-        return {"expr": str(f), "is_atom": engine.is_atom(f, strat, b)}
-    if args.op == "is-monolithic":
-        return {"expr": str(f), "is_monolithic": engine.is_monolithic(f, strat, b)}
-    if args.op == "decompose":
-        parts = engine.monolithic_decompose(f, strat, b)
-        return {"expr": str(f), "parts": [str(p) for p in parts]}
-    if args.op == "certify":
-        rep = engine.atomic_certificate(f, strat, b)
-        return {
-            "expr": str(f),
-            "passes": rep.passes,
-            "parts": [
-                {
-                    "part": str(p.part),
-                    "coeff_mcd": sorted(S.render(v) for v in p.coeff_mcd),
-                    "exp_mcd": sorted((_elem_jsonable(e) for e in p.exp_mcd), key=str),
-                    "passes": p.passes,
-                }
-                for p in rep.per_part
-            ],
-        }
-    raise UsageError(f"unknown poly operation {args.op!r}")
+    f = parse_poly(args.expr, semiring_from_literal(args.coeffs), monoid_from_literal(args.monoid))
+    return {"expr": str(f), **_POLY_OPS[args.op](f, args, b)}
 
 
 def _run_monoid(args):
     M = monoid_from_literal(args.monoid)
-    if args.op == "atoms":
-        return {
-            "monoid": M.literal(),
-            "atoms": [_elem_jsonable(a) for a in sorted(M.atoms())],
-        }
-    values = args.args
-    if args.op == "member":
-        return {"monoid": M.literal(), "q": str(values[0]), "member": M.member(values[0])}
-    budget = _budgets(args).knapsack_nodes
-    if args.op == "factorize":
-        zs = M.factorizations(values[0], node_budget=budget)
-        ordered = sorted(zs, key=lambda z: tuple(map(M.num_of, z)))
-        z_out = [[_elem_jsonable(e) for e in z] for z in ordered]
-        return {
-            "monoid": M.literal(),
-            "m": _elem_jsonable(M.elem(values[0])),
-            "Z": z_out,
-            "L": sorted({len(z) for z in zs}),
-        }
-    if args.op == "mcd":
-        out = sorted(M.mcd(values, node_budget=budget))
-        return {"monoid": M.literal(), "mcd": [_elem_jsonable(e) for e in out]}
-    if args.op == "gcd":
-        g = M.gcd(values, node_budget=budget)
-        return {"monoid": M.literal(), "gcd": None if g is None else _elem_jsonable(g)}
-    raise UsageError(f"unknown monoid operation {args.op!r}")
+    return {"monoid": M.literal(), **_MONOID_OPS[args.op][1](M, args, _budgets(args))}
 
 
 def _run_verify(args):
@@ -260,27 +249,15 @@ def _run_sweep(args):
         raise UsageError("--n and --k take comma-separated integers") from None
     rows = paperlab.elasticity_sweep(n_values, k_values, b)
     if args.output == "csv":
-        return paperlab.sweep_csv(rows), 0
-    return json.dumps({"rows": paperlab.sweep_jsonable(rows)}, sort_keys=True) + "\n", 0
+        return paperlab.sweep_csv(rows)
+    return json.dumps({"rows": rows}, sort_keys=True) + "\n"
 
 
 def _pretty(payload) -> str:
-    lines = []
-
-    def walk(key, value, indent):
-        pad = "  " * indent
-        if isinstance(value, dict):
-            lines.append(f"{pad}{key}:" if key else f"{pad}")
-            for k2, v2 in value.items():
-                walk(k2, v2, indent + (1 if key else 0))
-        elif isinstance(value, list):
-            lines.append(f"{pad}{key}: {json.dumps(value)}")
-        else:
-            lines.append(f"{pad}{key}: {value}")
-
-    for k, v in payload.items():
-        walk(k, v, 0)
-    return "\n".join(lines) + "\n"
+    """One ``key: value`` line per payload entry, lists as JSON."""
+    return "".join(
+        f"{k}: {json.dumps(v) if isinstance(v, list) else v}\n" for k, v in payload.items()
+    )
 
 
 def _emit(text: str, out_path):
@@ -305,7 +282,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             text, code = _run_verify(args)
         elif args.command == "sweep":
-            text, code = _run_sweep(args)
+            text, code = _run_sweep(args), 0
         else:
             payload = _run_poly(args) if args.command == "poly" else _run_monoid(args)
             text = (
@@ -314,7 +291,7 @@ def main(argv=None) -> int:
                 else json.dumps(payload, sort_keys=True) + "\n"
             )
             code = 0
-        _emit(text, getattr(args, "out", None))
+        _emit(text, args.out)
         return code
     except (UsageError, DomainError) as exc:
         kind = "usage" if isinstance(exc, UsageError) else "domain"

@@ -208,13 +208,19 @@ def _rho_divisor(n: int, budget: int):
 
 
 class CoeffSemiring:
-    """Protocol shared by the concrete semirings below."""
+    """Protocol shared by the concrete semirings below.
+
+    Each defines ``zero``, ``one``, ``validate`` (v itself, else a
+    ``UsageError``), ``sub`` (in the ambient ring, so it may leave the
+    semiring), ``render``, ``literal``, ``max_component``, ``from_int``,
+    ``values_with_components_at_most(bound)`` (the nonzero values with
+    components <= bound, sized and listed only when iterated, so the oracle
+    reads the size against its budget first) and the unchecked kernels
+    behind the checked entries below.
+    """
 
     zero = None
     one = None
-
-    def validate(self, v):
-        raise NotImplementedError
 
     # each semiring defines _add and _mul on canonical values, unchecked;
     # polynomial arithmetic calls them directly on its canonical operands
@@ -223,10 +229,6 @@ class CoeffSemiring:
 
     def mul(self, a, b):
         return self._mul(self.validate(a), self.validate(b))
-
-    def sub(self, a, b):
-        """Difference in the ambient ring; the result may leave the semiring."""
-        raise NotImplementedError
 
     def is_zero(self, v):
         return v == self.zero
@@ -275,24 +277,6 @@ class CoeffSemiring:
         if self.validate(a) == self.zero:
             raise DomainError("length undefined at 0")
         return self._length(a)
-
-    def render(self, v):
-        raise NotImplementedError
-
-    def max_component(self, v):
-        raise NotImplementedError
-
-    def values_with_components_at_most(self, bound):
-        """All nonzero values whose integer components are <= bound, sized
-        and listed only when iterated: the oracle reads the size against its
-        budget first."""
-        raise NotImplementedError
-
-    def from_int(self, n):
-        raise NotImplementedError
-
-    def literal(self):
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -474,11 +458,12 @@ class Quad(CoeffSemiring):
 
     def _length(self, a):
         # b + floor(sqrt(d))*c - 1 is superadditive whenever floor(sqrt(d))^2
-        # <= d; it separates units only when floor(sqrt(d)) >= 2, i.e. d >= 4.
+        # <= d; it separates units only when floor(sqrt(d)) >= 2, i.e. d >= 4,
+        # and d = 4 is a perfect square, so the least radicand here is 5.
         t = math.isqrt(self.d)
         if t < 2:
             raise LengthFunctionUnavailableError(
-                f"no supported length function for quad:{self.d} (need d >= 4)"
+                f"no supported length function for quad:{self.d} (need d >= 5)"
             )
         return a[0] + t * a[1] - 1
 

@@ -1,6 +1,8 @@
 """Divisor enumeration and factorization invariants for polynomial expressions.
 
-Two divisor strategies are available and kept deliberately independent:
+Two divisor strategies are kept deliberately independent.  Callers ask for
+``auto``, which runs the first on Nat coefficients and the second otherwise,
+or for ``oracle``; ``DivisorSet.strategy_used`` names the one that ran:
 
 * ``zx_fastpath`` (Nat coefficients only): substitute y = x^(1/D) and
   factor the resulting integer polynomial completely.  Z[y] factors
@@ -181,10 +183,6 @@ def _divisor_set(f, strat, budgets):
 def _resolve_strategy(f, strategy):
     if strategy == STRATEGY_AUTO:
         return STRATEGY_ZX if isinstance(f.semiring, Nat) else STRATEGY_ORACLE
-    if strategy == STRATEGY_ZX:
-        if not isinstance(f.semiring, Nat):
-            raise UsageError("zx_fastpath requires nat coefficients")
-        return STRATEGY_ZX
     if strategy == STRATEGY_ORACLE:
         return STRATEGY_ORACLE
     raise UsageError(f"unknown divisor strategy {strategy!r}")

@@ -353,8 +353,9 @@ def report_json(results, budgets: Budgets = DEFAULT_BUDGETS, only=None) -> str:
 # -- sweeps ------------------------------------------------------------------
 
 def elasticity_sweep(n_values, k_values, budgets: Budgets = DEFAULT_BUDGETS):
-    """Rows (n, k, L, elasticity) for the two-factorization family, each row
-    re-verified against the engine's length profile."""
+    """Rows (n, k, L, elasticity "a/b") for the two-factorization family,
+    each re-verified against the engine's length profile; a row whose budget
+    runs out is kept as skipped, with the reason."""
     rows = []
     for n in sorted(set(n_values)):
         for k in sorted(set(k_values)):
@@ -377,7 +378,7 @@ def elasticity_sweep(n_values, k_values, budgets: Budgets = DEFAULT_BUDGETS):
                     "k": k,
                     "min_len": min(lengths),
                     "max_len": max(lengths),
-                    "elasticity": rho,
+                    "elasticity": f"{rho.numerator}/{rho.denominator}",
                     "status": "ok",
                 }
             )
@@ -385,34 +386,12 @@ def elasticity_sweep(n_values, k_values, budgets: Budgets = DEFAULT_BUDGETS):
 
 
 def sweep_csv(rows) -> str:
+    """The rows of ``elasticity_sweep`` as CSV; a skipped row keeps only n and k."""
     lines = ["n,k,min_len,max_len,elasticity_num,elasticity_den"]
     for r in rows:
         if r["status"] != "ok":
             lines.append(f"{r['n']},{r['k']},,,,")
             continue
-        rho = r["elasticity"]
-        lines.append(
-            f"{r['n']},{r['k']},{r['min_len']},{r['max_len']},{rho.numerator},{rho.denominator}"
-        )
+        num, den = r["elasticity"].split("/")
+        lines.append(f"{r['n']},{r['k']},{r['min_len']},{r['max_len']},{num},{den}")
     return "\n".join(lines) + "\n"
-
-
-def sweep_jsonable(rows):
-    out = []
-    for r in rows:
-        if r["status"] != "ok":
-            out.append({"n": r["n"], "k": r["k"], "status": "skipped", "reason": r["reason"]})
-            continue
-        rho = r["elasticity"]
-        out.append(
-            {
-                "n": r["n"],
-                "k": r["k"],
-                "min_len": r["min_len"],
-                "max_len": r["max_len"],
-                "elasticity": f"{rho.numerator}/{rho.denominator}",
-                "status": "ok",
-            }
-        )
-    return out
-

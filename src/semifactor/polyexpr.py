@@ -178,22 +178,6 @@ class PolyExpr:
         return f"PolyExpr({format_poly(self)!r})"
 
 
-@dataclass(frozen=True)
-class PolyFacts:
-    degree: ExpElem
-    leading_coeff: object
-    trailing_degree: ExpElem
-    trailing_coeff: object
-    support: frozenset
-    is_monomial: bool
-
-
-def inspect(f: PolyExpr) -> PolyFacts:
-    return PolyFacts(
-        f.degree, f.leading_coeff, f.trailing_degree, f.trailing_coeff, f.support, f.is_monomial
-    )
-
-
 def ambient_exact_div(f: PolyExpr, g: PolyExpr):
     """Quotient f/g inside the semiring, or None when it does not exist there.
 

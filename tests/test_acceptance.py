@@ -77,10 +77,10 @@ def test_c04_irreducible_family():
     ok = True
     for n in range(1, 5):
         f = expand_family(n, n)
-        ok = ok and sf.is_atom(f, "zx_fastpath")
+        ok = ok and sf.is_atom(f, "auto")
     for n in (1, 2):
         f = expand_family(n, n)
-        ok = ok and sf.divisors(f, "oracle").divisors == sf.divisors(f, "zx_fastpath").divisors
+        ok = ok and sf.divisors(f, "oracle").divisors == sf.divisors(f, "auto").divisors
         ok = ok and sf.is_atom(f, "oracle")
     report("C4 irreducible family n=1..4", ok, t0, 30.0)
 
@@ -119,13 +119,13 @@ def test_c07_oracle_equivalence():
     for _ in range(200):
         f = random_poly(rng, NAT, M, max_num=6, max_terms=7, max_coeff=5)
         ok = ok and (
-            sf.divisors(f, "oracle").divisors == sf.divisors(f, "zx_fastpath").divisors
+            sf.divisors(f, "oracle").divisors == sf.divisors(f, "auto").divisors
         )
     M2 = sf.make_monoid([Fraction(1, 2), Fraction(3, 4)])
     for _ in range(20):
         f = random_poly(rng, NAT, M2, max_num=12, max_terms=4, max_coeff=5)
         ok = ok and (
-            sf.divisors(f, "oracle").divisors == sf.divisors(f, "zx_fastpath").divisors
+            sf.divisors(f, "oracle").divisors == sf.divisors(f, "auto").divisors
         )
     report("C7 oracle/fast-path equivalence 220 cases", ok, t0, 300.0)
 

@@ -247,6 +247,35 @@ class TestVerifyAndSweep:
         payload = run_json(capsys, "sweep", "elasticity", "--n", "2", "--k", "1")
         assert payload["rows"][0]["elasticity"] == "3/2"
 
+    def test_sweep_skipped_row(self, capsys):
+        # (x+30)^30 (x^2-x+1) (x+1) has degree 33, over the default limit 24
+        argv = ["sweep", "elasticity", "--n", "2,30", "--k", "1"]
+        code, out, err = run(capsys, *argv, "--output", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["2,1,2,3,3,2", "30,1,,,,"]
+        rows = run_json(capsys, *argv)["rows"]
+        assert rows[0] == {
+            "n": 2, "k": 1, "min_len": 2, "max_len": 3, "elasticity": "3/2", "status": "ok"
+        }
+        assert rows[1] == {
+            "n": 30,
+            "k": 1,
+            "status": "skipped",
+            "reason": "degree 33 exceeds the factorization limit 24",
+        }
+        err = run_usage_error(capsys, *argv, "--output", "pretty")
+        assert "invalid choice: 'pretty'" in err
+
+    def test_failed_check_exits_1_with_its_report(self, capsys, monkeypatch):
+        monkeypatch.setitem(
+            sf.paperlab._CHECKS, "lfs-witness", lambda budgets: (["broken on purpose"], {"x": 1})
+        )
+        code, out, err = run(capsys, "verify", "paper", "--only", "lfs-witness")
+        assert (code, err) == (1, "")
+        (result,) = json.loads(out)["results"]
+        assert result["status"] == "fail"
+        assert result["details"] == {"x": 1, "counterexamples": ["broken on purpose"]}
+
 
 class TestParserReuse:
     def test_built_once(self):
@@ -292,6 +321,19 @@ class TestExitCodes:
         code, out, err = run(capsys, "poly", "lengths", "--coeffs", "quad:4", "x")
         assert code == 1
         assert "error[usage]" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["poly", "divisors", ""], ["poly", "divisors", "--coeffs", "bogus", "x"]]
+    )
+    def test_unreadable_input_is_one_usage_error(self, capsys, argv):
+        run_usage_error(capsys, *argv)
+
+    def test_lenfn_needs_a_radicand_of_5(self, capsys):
+        # floor(sqrt(d)) >= 2 needs d >= 4, and quad:4 is refused as a square
+        code, out, err = run(capsys, "poly", "lenfn", "--coeffs", "quad:3", "x+1")
+        assert (code, out) == (1, "")
+        assert err == "error[domain]: no supported length function for quad:3 (need d >= 5)\n"
+        assert run_json(capsys, "poly", "lenfn", "--coeffs", "quad:5", "x+1")["length"] == 2
 
     def test_domain_error(self, capsys):
         code, out, err = run(capsys, "poly", "lengths", "0")
@@ -400,7 +442,7 @@ class TestExitCodes:
             ["monoid", "atoms", "--coeffs", "quad:6"],
             ["monoid", "member", "--coeffs", "nat", "2"],
             ["monoid", "factorize", "--strategy", "oracle", "6"],
-            ["monoid", "mcd", "--strategy", "zx", "2", "3"],
+            ["monoid", "mcd", "--strategy", "auto", "2", "3"],
             ["monoid", "gcd", "--coeffs", "quad:6", "--monoid", "gens:2,3", "4", "6"],
             ["sweep", "elasticity", "--n", "2", "--k", "1", "--output", "pretty"],
             ["poly", "divisors", "--output", "csv", "x+1"],

@@ -126,7 +126,7 @@ def poly_argvs(draw):
     # lenfn takes no --strategy
     strategy = []
     if op != "lenfn":
-        strategy = ["--strategy", draw(st.sampled_from(["auto", "zx", "oracle"]))]
+        strategy = ["--strategy", draw(st.sampled_from(["auto", "oracle"]))]
     return [
         "poly", op,
         "--monoid", draw(poly_monoids),

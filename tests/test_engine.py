@@ -73,15 +73,15 @@ class TestDivisors:
     def test_strategies_agree_on_spec_cases(self):
         for text in ("x^3+x^2", "x^5+x^4+x^3+x^2+x+1", "2x+2", "x^4+3x^3+x^2+4"):
             f = P(text)
-            assert (
-                sf.divisors(f, "oracle").divisors == sf.divisors(f, "zx_fastpath").divisors
-            )
+            assert sf.divisors(f, "oracle").divisors == sf.divisors(f, "auto").divisors
 
     def test_zx_requires_nat(self):
+        # auto takes the zx fast path on nat alone; its name is no input
         f = parse("(1,1)*x+(1,0)", Q6, sf.nat_monoid())
-        with pytest.raises(UsageError):
-            sf.divisors(f, "zx_fastpath")
         assert sf.divisors(f, "auto").strategy_used == "oracle"
+        for g in (f, P("x+1")):
+            with pytest.raises(UsageError, match="unknown divisor strategy 'zx_fastpath'"):
+                sf.divisors(g, "zx_fastpath")
 
     def test_unknown_strategy(self):
         with pytest.raises(UsageError):
@@ -484,18 +484,14 @@ class TestStrategyEquivalence:
         rng = random.Random(38)
         for _ in range(50):
             f = random_poly(rng, NAT, sf.nat_monoid(), max_num=6, max_terms=7)
-            assert (
-                sf.divisors(f, "oracle").divisors == sf.divisors(f, "zx_fastpath").divisors
-            )
+            assert sf.divisors(f, "oracle").divisors == sf.divisors(f, "auto").divisors
 
     def test_random_puiseux_corpus(self):
         rng = random.Random(39)
         M = sf.make_monoid([Fraction(1, 2), Fraction(3, 4)])
         for _ in range(10):
             f = random_poly(rng, NAT, M, max_num=12, max_terms=4, max_coeff=3)
-            assert (
-                sf.divisors(f, "oracle").divisors == sf.divisors(f, "zx_fastpath").divisors
-            )
+            assert sf.divisors(f, "oracle").divisors == sf.divisors(f, "auto").divisors
 
 
 # The computations below are the divisor-lattice operations written with
@@ -618,8 +614,8 @@ class TestDivisorLattice:
             assert [lat.ordered[i] for i in engine._atoms_within(lat)] == ref_atoms(ds.divisors)
             assert sf.factorizations(f) == zs
             assert sf.is_monolithic(f) == ref_is_monolithic(f, ds.divisors)
-            assert sf.monolithic_decompose(f) == ref_decompose(f, "zx_fastpath")
-            assert sf.atomic_certificate(f) == ref_certificate(f, "zx_fastpath")
+            assert sf.monolithic_decompose(f) == ref_decompose(f, "auto")
+            assert sf.atomic_certificate(f) == ref_certificate(f, "auto")
             if small:
                 assert sf.factorizations(f, "oracle") == zs
                 assert sf.is_monolithic(f, "oracle") == sf.is_monolithic(f)
@@ -696,7 +692,7 @@ class TestDivisorLattice:
         assert proc.returncode == 0, (proc.returncode, proc.stderr[-400:])
         assert proc.stdout == "factorization recursion exceeded 2054 nodes\n"
 
-    @pytest.mark.parametrize("strategy", ["zx_fastpath", "oracle"])
+    @pytest.mark.parametrize("strategy", ["auto", "oracle"])
     def test_z_is_kept_on_the_lattice(self, monkeypatch, strategy):
         f = expand_family(2, 2, 1)
         engine.clear_caches()

@@ -13,7 +13,6 @@ from semifactor.paperlab import (
     report_json,
     run_paper_suite,
     sweep_csv,
-    sweep_jsonable,
 )
 
 
@@ -99,15 +98,16 @@ class TestSweep:
         rows = elasticity_sweep([2, 3], [1, 2, 3])
         assert len(rows) == 6
         by_nk = {(r["n"], r["k"]): r for r in rows}
-        assert by_nk[(2, 1)]["elasticity"] == Fraction(3, 2)
-        assert by_nk[(2, 2)]["elasticity"] == Fraction(4, 3)
+        assert by_nk[(2, 1)]["elasticity"] == "3/2"
+        assert by_nk[(2, 2)]["elasticity"] == "4/3"
+        assert by_nk[(3, 1)]["elasticity"] == "2/1"
         for (n, k), r in by_nk.items():
-            assert r["elasticity"] == Fraction(n + k, k + 1)
+            assert Fraction(r["elasticity"]) == Fraction(n + k, k + 1)
             assert (r["min_len"], r["max_len"]) == (k + 1, k + n)
 
     def test_elasticity_climbs_toward_two_on_diagonal(self):
         values = [
-            elasticity_sweep([n], [n])[0]["elasticity"] for n in (2, 3, 4)
+            Fraction(elasticity_sweep([n], [n])[0]["elasticity"]) for n in (2, 3, 4)
         ]
         assert values == [Fraction(2 * n, n + 1) for n in (2, 3, 4)]
         assert values == sorted(values) and all(v < 2 for v in values)
@@ -120,7 +120,7 @@ class TestSweep:
         assert lines[2] == "2,2,3,4,4,3"
 
     def test_jsonable(self):
-        rows = sweep_jsonable(elasticity_sweep([2], [1]))
+        rows = elasticity_sweep([2], [1])
         assert rows == [
             {
                 "n": 2,
