@@ -133,10 +133,10 @@ _POLY_OPS = {
 def _factorize(M, args, b):
     q = args.args[0]
     zs = M.factorizations(q, node_budget=b.knapsack_nodes)
-    ordered = sorted(zs, key=lambda z: tuple(map(M.num_of, z)))
     return {
         "m": _elem_jsonable(M.elem(q)),
-        "Z": [[_elem_jsonable(e) for e in z] for z in ordered],
+        # tuples of one monoid's ExpElems sort as their scaled numerators do
+        "Z": [[_elem_jsonable(e) for e in z] for z in sorted(zs)],
         "L": sorted({len(z) for z in zs}),
     }
 

@@ -65,10 +65,6 @@ def _deg(c):
     return len(c) - 1
 
 
-def _add(a, b):
-    return _trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
-
-
 def _sub(a, b):
     return _trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
 
@@ -262,12 +258,6 @@ class IntPoly:
 
     def eval(self, x):
         return _eval(list(self.coeffs), x)
-
-    def __add__(self, other):
-        return IntPoly(tuple(_add(list(self.coeffs), list(other.coeffs))))
-
-    def __sub__(self, other):
-        return IntPoly(tuple(_sub(list(self.coeffs), list(other.coeffs))))
 
     def __mul__(self, other):
         return IntPoly(tuple(_mul(list(self.coeffs), list(other.coeffs))))

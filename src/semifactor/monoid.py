@@ -23,6 +23,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, inf, lcm
 
 from .errors import DEFAULT_BUDGETS, BudgetError, DomainError, UsageError
@@ -41,9 +42,6 @@ class ExpElem:
 
     def __lt__(self, other):
         return self.num * other.denom < other.num * self.denom
-
-    def __le__(self, other):
-        return self.num * other.denom <= other.num * self.denom
 
     def __str__(self):
         return str(self.num) if self.denom == 1 else f"{self.num}/{self.denom}"
@@ -176,36 +174,36 @@ class ExpMonoid:
     def factorizations(self, m, node_budget: int = DEFAULT_BUDGETS.knapsack_nodes):
         """All multisets of atoms summing to m, as ascending tuples of ExpElem.
 
-        Depth-first over atoms in descending order with an explicit stack;
-        every visited node counts against ``node_budget``.  A node keeps its
-        chosen atoms as a linked list (atom, parent list), smallest first.
+        These are the count vectors with c_1*g_1 + ... + c_k*g_k = D*m.  On
+        an explicit stack every atom g but the smallest, largest first, takes
+        each count from 0 to rem // g, rem what the larger atoms leave; an
+        entry with count c pushes the same atom's count c + 1 beside it, so
+        the stack holds at most two entries per atom.  The smallest atom a
+        closes a factorization when it divides rem.  Every count tried and
+        every atom listed counts against ``node_budget``, checked before the
+        list is built: 6 in <2,3> tries the counts 0, 1, 2 of 3 and lists
+        (2, 2, 2) and (3, 3), 8 nodes in all.
         """
-        n = self.num_of(m)
-        atoms_desc = sorted(self.min_gens, reverse=True)
-        member = self.member_num
-        results = []
+        *others, a = sorted(self.min_gens, reverse=True)
+        elems = [self.elem_of_num(g) for g in (a, *reversed(others))]
+        out = []
         nodes = 0
-        todo = [(n, 0, None)]
+        todo = [(self.num_of(m), ())]  # (rem, the counts of others[:len(counts)])
         while todo:
-            rem, start, chosen = todo.pop()
-            nodes += 1
+            rem, counts = todo.pop()
+            i = len(counts)
+            closes = i == len(others) and rem % a == 0
+            # the count tried here, then the atoms about to be listed
+            nodes += (i > 0) + (rem // a + sum(counts) if closes else 0)
             if nodes > node_budget:
                 raise BudgetError(f"factorization search exceeded {node_budget} nodes")
-            if rem == 0:
-                results.append(chosen)
-                continue
-            for j in range(start, len(atoms_desc)):
-                g = atoms_desc[j]
-                if g <= rem and member(rem - g):
-                    todo.append((rem - g, j, (g, chosen)))
-        elems = {g: self.elem_of_num(g) for g in atoms_desc}
-        out = set()
-        for chosen in results:
-            fac = []
-            while chosen is not None:
-                g, chosen = chosen
-                fac.append(elems[g])
-            out.add(tuple(fac))
+            if i and rem >= others[i - 1]:  # the same atom's next count
+                todo.append((rem - others[i - 1], (*counts[:-1], counts[-1] + 1)))
+            if i < len(others):
+                todo.append((rem, (*counts, 0)))
+            elif closes:
+                counts = (rem // a, *reversed(counts))
+                out.append(tuple(chain.from_iterable(map(repeat, elems, counts))))
         return frozenset(out)
 
     def mcd(self, elems, node_budget: int = DEFAULT_BUDGETS.knapsack_nodes) -> frozenset[ExpElem]:

@@ -189,7 +189,7 @@ def _check_quad_sqrt6(budgets):
     for total in range(1, 11):
         for bb in range(total + 1):
             a = (bb, total - bb)
-            for s in S.divisors_of(a):
+            for s in S.divisors_of(a, budgets.oracle_candidates):
                 checked += 1
                 if s[0] + s[1] > total:
                     failures.append(f"divisor {S.render(s)} of {S.render(a)} breaks the bound")
@@ -242,7 +242,8 @@ def _check_puiseux_demo(budgets):
     lengths = sorted(len(t) for t in zs)
     if lengths != [2, 3, 4]:
         failures.append(f"lengths of 9/2 in the truncation are {lengths}")
-    mcd_02 = sorted(str(e) for e in m1.mcd([Fraction(1, 2), Fraction(3, 4)]))
+    pair = [Fraction(1, 2), Fraction(3, 4)]
+    mcd_02 = sorted(str(e) for e in m1.mcd(pair, budgets.knapsack_nodes))
     if mcd_02 != ["0"]:
         failures.append(f"mcd of the atom pair is {mcd_02}")
     return failures, {

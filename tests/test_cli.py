@@ -4,7 +4,9 @@ import time
 import pytest
 
 import semifactor as sf
+from semifactor import cli
 from semifactor.cli import _budgets, build_parser, main
+from semifactor.errors import InternalError
 from semifactor.polyexpr import parse
 
 
@@ -168,6 +170,11 @@ class TestMonoidCommands:
         assert code == 2
         assert out == ""
         assert err == "error[budget]: factorization search exceeded 100 nodes\n"
+
+    def test_factorize_many_counts(self, capsys):
+        payload = run_json(capsys, "monoid", "factorize", "--monoid", "gens:2,3", "3500")
+        assert len(payload["Z"]) == 584
+        assert payload["L"] == list(range(1167, 1751))
 
     @pytest.mark.parametrize("op", ["mcd", "gcd"])
     def test_common_divisor_budget(self, capsys, op):
@@ -354,6 +361,15 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.startswith("error[budget]")
+
+    def test_internal_error_exit(self, capsys, monkeypatch):
+        def broken(f, args, b):
+            raise InternalError("invariant broken on purpose")
+
+        monkeypatch.setitem(cli._POLY_OPS, "divisors", broken)
+        code, out, err = run(capsys, "poly", "divisors", "x+1")
+        assert (code, out) == (3, "")
+        assert err == "error[internal]: invariant broken on purpose\n"
 
     def test_unknown_flag(self, capsys):
         code, out, err = run(capsys, "poly", "lengths", "--frobnicate", "x")

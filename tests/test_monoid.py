@@ -30,6 +30,16 @@ def brute_factorizations(gens, target):
     return out
 
 
+def coin_change_counts(atoms, limit):
+    """Reference: the number of multisets of ``atoms`` summing to each
+    n <= limit, by the coin-change DP (one atom at a time)."""
+    ways = [1] + [0] * limit
+    for g in atoms:
+        for n in range(g, limit + 1):
+            ways[n] += ways[n - g]
+    return ways
+
+
 def dp_max_lengths(atoms, limit):
     """Reference: greatest factorization length of every n <= limit by a DP
     over the atoms, None where n is not a sum of them."""
@@ -176,11 +186,33 @@ class TestFactorizations:
             m.factorizations(50, node_budget=10)
 
     def test_budget_counts_every_node(self):
-        # 6 in <2,3>: root, 6-3, 6-2, 3-3, 4-2, 2-2 -> six nodes
+        # 6 in <2,3>: the counts 0, 1, 2 of atom 3, then the atoms of
+        # (2, 2, 2) and (3, 3) -> eight nodes
         m = sf.make_monoid([2, 3])
-        assert len(m.factorizations(6, node_budget=6)) == 2
+        assert len(m.factorizations(6, node_budget=8)) == 2
         with pytest.raises(BudgetError):
-            m.factorizations(6, node_budget=5)
+            m.factorizations(6, node_budget=7)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [[5, 7, 11], [6, 9, 20], [4, 7, 10], [7, 8, 13], [Fraction(1, 2), Fraction(3, 4)]],
+    )
+    def test_counts_match_coin_change(self, gens):
+        m = sf.make_monoid(gens)
+        atom_nums = sorted(m.min_gens)
+        ways = coin_change_counts(atom_nums, 220 * m.denom)
+        for q in range(120, 221):
+            if m.member(q):
+                assert len(m.factorizations(q)) == ways[q * m.denom], (gens, q)
+
+    def test_refused_before_any_list(self):
+        # the first count vector tried, 5 * 10^11 atoms 2, is over the
+        # budget before its list is built
+        m = sf.make_monoid([2, 3])
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="exceeded 10 nodes"):
+            m.factorizations(10**12, node_budget=10)
+        assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("gens", [[1], [2, 3], [3, 5, 7], [4, 6, 9]])
     def test_exhaustive_cross_check(self, gens):

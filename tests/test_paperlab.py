@@ -66,6 +66,14 @@ class TestSuite:
         assert results["quad-sqrt6-suite"].status == "pass"
         assert results["puiseux-demo"].status == "pass"
 
+    def test_quad_scan_spends_the_oracle_budget(self):
+        # the scans up to b+c = 10 try up to 65 candidate pairs; 6*r needs 27
+        (result,) = run_paper_suite(Budgets(oracle_candidates=26), ("quad-sqrt6-suite",))
+        assert result.status == "skipped"
+        assert result.details == {
+            "reason": "divisors of 6*r need 27 candidate pairs, over the budget of 26"
+        }
+
     def test_anchors_registered_and_nonempty(self):
         for r in run_paper_suite():
             assert r.paper_anchor
