@@ -26,14 +26,16 @@ values mean equal polynomials.
 Arithmetic modulo a fixed monic polynomial runs on a packed kernel
 (``_Ring``): a polynomial is one int with a fixed-width slot per
 coefficient (the ``_Slots`` codec, which the engine's divisor walk shares),
-a product is one big-integer product, and a remainder takes two more from
-the precomputed reversed inverse of the modulus.  Distinct-
+each slot kept lazily below twice the modulus by one Barrett step over the
+whole int; a product is one big-integer product, and a remainder takes two
+more from the precomputed reversed inverse of the modulus.  Distinct-
 degree factorization steps by one p-th power per degree, and equal-degree
 splitting takes one power a^((p^d-1)/2) per draw for odd p (Cantor and
-Zassenhaus, Math. Comp. 1981); each Hensel step divides by the monic
-factor through its own series inverse.  Euclidean steps, whose divisor
-changes at every step, stay on lists and share one division loop
-(``_p_divmod``).
+Zassenhaus, Math. Comp. 1981), both on packed ints until a gcd needs a
+list; each Hensel step divides by the monic factor through its own series
+inverse, in the same kernel.  Euclidean steps, whose divisor changes at
+every step, stay on lists: a step that lowers the degree by one takes its
+remainder in one pass, the others share one division loop (``_p_divmod``).
 
 Dense representation throughout: a polynomial is a list of ints, lowest
 degree first, no trailing zeros (the zero polynomial is the empty list).
@@ -89,7 +91,13 @@ def _deriv(a):
 
 
 def _eval(a, x):
+    """a(x) by Horner's rule, shifting when x is a power of two."""
     out = 0
+    if type(x) is int and x > 0 and not x & (x - 1):
+        k = x.bit_length() - 1
+        for c in reversed(a):
+            out = (out << k) + c
+        return out
     for c in reversed(a):
         out = out * x + c
     return out
@@ -334,17 +342,32 @@ def squarefree_decompose(F: IntPoly):
 
 # -- packed arithmetic modulo a monic polynomial ----------------------------
 #
-# A polynomial with coefficients in [0, m) is packed into one int, one
-# fixed-width slot per coefficient, lowest degree in the lowest slot
-# (Kronecker substitution at x = 2^w), so a product of polynomials is one
-# big-integer product.  The slot width is chosen once, wide enough that no
-# sum of products formed before the next reduction carries into the next
-# slot; a difference adds a multiple of m to every slot first, so no slot
-# borrows either.  Every result is unpacked and reduced mod m once.  The
+# A polynomial over Z/m is packed into one int, one fixed-width slot per
+# coefficient, lowest degree in the lowest slot (Kronecker substitution at
+# x = 2^w), so a product of polynomials is one big-integer product.  Slots
+# are reduced lazily: an element holds each coefficient in [0, 2m), and one
+# Barrett step (Barrett, CRYPTO 1986) brings every slot of an int back into
+# [0, 2m) at once, with mu = 2^b // m and MASK the same bit mask in every
+# slot:
+#
+#     X - ((X*mu >> b) & MASK) * m
+#
+# For a slot x < 2^b, floor(x*mu / 2^b) is floor(x/m) or one less, since
+# x*mu > x*2^b/m - 2^b.  The width rule: w is at least the bit length of
+# (2^b - 1)*mu, about 2b - log2(m), so no x*mu carries into the next slot;
+# after the shift by b, a slot's quotient fits in its low w - b bits and the
+# next slot's low bits land above them, so MASK keeps the low w - b bits of
+# every slot.  b is chosen once per ring, above every slot a step meets: a
+# product of two elements, the quotient's product, a remainder with its
+# offset, and the caller's own dividends.  A difference adds a multiple of
+# m to every slot first, so no slot borrows.  Products, powers and
+# remainders never leave the packed form; ``reduce`` unpacks and reduces
+# mod m only where a list is needed (a gcd input, or a lifted factor).  The
 # remainder by the monic modulus f of degree n is the classical one from
 # the precomputed reversed inverse (von zur Gathen and Gerhard, Modern
 # Computer Algebra, 9.1): for a dividend c of degree at most n + k, the
-# quotient is the top k + 1 coefficients of (c div x^n) * (x^(n+k) div f).
+# quotient is the top k + 1 coefficients of (c div x^n) * (x^(n+k) div f),
+# reduced by the same Barrett step.
 
 _SWAP = sys.byteorder == "big"  # packed ints are little-endian slot arrays
 _WORD = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -385,23 +408,29 @@ class _Slots:
 
 
 class _Ring(_Slots):
-    """Z/m[x] modulo a monic f of degree n (coefficients in [0, m)).
+    """Z/m[x] modulo a monic f of degree n, on packed ints.
 
-    Elements are packed polynomials of degree < n.  ``divmod`` takes packed
-    dividends of degree < n + qdeg + 1 whose slots stay below ``digit`` (by
-    default: products of two elements); the slots also hold any coefficient
-    below ``bound``, for the caller's own products."""
+    Elements are packed polynomials of degree < n with slots in [0, 2m).
+    ``divmod`` takes dividends of at most n + qdeg + 1 slots, each below
+    2^b: by default, products of two elements; ``bound`` raises 2^b for
+    the caller's own dividends."""
 
-    __slots__ = ("m", "n", "qdeg", "f", "g", "off")
+    __slots__ = ("m", "n", "qdeg", "f", "g", "b", "mu", "mask", "low", "off")
 
-    def __init__(self, f, m, qdeg=None, digit=None, bound=0):
+    def __init__(self, f, m, qdeg=None, bound=0):
         n = len(f) - 1
         self.m, self.n = m, n
         self.qdeg = qdeg = max(n - 2, 0) if qdeg is None else qdeg
-        digit = n * m * m if digit is None else digit
-        # the widest slots: the dividend's top times g, and a remainder
-        # before its reduction (dividend plus offset)
-        super().__init__(max((qdeg + 1) * digit * m, digit + 2 * n * m * m, bound))
+        # every slot below 4*k*m^2: a product of two elements (n terms below
+        # (2m)^2), the quotient's product (qdeg + 1 terms below 2m*m), and a
+        # remainder before its step (below 2m plus the offset 2*k*m^2)
+        k = max(n, qdeg + 1)
+        self.b = b = (max(4 * k * m * m, bound) - 1).bit_length()
+        self.mu = mu = (1 << b) // m
+        super().__init__(((1 << b) - 1) * mu)
+        w = self.bits
+        self.mask = self.pack([(1 << w - b) - 1] * (n + qdeg + 1))
+        self.low = (1 << n * w) - 1
         # g = rev(inv) = x^(n+qdeg) div f, with inv = 1/rev(f) mod x^(qdeg+1):
         # inv[i] = -(rev(f)[1] inv[i-1] + ... + rev(f)[n] inv[i-n]), built
         # from the top: g = [inv[i-1], ..., inv[0]] at step i
@@ -412,7 +441,11 @@ class _Ring(_Slots):
         self.f = self.pack(f[:n])
         self.g = self.pack(g)
         # a multiple of m in every slot, above any coefficient of q * f
-        self.off = self.pack([n * m * m] * n)
+        self.off = self.pack([2 * k * m * m] * n)
+
+    def barrett(self, X):
+        """X with every slot, each below 2^b, reduced into [0, 2m)."""
+        return X - ((X * self.mu >> self.b) & self.mask) * self.m
 
     def reduce(self, X, count=None):
         """Coefficients of X reduced mod m: the first n, or ``count``."""
@@ -420,18 +453,19 @@ class _Ring(_Slots):
         return [x % m for x in self.unpack(X, self.n if count is None else count)]
 
     def divmod(self, C, count):
-        """Quotient and remainder (reduced lists, lengths count - n and n)
-        of a packed dividend with ``count`` slots."""
+        """Quotient and remainder, packed with slots in [0, 2m) (count - n
+        and n slots), of a dividend with ``count`` slots below 2^b."""
         n, w = self.n, self.bits
         k = count - n  # quotient length
+        C = self.barrett(C)
         if k <= 0:
-            return [], self.reduce(C)
-        q = self.reduce((C >> (n * w)) * (self.g >> ((self.qdeg + 1 - k) * w)) >> ((k - 1) * w), k)
-        return q, self.reduce(C + self.off - self.pack(q) * self.f)
+            return 0, C
+        Q = self.barrett((C >> n * w) * (self.g >> (self.qdeg + 1 - k) * w) >> (k - 1) * w)
+        return Q, self.barrett((C + self.off - Q * self.f) & self.low)
 
     def mul(self, A, B):
         """A*B mod f."""
-        return self.pack(self.divmod(A * B, 2 * self.n - 1)[1])
+        return self.divmod(A * B, 2 * self.n - 1)[1]
 
     def pow(self, A, e):
         """A^e for e >= 1."""
@@ -447,7 +481,9 @@ class _Ring(_Slots):
 #
 # For the Euclidean steps, whose divisor changes at every step.  Products
 # are formed over Z and reduced once; the division loop reads every
-# leading coefficient mod p and reduces the rest once, at the end.
+# leading coefficient mod p and reduces the rest once, at the end.  A step
+# with deg a = deg b + 1, the usual one in a remainder sequence, has the
+# quotient q1*x + q0 and takes its remainder in one pass.
 
 def _p_trim(c, p):
     c = [x % p for x in c]
@@ -483,11 +519,27 @@ def _p_divmod(a, b, p):
     return _p_trim(quo, p), _p_trim(a[:db], p)
 
 
+def _p_step(a, b, p):
+    """Quotient and remainder, reduced and trimmed, of a reduced a by a
+    reduced nonzero b: a itself when deg a < deg b; for deg a = deg b + 1 > 1,
+    r = a - (q1*x + q0)*b coefficient by coefficient; else ``_p_divmod``,
+    which takes over a."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return [], a
+    if len(a) != n + 2 or not n:
+        return _p_divmod(a, b, p)
+    inv = pow(b[-1], -1, p)
+    q1 = a[-1] * inv % p
+    q0 = (a[-2] - q1 * b[-2]) * inv % p
+    return [q0, q1], _trim([(x - q1 * y - q0 * z) % p for x, y, z in zip(a, [0] + b, b[:n])])
+
+
 def _p_gcd(a, b, p):
     """Monic gcd of reduced a and b over GF(p); [] when both are zero."""
     a, b = list(a), list(b)
     while b:
-        a, b = b, _p_divmod(a, b, p)[1]
+        a, b = b, _p_step(a, b, p)[1]
     return _p_monic(a, p) if a else []
 
 
@@ -620,8 +672,9 @@ def _choose_prime(f):
 # One quadratic step lifts f = g*h from mod m to mod M (M dividing m^2), as
 # in Modern Computer Algebra, Algorithm 15.10, with coefficients in [0, m).
 # Each correction (f - g*h, s*g + t*h - 1, and what follows from them) is a
-# multiple of m, so it is computed divided by m and mod M/m: both divisions
-# of a step are by h mod M/m, from one precomputed inverse.
+# multiple of m, so it is computed divided by m and mod M/m in one packed
+# ring: both divisions of a step are by h mod M/m, from one precomputed
+# inverse.
 
 def _tr(c, m):
     """Reduce coefficients into the symmetric range (-m/2, m/2]."""
@@ -629,16 +682,17 @@ def _tr(c, m):
     return _trim([half - (half - x) % m for x in c])
 
 
-def _lift_correction(m, M, X, count, G, s, t, ring):
+def _lift_correction(m, X, count, G, S, T, ring):
     """(u, r) for the x whose ``count`` slots in X hold m*x mod M (plus
-    multiples of M): (q, r) = divmod(s*x, h) and u = t*x + q*g mod M/m, with
-    count - deg h coefficients.  ``ring`` divides by h modulo M/m, and G is
-    g packed.  For x = (f - g*h)/m the lift is g + m*u, h + m*r; for
+    multiples of M), M = m * ring.m: (q, r) = divmod(s*x, h) and
+    u = t*x + q*g mod M/m, reduced lists of count - deg h and deg h
+    coefficients.  ``ring`` divides by h modulo M/m; G, S and T are g, s and
+    t packed.  For x = (f - g*h)/m the lift is g + m*u, h + m*r; for
     x = (s*g + t*h - 1)/m it is s - m*r, t - m*u."""
-    mq = M // m
-    P = ring.pack([y // m % mq for y in ring.unpack(X, count)])
-    q, r = ring.divmod(ring.pack(s) * P, len(s) + count - 1)
-    return ring.reduce(ring.pack(t) * P + ring.pack(q) * G, count - ring.n), r
+    # every slot of X is a multiple of m, so X // m divides slot by slot
+    P = ring.barrett(X // m)
+    Q, R = ring.divmod(S * P, count + ring.n - 1)
+    return ring.reduce(T * P + Q * G, count - ring.n), ring.reduce(R)
 
 
 def _hensel_lift(p, f, fs, l):
@@ -664,21 +718,26 @@ def _hensel_lift(p, f, fs, l):
     while m < pl:
         M = min(m * m, pl)
         mq = M // m
-        # division by h mod M/m; the slots also hold s*g + t*h, below 2n*m*M
-        ring = _Ring([x % mq for x in h], mq, n - 2, n * m * mq, (2 * n * m + 1) * M)
+        # division by h mod M/m.  With s, t below m, g, h below M and the
+        # lazy slots of x and q below 2M/m, the slots that meet a Barrett
+        # step stay below 2(n+1)M <= 2^b: (f - g*h)/m with its offset,
+        # (s*g + t*h)/m and s*x.  The slots only divided or unpacked,
+        # f - g*h, s*g + t*h and t*x + q*g, stay below 2n(m+1)M, well within
+        # the width, (2^b - 1)*mu with mu = 2^b // (M/m) >= 2(n+1)m.
+        ring = _Ring([x % mq for x in h], mq, n - 2, 2 * (n + 1) * M)
+        G, S, T = ring.pack(g), ring.pack(s), ring.pack(t)
         # f - g*h vanishes mod m; a multiple of M in every slot stays above
         # any coefficient of g*h
-        G = ring.pack(g)
         off = -(-min(len(g), len(h)) * m * m // M) * M
         E = ring.pack([x % M + off for x in f]) - G * ring.pack(h)
-        u, r = _lift_correction(m, M, E, n, G, s, t, ring)
+        u, r = _lift_correction(m, E, n, G, S, T, ring)
         g = [x + m * y for x, y in zip(g, u)]
         h = [x + m * y for x, y in zip(h, r)] + [1]
         if M < pl:
             # s*g + t*h - 1 (M - 1 for -1) vanishes mod m, for the lifted g, h
             G = ring.pack(g)
-            B = ring.pack(s) * G + ring.pack(t) * ring.pack(h) + M - 1
-            u, r = _lift_correction(m, M, B, len(g) + len(h) - 2, G, s, t, ring)
+            B = S * G + T * ring.pack(h) + M - 1
+            u, r = _lift_correction(m, B, len(g) + len(h) - 2, G, S, T, ring)
             s = [(x - m * y) % M for x, y in zip_longest(s, r, fillvalue=0)]
             t = [(x - m * y) % M for x, y in zip_longest(t, u, fillvalue=0)]
         m = M
@@ -712,8 +771,9 @@ def _lift(p, f, fs, l):
     g = _tr(f, pl)
     for i, a in roots.items():
         lifted[i] = _tr([-a, 1], pl)
-        # the remainder f(a) vanishes mod p^l
-        g = _tr(_p_divmod(g, [-a, 1], pl)[0], pl)
+        # the remainder f(a) vanishes mod p^l; the quotient by Horner's rule,
+        # from the top: q[i-1] = g[i] + a*q[i]
+        g = _tr(list(accumulate(g[:0:-1], lambda q, c: (c + a * q) % pl))[::-1], pl)
     others = [i for i in range(len(fs)) if i not in roots]
     if others:
         for i, u in zip(others, _hensel_lift(p, g, [fs[i] for i in others], l)):
@@ -726,9 +786,15 @@ def _bezout_pair(g, h, p):
     r0, r1 = _p_trim(list(g), p), _p_trim(list(h), p)
     s0, s1 = [1], []
     while r1:
-        q, r = _p_divmod(r0, r1, p)
+        q, r = _p_step(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _p_sub(s0, _p_mul(q, s1, p), p)
+        if len(q) == 2:
+            # s0 - (q1*x + q0)*s1 in one pass, as the remainder
+            q0, q1 = q
+            s1, s0 = _trim([(x - q1 * y - q0 * z) % p
+                            for x, y, z in zip_longest(s0, [0] + s1, s1, fillvalue=0)]), s1
+        else:
+            s0, s1 = s1, _p_sub(s0, _p_mul(q, s1, p), p)
     if _deg(r0) != 0:
         raise InternalError("modular factors are not coprime")
     inv = pow(r0[0], -1, p)

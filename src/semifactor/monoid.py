@@ -55,8 +55,11 @@ def _staircase(a: int, gens, budget: int, table: str, whole: bool):
     sum.  A heap settles pairs by r (the shortest-path view of Boecker and
     Liptak, Algorithmica 48, 2007); a popped pair is kept when its w is
     below its class's last kept w, and only kept pairs are extended, since
-    one beating a prefix of a sum beats the sum.  ``budget`` counts the a
-    classes before the ``table`` is allocated, then every kept pair.
+    one beating a prefix of a sum beats the sum.  With ``whole`` false an
+    extension is pushed only below the least sum pushed into its class so
+    far (Dijkstra), so a class holds at most one live entry.  ``budget``
+    counts the a classes before the ``table`` is allocated, then every kept
+    pair.
     """
     if a > budget:
         raise BudgetError(f"{table} table needs {a} residue classes, over the budget of {budget}")
@@ -64,6 +67,7 @@ def _staircase(a: int, gens, budget: int, table: str, whole: bool):
 
     def settle():
         bar = [inf] * a  # w of the last pair kept in each class
+        least = [inf] * a  # without whole: the least sum pushed into each class
         kept = 0
         heap = [(0, 0)]
         while heap:
@@ -76,10 +80,30 @@ def _staircase(a: int, gens, budget: int, table: str, whole: bool):
             bar[r % a] = w
             yield pair
             for g, dw in steps:
-                if w + dw < bar[(r + g) % a]:
-                    heapq.heappush(heap, (r + g, w + dw))
+                s = r + g
+                c = s % a
+                if w + dw < bar[c] and (whole or s < least[c]):
+                    least[c] = s
+                    heapq.heappush(heap, (s, w + dw))
 
     return settle()
+
+
+def _with_gen(least, g):
+    """The least sums per class mod a = len(least) (inf for none) once g
+    joins the generators: each cycle c, c + g, c + 2g, ... of classes mod a
+    is walked once round from its least entry, which nothing improves (the
+    round-robin step of Boecker and Liptak, Algorithmica 48, 2007)."""
+    a = len(least)
+    out = list(least)
+    d = gcd(a, g)
+    for start in range(d):
+        c = min(range(start, a, d), key=out.__getitem__)
+        for _ in range(a // d - 1):
+            nxt = (c + g) % a
+            out[nxt] = min(out[nxt], out[c] + g)
+            c = nxt
+    return out
 
 
 class ExpMonoid:
@@ -179,27 +203,47 @@ class ExpMonoid:
         each count from 0 to rem // g, rem what the larger atoms leave; an
         entry with count c pushes the same atom's count c + 1 beside it, so
         the stack holds at most two entries per atom.  The smallest atom a
-        closes a factorization when it divides rem.  Every count tried and
-        every atom listed counts against ``node_budget``, checked before the
-        list is built: 6 in <2,3> tries the counts 0, 1, 2 of 3 and lists
-        (2, 2, 2) and (3, 3), 8 nodes in all.
+        closes a factorization when it divides rem.  For each suffix of the
+        atoms, a table of its least sum in each class mod a (its Apery
+        table) prunes the search: a next count is pushed only when the atom
+        and the smaller ones can still sum to the rem it leaves, and above
+        the last atom before a, a count the smaller atoms cannot complete is
+        passed over untried.  Every count tried and every atom listed counts
+        against ``node_budget``, checked before the list is built: 6 in
+        <2,3> tries the counts 0, 1, 2 of 3 and lists (2, 2, 2) and (3, 3),
+        8 nodes in all.
         """
         *others, a = sorted(self.min_gens, reverse=True)
+        k = len(others)
         elems = [self.elem_of_num(g) for g in (a, *reversed(others))]
+        # least[i][c]: the least sum of others[i:] and a in the class c mod a
+        least = [[0] + [inf] * (a - 1)]
+        for g in reversed(others):
+            least.append(_with_gen(least[-1], g))
+        least.reverse()
         out = []
         nodes = 0
         todo = [(self.num_of(m), ())]  # (rem, the counts of others[:len(counts)])
         while todo:
             rem, counts = todo.pop()
             i = len(counts)
-            closes = i == len(others) and rem % a == 0
+            # a count of the last of others is always tried; above it, a
+            # count with no factorization below it is passed over untried,
+            # on to the same atom's next count (at most a of them in a row,
+            # since the classes of rem repeat)
+            tried = i == k or rem >= least[i][rem % a]
+            if i:  # the same atom's next count, while others[i - 1:] reach rem
+                nxt = rem - others[i - 1]
+                if nxt >= least[i - 1][nxt % a]:
+                    todo.append((nxt, (*counts[:-1], counts[-1] + 1)))
+            if not tried:
+                continue
+            closes = i == k and rem % a == 0
             # the count tried here, then the atoms about to be listed
             nodes += (i > 0) + (rem // a + sum(counts) if closes else 0)
             if nodes > node_budget:
                 raise BudgetError(f"factorization search exceeded {node_budget} nodes")
-            if i and rem >= others[i - 1]:  # the same atom's next count
-                todo.append((rem - others[i - 1], (*counts[:-1], counts[-1] + 1)))
-            if i < len(others):
+            if i < k:
                 todo.append((rem, (*counts, 0)))
             elif closes:
                 counts = (rem // a, *reversed(counts))

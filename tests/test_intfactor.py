@@ -844,9 +844,13 @@ class TestModularDivision:
             m = rng.choice([2, 3, 5, 7]) ** rng.randint(1, 9)
             b = [rng.randint(-m, m) for _ in range(rng.randint(0, 5))] + [1]
             a = [rng.randint(-(m**2), m**2) for _ in range(rng.randint(0, 12))]
-            ring = _Ring([x % m for x in b], m, max(len(a) - len(b), 0), m)
-            q, r = ring.divmod(ring.pack([x % m for x in a]), len(a))
-            assert len(r) == len(b) - 1 and len(q) == max(len(a) - len(b) + 1, 0)
+            ring = _Ring([x % m for x in b], m, max(len(a) - len(b), 0))
+            Q, R = ring.divmod(ring.pack([x % m for x in a]), len(a))
+            k, w = max(len(a) - len(b) + 1, 0), ring.bits
+            # packed results hold their count of slots, each below 2m
+            assert Q >> k * w == 0 and R >> (len(b) - 1) * w == 0
+            assert all(c < 2 * m for c in [*ring.unpack(Q, k), *ring.unpack(R, len(b) - 1)])
+            q, r = ring.reduce(Q, k), ring.reduce(R)
             for c in q + r:
                 assert 0 <= c < m
             diff = poly_sub(poly_sub(_mul(q, b), a), [-x for x in r])

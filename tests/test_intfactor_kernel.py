@@ -1,16 +1,19 @@
 """Property tests of the packed modular kernel of ``intfactor``: products,
-remainders and p-th powers against schoolbook arithmetic written out here,
-the modular factorization against sympy's ``gf_factor_sqf``, the lifted
-factors against a reference quadratic Hensel lift, and the Bezout
-cofactors of the factor tree.  sympy and hypothesis are test-only
-dependencies."""
+remainders and powers against schoolbook arithmetic written out here, with
+every slot kept below 2m; the GF(p) Euclidean step, gcd and Bezout pair
+against sympy's ``gf_div``, ``gf_gcd`` and ``gf_gcdex``; the modular
+factorization against sympy's ``gf_factor_sqf``, the lifted factors
+against a reference quadratic Hensel lift, and the Bezout cofactors of the
+factor tree.  sympy and hypothesis are test-only dependencies."""
+import random
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
-from sympy.polys.galoistools import gf_factor_sqf, gf_gcd, gf_gcdex, gf_sqf_p  # noqa: E402
+from sympy.polys.galoistools import gf_div, gf_factor_sqf, gf_gcd, gf_gcdex, gf_sqf_p  # noqa: E402
 
 from semifactor.intfactor import (  # noqa: E402
     IntPoly,
@@ -18,6 +21,8 @@ from semifactor.intfactor import (  # noqa: E402
     _choose_prime,
     _factor_mod_p,
     _lift,
+    _p_gcd,
+    _p_step,
     _Ring,
     squarefree_decompose,
 )
@@ -66,14 +71,69 @@ def ring_inputs(draw, moduli=MODULI, max_degree=30):
     return m, f, a, b
 
 
+def assert_lazy(ring, X, count):
+    """X holds ``count`` slots, each below 2m."""
+    assert X >> count * ring.bits == 0
+    assert all(x < 2 * ring.m for x in ring.unpack(X, count))
+
+
+def school_pow(a, e, f, m):
+    out = [1]
+    for _ in range(e):
+        out = school_divmod(school_mul(out, a, m), f, m)[1]
+    return out
+
+
 class TestPackedKernel:
     @settings(max_examples=150, deadline=None)
     @given(ring_inputs())
     def test_product_matches_schoolbook(self, args):
         m, f, a, b = args
         ring = _Ring(f, m)
-        got = trim(ring.reduce(ring.mul(ring.pack(a), ring.pack(b))))
-        assert got == school_divmod(school_mul(a, b, m), f, m)[1]
+        P = ring.mul(ring.pack(a), ring.pack(b))
+        assert_lazy(ring, P, len(f) - 1)
+        assert trim(ring.reduce(P)) == school_divmod(school_mul(a, b, m), f, m)[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(ring_inputs(max_degree=12), st.integers(1, 40))
+    def test_lazy_operands_and_powers(self, args, e):
+        # operands with slots anywhere in [0, 2m), as products hand them on
+        m, f, a, b = args
+        ring = _Ring(f, m)
+        A = ring.pack([x + m * (i % 2) for i, x in enumerate(a)])
+        B = ring.pack([x + m * (i % 3 == 0) for i, x in enumerate(b)])
+        P = ring.mul(A, B)
+        assert_lazy(ring, P, len(f) - 1)
+        assert trim(ring.reduce(P)) == school_divmod(school_mul(a, b, m), f, m)[1]
+        R = ring.pow(A, e)
+        assert_lazy(ring, R, len(f) - 1)
+        assert trim(ring.reduce(R)) == school_pow(a, e, f, m)
+
+    @pytest.mark.parametrize("m", MODULI)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_degrees_one_and_two(self, m, n):
+        # the shortest moduli: a product has 2n - 1 slots and a quotient of
+        # at most one
+        rng = random.Random(m * 10 + n)
+        for _ in range(30):
+            f = [rng.randrange(m) for _ in range(n)] + [1]
+            a = [rng.randrange(m) for _ in range(n)]
+            b = [rng.randrange(m) for _ in range(n)]
+            ring = _Ring(f, m)
+            A, B = ring.pack(a), ring.pack(b)
+            P = ring.mul(A, B)
+            assert_lazy(ring, P, n)
+            assert trim(ring.reduce(P)) == school_divmod(school_mul(a, b, m), f, m)[1]
+            e = rng.randint(1, 12)
+            R = ring.pow(A, e)
+            assert_lazy(ring, R, n)
+            assert trim(ring.reduce(R)) == school_pow(a, e, f, m)
+            c = school_mul(a, b)
+            Q, Rem = ring.divmod(ring.pack(c), 2 * n - 1)
+            assert_lazy(ring, Q, n - 1)
+            assert_lazy(ring, Rem, n)
+            want = school_divmod(c, f, m)
+            assert (trim(ring.reduce(Q, n - 1)), trim(ring.reduce(Rem))) == want
 
     @settings(max_examples=150, deadline=None)
     @given(ring_inputs(), st.data())
@@ -82,21 +142,68 @@ class TestPackedKernel:
         n = len(f) - 1
         qdeg = data.draw(st.integers(0, 30))
         c = data.draw(st.lists(st.integers(0, m - 1), min_size=0, max_size=n + qdeg + 1))
-        ring = _Ring(f, m, qdeg, m)
-        q, r = ring.divmod(ring.pack(c), len(c))
-        assert len(r) == n
-        assert (trim(q), trim(r)) == school_divmod(c, f, m)
+        ring = _Ring(f, m, qdeg)
+        Q, R = ring.divmod(ring.pack(c), len(c))
+        k = max(len(c) - n, 0)
+        assert_lazy(ring, Q, k)
+        assert_lazy(ring, R, n)
+        assert (trim(ring.reduce(Q, k)), trim(ring.reduce(R))) == school_divmod(c, f, m)
 
     @settings(max_examples=60, deadline=None)
     @given(ring_inputs(moduli=[2, 3, 5, 17, 47], max_degree=20))
     def test_frobenius_is_the_pth_power(self, args):
         p, f, a, _ = args
         ring = _Ring(f, p)
-        A = ring.pack(a)
-        want = [1]
-        for _ in range(p):
-            want = school_divmod(school_mul(want, a, p), f, p)[1]
-        assert trim(ring.reduce(ring.pow(A, p))) == want
+        assert trim(ring.reduce(ring.pow(ring.pack(a), p))) == school_pow(a, p, f, p)
+
+
+def high_first(c):
+    return [ZZ(x) for x in reversed(c)]
+
+
+def low_first(c):
+    return [int(x) for x in reversed(c)]
+
+
+@st.composite
+def euclid_inputs(draw):
+    """A prime, a reduced a and a reduced nonzero b, any leading units and
+    any degree gap, deg a = deg b + 1 most often."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 47, 65537, 2**61 - 1]))
+    coeff = st.integers(0, p - 1)
+    unit = st.integers(1, p - 1)
+    nb = draw(st.integers(0, 12))
+    na = draw(st.one_of(st.just(nb + 1), st.integers(0, 16)))
+    b = draw(st.lists(coeff, min_size=nb, max_size=nb)) + [draw(unit)]
+    a = draw(st.lists(coeff, min_size=na, max_size=na)) + [draw(unit)]
+    return p, a, b
+
+
+class TestEuclidStep:
+    @settings(max_examples=300, deadline=None)
+    @given(euclid_inputs())
+    def test_step_matches_gf_div(self, args):
+        p, a, b = args
+        q, r = _p_step(list(a), b, p)
+        want_q, want_r = gf_div(high_first(a), high_first(b), p, ZZ)
+        assert (q, r) == (low_first(want_q), low_first(want_r))
+
+    @settings(max_examples=200, deadline=None)
+    @given(euclid_inputs())
+    def test_gcd_matches_gf_gcd(self, args):
+        p, a, b = args
+        assert _p_gcd(a, b, p) == low_first(gf_gcd(high_first(a), high_first(b), p, ZZ))
+        assert _p_gcd(a, [], p) == low_first(gf_gcd(high_first(a), [], p, ZZ))
+
+    @settings(max_examples=200, deadline=None)
+    @given(euclid_inputs())
+    def test_bezout_pair_matches_gf_gcdex(self, args):
+        # the pair with deg s < deg h and deg t < deg g is unique
+        p, g, h = args
+        assume(len(g) > 1 and len(h) > 1)
+        s, t, one = gf_gcdex(high_first(g), high_first(h), p, ZZ)
+        assume(one == [ZZ(1)])
+        assert _bezout_pair(g, h, p) == (low_first(s), low_first(t))
 
 
 class TestModularFactorizationCrossCheck:

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 import time
@@ -213,6 +214,24 @@ class TestFactorizations:
         with pytest.raises(BudgetError, match="exceeded 10 nodes"):
             m.factorizations(10**12, node_budget=10)
         assert time.perf_counter() - start < 0.5
+
+    def test_dead_counts_are_skipped(self):
+        # 107 over <7, ..., 13> has 1 257 factorizations, listed within
+        # 20 000 nodes once no count of the larger atoms that the smaller
+        # ones cannot complete is tried
+        m = sf.make_monoid(list(range(7, 14)))
+        zs = m.factorizations(107, node_budget=20000)
+        assert len(zs) == coin_change_counts(range(7, 14), 107)[107] == 1257
+        assert all(sum(e.num for e in z) == 107 for z in zs)
+
+    @pytest.mark.parametrize("gens", [[7, 8, 9, 10, 11, 12, 13], [5, 9, 11, 13], [6, 10, 15]])
+    def test_pruned_search_lists_every_factorization(self, gens):
+        # at the default budget, every member up to 80 against brute force
+        m = sf.make_monoid(gens)
+        for n in range(81):
+            if m.member_num(n):
+                got = {tuple(e.num for e in z) for z in m.factorizations(n)}
+                assert got == brute_factorizations(gens, n), (gens, n)
 
     @pytest.mark.parametrize("gens", [[1], [2, 3], [3, 5, 7], [4, 6, 9]])
     def test_exhaustive_cross_check(self, gens):
@@ -522,6 +541,32 @@ class TestTableBudgets:
         with pytest.raises(BudgetError, match="^length table exceeded the budget of 664 pairs$"):
             m.length(248998, node_budget=664)
         assert m.length(248998, node_budget=665) == 496
+
+
+class TestStaircase:
+    def test_least_sums_push_each_class_once(self, monkeypatch):
+        # <11, 12, 23>, a small analogue of <999983, 999984, 1999999>: the
+        # class of 12k is first reached by k twelves, and pushing only below
+        # a class's least sum so far pushes each of the 10 other classes
+        # once (the search that pushed into every unsettled class: 20)
+        pushes = []
+        push = heapq.heappush
+
+        def counting_push(heap, item):
+            pushes.append(item)
+            push(heap, item)
+
+        monkeypatch.setattr(monoid.heapq, "heappush", counting_push)
+        m = sf.make_monoid([11, 12, 23])
+        assert len(pushes) == 10
+        assert m._apery == [0, 12, 24, 36, 48, 60, 72, 84, 96, 108, 120]
+
+    @pytest.mark.parametrize("gens", [[11, 12, 23], [5, 7, 11], [6, 9, 20], [7, 8, 9, 10, 11, 12, 13]])
+    def test_least_sums_match_a_dp(self, gens):
+        a = min(gens)
+        reach = dp_max_lengths(gens, 40 * a)
+        want = [min(n for n in range(c, 40 * a + 1, a) if reach[n] is not None) for c in range(a)]
+        assert sf.make_monoid(gens)._apery == want
 
 
 class TestScalingInvariance:
