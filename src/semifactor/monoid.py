@@ -8,14 +8,14 @@ checks that n is an integer and a member with integers only, and
 ``Fraction`` appears only where the input is a rational (``num_of``,
 ``member``, ``make_monoid``) and in ``ExpElem.value``.
 
-One search per residue class modulo the smallest generator a serves
-membership and the greatest factorization length L.  A sum r of k
-generators has w = r - a*k, and each member n >= r of its class has a
-factorization of length (n - w)/a.  The first pair (r, w) of each class
-gives the Apery table (least members), built at construction; run to the
-end at the first ``length`` call, the search gives each class's staircase
-of pairs no other beats in both r and w, and L(n) exactly for every n.
-``polyexpr`` reads the ``gens:`` literal.
+Membership reads the Apery table: the least member of each residue class
+modulo the smallest generator a, built at construction one generator at a
+time.  The greatest factorization length L comes from one search per
+class: a sum r of k generators has w = r - a*k, and each member n >= r of
+its class has a factorization of length (n - w)/a.  Run at the first
+``length`` call, the search gives each class's staircase of pairs no other
+beats in both r and w, and L(n) exactly for every n.  ``polyexpr`` reads
+the ``gens:`` literal.
 """
 from __future__ import annotations
 
@@ -47,27 +47,22 @@ class ExpElem:
         return str(self.num) if self.denom == 1 else f"{self.num}/{self.denom}"
 
 
-def _staircase(a: int, gens, budget: int, table: str, whole: bool):
+def _staircase(a: int, gens, budget: int):
     """Iterator, by ascending r, over the pairs (r, w) with r a sum of
     ``gens`` and w = r - a * (number of parts) that no pair of the same
-    class mod a matches or beats in both: w descends within a class.  With
-    ``whole`` false every w counts as 0, so each class keeps only its least
-    sum.  A heap settles pairs by r (the shortest-path view of Boecker and
-    Liptak, Algorithmica 48, 2007); a popped pair is kept when its w is
-    below its class's last kept w, and only kept pairs are extended, since
-    one beating a prefix of a sum beats the sum.  With ``whole`` false an
-    extension is pushed only below the least sum pushed into its class so
-    far (Dijkstra), so a class holds at most one live entry.  ``budget``
-    counts the a classes before the ``table`` is allocated, then every kept
-    pair.
+    class mod a matches or beats in both: w descends within a class.  A
+    heap settles pairs by r (the shortest-path view of Boecker and Liptak,
+    Algorithmica 48, 2007); a popped pair is kept when its w is below its
+    class's last kept w, and only kept pairs are extended, since one
+    beating a prefix of a sum beats the sum.  ``budget`` counts the a
+    classes before the table is allocated, then every kept pair.
     """
     if a > budget:
-        raise BudgetError(f"{table} table needs {a} residue classes, over the budget of {budget}")
-    steps = [(g, g - a if whole else 0) for g in gens if g != a]
+        raise BudgetError(f"length table needs {a} residue classes, over the budget of {budget}")
+    steps = [(g, g - a) for g in gens if g != a]
 
     def settle():
         bar = [inf] * a  # w of the last pair kept in each class
-        least = [inf] * a  # without whole: the least sum pushed into each class
         kept = 0
         heap = [(0, 0)]
         while heap:
@@ -76,15 +71,12 @@ def _staircase(a: int, gens, budget: int, table: str, whole: bool):
                 continue
             kept += 1
             if kept > budget:
-                raise BudgetError(f"{table} table exceeded the budget of {budget} pairs")
+                raise BudgetError(f"length table exceeded the budget of {budget} pairs")
             bar[r % a] = w
             yield pair
             for g, dw in steps:
-                s = r + g
-                c = s % a
-                if w + dw < bar[c] and (whole or s < least[c]):
-                    least[c] = s
-                    heapq.heappush(heap, (s, w + dw))
+                if w + dw < bar[(r + g) % a]:
+                    heapq.heappush(heap, (r + g, w + dw))
 
     return settle()
 
@@ -99,17 +91,21 @@ def _with_gen(least, g):
     d = gcd(a, g)
     for start in range(d):
         c = min(range(start, a, d), key=out.__getitem__)
+        r = out[c]  # the least sum of the class last walked
         for _ in range(a // d - 1):
-            nxt = (c + g) % a
-            out[nxt] = min(out[nxt], out[c] + g)
-            c = nxt
+            c = (c + g) % a
+            r += g
+            if out[c] < r:
+                r = out[c]
+            else:
+                out[c] = r
     return out
 
 
 class ExpMonoid:
     """A reduced, finitely generated submonoid of (Q>=0, +)."""
 
-    __slots__ = ("denom", "gens", "min_gens", "_amin", "_apery", "_stairs")
+    __slots__ = ("denom", "gens", "min_gens", "_amin", "_apery", "_stairs", "_suffix")
 
     def __init__(self, denom: int, gens):
         gens = frozenset(gens)
@@ -118,16 +114,22 @@ class ExpMonoid:
         self.denom = denom
         self.gens = gens
         self._amin = a = min(gens)
-        pairs = _staircase(a, gens, DEFAULT_BUDGETS.knapsack_nodes, "Apery", False)
-        self._apery = [None] * a
-        for r, _ in pairs:
-            self._apery[r % a] = r
-        # g is an atom exactly when no smaller generator h leaves a member
-        # g - h: a sum of two or more generators equal to g has only smaller parts
-        self.min_gens = frozenset(
-            g for g in gens if not any(h < g and self.member_num(g - h) for h in gens)
-        )
+        budget = DEFAULT_BUDGETS.knapsack_nodes
+        if a > budget:
+            raise BudgetError(f"Apery table needs {a} residue classes, over the budget of {budget}")
+        # the least sums of the generators so far, ascending: g is an atom
+        # exactly when they do not reach it, since a sum of two or more
+        # generators equal to g has only smaller parts
+        least = [0] + [inf] * (a - 1)
+        atoms = [a]
+        for g in sorted(gens)[1:]:
+            if g < least[g % a]:
+                atoms.append(g)
+                least = _with_gen(least, g)
+        self.min_gens = frozenset(atoms)
+        self._apery = [None if r == inf else r for r in least]
         self._stairs = None  # built by the first length() call
+        self._suffix = None  # built by the first factorizations() call that prunes
 
     def __eq__(self, other):
         if not isinstance(other, ExpMonoid):
@@ -211,16 +213,24 @@ class ExpMonoid:
         passed over untried.  Every count tried and every atom listed counts
         against ``node_budget``, checked before the list is built: 6 in
         <2,3> tries the counts 0, 1, 2 of 3 and lists (2, 2, 2) and (3, 3),
-        8 nodes in all.
+        8 nodes in all.  The k tables of a classes, k the number of atoms
+        but a, are built once per monoid, by k round-robin steps; when k*a
+        is over ``node_budget`` the search runs without them, and prunes
+        nothing.
         """
         *others, a = sorted(self.min_gens, reverse=True)
         k = len(others)
         elems = [self.elem_of_num(g) for g in (a, *reversed(others))]
-        # least[i][c]: the least sum of others[i:] and a in the class c mod a
-        least = [[0] + [inf] * (a - 1)]
-        for g in reversed(others):
-            least.append(_with_gen(least[-1], g))
-        least.reverse()
+        # least[i][c % mod]: the least sum of others[i:] and a in the class c
+        # mod a; modulo 1, every class reaches 0
+        least, mod = [[0]] * (k + 1), 1
+        if k * a <= node_budget:
+            if self._suffix is None:
+                tables = [[0] + [inf] * (a - 1)]
+                for g in reversed(others):
+                    tables.append(_with_gen(tables[-1], g))
+                self._suffix = tables[::-1]
+            least, mod = self._suffix, a
         out = []
         nodes = 0
         todo = [(self.num_of(m), ())]  # (rem, the counts of others[:len(counts)])
@@ -231,10 +241,10 @@ class ExpMonoid:
             # count with no factorization below it is passed over untried,
             # on to the same atom's next count (at most a of them in a row,
             # since the classes of rem repeat)
-            tried = i == k or rem >= least[i][rem % a]
+            tried = i == k or rem >= least[i][rem % mod]
             if i:  # the same atom's next count, while others[i - 1:] reach rem
                 nxt = rem - others[i - 1]
-                if nxt >= least[i - 1][nxt % a]:
+                if nxt >= least[i - 1][nxt % mod]:
                     todo.append((nxt, (*counts[:-1], counts[-1] + 1)))
             if not tried:
                 continue
@@ -304,7 +314,7 @@ class ExpMonoid:
         """``length`` of the member with scaled numerator n."""
         a = self._amin
         if self._stairs is None:
-            pairs = _staircase(a, self.min_gens, node_budget, "length", True)
+            pairs = _staircase(a, self.min_gens, node_budget)
             stairs = [[] for _ in range(a)]
             for pair in pairs:
                 stairs[pair[0] % a].append(pair)

@@ -149,6 +149,29 @@ class TestPackedKernel:
         assert_lazy(ring, R, n)
         assert (trim(ring.reduce(Q, k)), trim(ring.reduce(R))) == school_divmod(c, f, m)
 
+    @pytest.mark.parametrize("m", MODULI)
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_widest_dividend_and_quotient(self, m, n):
+        # f's coefficients at m - 1, and qdeg + 1 = n, the most quotient
+        # slots that meet one remainder slot
+        f = [m - 1] * n + [1]
+        ring = _Ring(f, m, n - 1)
+        # every dividend slot at 2^b - 1
+        c = [(1 << ring.b) - 1] * (2 * n)
+        Q, R = ring.divmod(ring.pack(c), 2 * n)
+        assert_lazy(ring, Q, n)
+        assert_lazy(ring, R, n)
+        assert (trim(ring.reduce(Q, n)), trim(ring.reduce(R))) == school_divmod(c, f, m)
+        # the offset against the largest product a quotient may subtract, all
+        # its slots at 2m - 1, with the dividend's low slots at 2m - 1: no
+        # slot of C + off - Q*f borrows from the next
+        Q = ring.pack([2 * m - 1] * n)
+        C = ring.pack([2 * m - 1] * n)
+        off = list(ring.unpack(ring.off, n))
+        want = [2 * m - 1 + off[j] - (j + 1) * (2 * m - 1) * (m - 1) for j in range(n)]
+        assert 0 <= min(want) and max(want) < 1 << ring.b
+        assert list(ring.unpack((C + ring.off - Q * ring.f) & ring.low, n)) == want
+
     @settings(max_examples=60, deadline=None)
     @given(ring_inputs(moduli=[2, 3, 5, 17, 47], max_degree=20))
     def test_frobenius_is_the_pth_power(self, args):

@@ -1,4 +1,3 @@
-import heapq
 import itertools
 import random
 import time
@@ -223,6 +222,31 @@ class TestFactorizations:
         zs = m.factorizations(107, node_budget=20000)
         assert len(zs) == coin_change_counts(range(7, 14), 107)[107] == 1257
         assert all(sum(e.num for e in z) == 107 for z in zs)
+
+    def test_tables_within_the_budget(self):
+        # <7, ..., 13> has 6 tables of 7 classes: within a budget of 41 the
+        # search runs without them, and 20 needs more nodes than that
+        m = sf.make_monoid(list(range(7, 14)))
+        zs = m.factorizations(19, node_budget=41)
+        assert {tuple(e.num for e in z) for z in zs} == brute_factorizations(range(7, 14), 19)
+        with pytest.raises(BudgetError):
+            m.factorizations(20, node_budget=41)
+        assert m._suffix is None
+        zs = m.factorizations(20, node_budget=42)
+        assert {tuple(e.num for e in z) for z in zs} == brute_factorizations(range(7, 14), 20)
+        assert len(m._suffix) == 7
+
+    def test_large_smallest_atom_answers_at_once(self):
+        # 2 tables of 999 983 classes are over the default budget, so a query
+        # costs only its own nodes, as does one refused by a budget of 10
+        m = sf.make_monoid([999983, 999984, 1999999])
+        start = time.perf_counter()
+        assert len(m.factorizations(3999966)) == 1
+        assert len(m.factorizations(1999967, node_budget=10)) == 1
+        with pytest.raises(BudgetError):
+            m.factorizations(999983 * 999984, node_budget=10)
+        assert time.perf_counter() - start < 0.5
+        assert m._suffix is None
 
     @pytest.mark.parametrize("gens", [[7, 8, 9, 10, 11, 12, 13], [5, 9, 11, 13], [6, 10, 15]])
     def test_pruned_search_lists_every_factorization(self, gens):
@@ -543,22 +567,21 @@ class TestTableBudgets:
         assert m.length(248998, node_budget=665) == 496
 
 
-class TestStaircase:
-    def test_least_sums_push_each_class_once(self, monkeypatch):
-        # <11, 12, 23>, a small analogue of <999983, 999984, 1999999>: the
-        # class of 12k is first reached by k twelves, and pushing only below
-        # a class's least sum so far pushes each of the 10 other classes
-        # once (the search that pushed into every unsettled class: 20)
-        pushes = []
-        push = heapq.heappush
+class TestAperyTable:
+    def test_one_round_robin_step_per_atom(self, monkeypatch):
+        # generators join in ascending order, and 23 = 11 + 12, already
+        # reached by the smaller ones, is no atom and adds no step
+        steps = []
+        with_gen = monoid._with_gen
 
-        def counting_push(heap, item):
-            pushes.append(item)
-            push(heap, item)
+        def counting(least, g):
+            steps.append(g)
+            return with_gen(least, g)
 
-        monkeypatch.setattr(monoid.heapq, "heappush", counting_push)
-        m = sf.make_monoid([11, 12, 23])
-        assert len(pushes) == 10
+        monkeypatch.setattr(monoid, "_with_gen", counting)
+        m = sf.make_monoid([23, 12, 11])
+        assert steps == [12]
+        assert m.min_gens == frozenset({11, 12})
         assert m._apery == [0, 12, 24, 36, 48, 60, 72, 84, 96, 108, 120]
 
     @pytest.mark.parametrize("gens", [[11, 12, 23], [5, 7, 11], [6, 9, 20], [7, 8, 9, 10, 11, 12, 13]])
