@@ -8,11 +8,14 @@ as often as it divides; Yun squarefree decomposition of the cofactor left
 modular gcd: one integer gcd of two values read back as a polynomial,
 else, when that fails or the values would be too large, Brown's
 small-primes modular gcd); and, for each squarefree part, factorization
-modulo a small deterministic prime by distinct-degree factorization and
-Cantor-Zassenhaus equal-degree splitting (a seeded local random source;
-a product of linear factors over a small field by its roots instead),
-lifting to exactly p^l, the least prime power above twice a Mignotte bound
-for factors of half the degree, and subset recombination.  Linear modular
+modulo a prime p by distinct-degree factorization and Cantor-Zassenhaus
+equal-degree splitting (a seeded local random source; a product of linear
+factors over a small field by its roots instead), lifting to exactly p^l,
+the least prime power above twice a Mignotte bound B for factors of half
+the degree, and subset recombination.  p is the least prime from
+min(256, floor((2B)^(1/8)) + 1) upward that does not divide the leading
+coefficient and keeps the part squarefree mod p, so that l <= 8 and each
+lift takes at most three quadratic steps unless 2B >= 2^64.  Linear modular
 factors lift as roots by Newton iteration, the others by quadratic Hensel
 lifting of their cofactor.  Recombination builds each candidate from the
 subset or its complement, whichever has at most half the degree, and prunes
@@ -643,27 +646,49 @@ def _factor_mod_p(f, p):
     return sorted(out, key=lambda u: (len(u), u))
 
 
-def _primes():
-    yield 2
-    yield 3
-    n = 5
+def _primes(start=2):
+    """The primes from ``start`` upward, by trial division."""
+    if start <= 2:
+        yield 2
+    n = max(start | 1, 3)
     while True:
         if all(n % q for q in range(3, math.isqrt(n) + 1, 2)):
             yield n
         n += 2
 
 
-def _choose_prime(f):
-    """Smallest prime keeping the degree and squarefreeness of f mod p."""
-    lc = abs(f[-1])
-    for p in _primes():
+# The lift runs to the least p^l > 2B, B the Mignotte bound, so a prime
+# with p^_LIFT_EXP > 2B keeps l <= 8: at most three quadratic steps per node
+# of the factor tree, and larger primes fail the squarefree test less often.
+# On the 303 _zassenhaus inputs of a seed-1 intfactor-corpus pass (products
+# of 5-9 cubics) this moved the prime on 99 of them against the least good
+# one: squarefree tests 790 -> 421, quadratic steps per lift 3.52 -> 2.99,
+# prime search 50 -> 29 ms, lift 221 -> 195 ms, modular factoring
+# 117 -> 131 ms (process time, 2 vCPUs).  An exponent of 4 lifts faster
+# still, but its primes near 470 cost more in distinct- and equal-degree
+# factorization than they save; 6 did as well as 8, 16 as the least good
+# prime, and caps of 32, 64 or 128 no better than 8.  _PRIME_CAP keeps the
+# prime, and with it the cost of modular factoring, small when B is large:
+# a part with 4 000-bit coefficients takes 257, not a prime of 500 bits.
+_LIFT_EXP = 8
+_PRIME_CAP = 256
+
+
+def _choose_prime(f, bound):
+    """Least prime p >= min(_PRIME_CAP, floor((2*bound)^(1/8)) + 1) that
+    does not divide lc f and keeps f mod p squarefree."""
+    # floor((2*bound)^(1/8)) as three nested integer square roots, since
+    # floor(sqrt(floor(x))) = floor(sqrt(x))
+    root = 2 * bound
+    for _ in range(_LIFT_EXP.bit_length() - 1):
+        root = math.isqrt(root)
+    lc = f[-1]
+    for p in _primes(min(_PRIME_CAP, root + 1)):
         if lc % p == 0:
             continue
-        fp = _p_trim(list(f), p)
+        fp = _p_trim(f, p)
         dfp = _p_trim(_deriv(fp), p)
-        if not dfp:
-            continue
-        if _deg(_p_gcd(fp, dfp, p)) == 0:
+        if dfp and _deg(_p_gcd(fp, dfp, p)) == 0:
             return p
 
 
@@ -781,30 +806,30 @@ def _lift(p, f, fs, l):
     return lifted
 
 
+def _p_cofactor(a, b, q, p):
+    """a - q*b over GF(p), in one pass when q = q1*x + q0."""
+    if len(q) != 2:
+        return _p_sub(a, _p_mul(q, b, p), p)
+    q0, q1 = q
+    return _trim([(x - q1 * y - q0 * z) % p for x, y, z in zip_longest(a, [0] + b, b, fillvalue=0)])
+
+
 def _bezout_pair(g, h, p):
-    """s, t with s*g + t*h = 1 over GF(p), deg s < deg h, deg t < deg g."""
-    r0, r1 = _p_trim(list(g), p), _p_trim(list(h), p)
-    s0, s1 = [1], []
+    """s, t with s*g + t*h = 1 over GF(p), deg s < deg h, deg t < deg g: the
+    cofactors of the extended Euclidean algorithm (Modern Computer Algebra,
+    Algorithm 3.14 and Lemma 3.10), which are the only pair of those
+    degrees."""
+    r0, r1 = _p_trim(g, p), _p_trim(h, p)
+    s0, s1, t0, t1 = [1], [], [], [1]
     while r1:
         q, r = _p_step(r0, r1, p)
         r0, r1 = r1, r
-        if len(q) == 2:
-            # s0 - (q1*x + q0)*s1 in one pass, as the remainder
-            q0, q1 = q
-            s1, s0 = _trim([(x - q1 * y - q0 * z) % p
-                            for x, y, z in zip_longest(s0, [0] + s1, s1, fillvalue=0)]), s1
-        else:
-            s0, s1 = s1, _p_sub(s0, _p_mul(q, s1, p), p)
+        s0, s1 = s1, _p_cofactor(s0, s1, q, p)
+        t0, t1 = t1, _p_cofactor(t0, t1, q, p)
     if _deg(r0) != 0:
         raise InternalError("modular factors are not coprime")
     inv = pow(r0[0], -1, p)
-    s = _p_trim([x * inv for x in s0], p)
-    # t = (1 - s*g) / h exactly over GF(p)
-    num = _p_sub([1], _p_mul(s, g, p), p)
-    t, rem = _p_divmod(num, h, p)
-    if rem:
-        raise InternalError("Bezout completion has a nonzero remainder")
-    return s, t
+    return _p_trim([x * inv for x in s0], p), _p_trim([x * inv for x in t0], p)
 
 
 # -- Zassenhaus recombination ------------------------------------------------
@@ -820,16 +845,21 @@ def _may_divide(lc, v, vals, m):
     return t != 0 and lc * v % t == 0
 
 
+def _mignotte_bound(f):
+    """lc(f) * 2^floor(n/2) * (floor(|f|_2) + 1) for f of degree n: every
+    candidate of ``_zassenhaus`` is lc(rest)/lc(g) * g for a factor g of
+    degree m <= n/2, and |g|_1 <= 2^m |f|_2 (Mignotte), so its coefficients
+    and its values at 0 and 1 lie within it."""
+    return f[-1] * (1 << (_deg(f) // 2)) * (math.isqrt(sum(c * c for c in f)) + 1)
+
+
 def _zassenhaus(f):
     """Irreducible factors of a primitive squarefree f with positive lc."""
     n = _deg(f)
     if n == 1:
         return [f]
-    # every candidate below is lc(rest)/lc(g) * g for a factor g of degree
-    # m <= n/2, and |g|_1 <= 2^m |f|_2 (Mignotte): its coefficients and its
-    # values at 0 and 1 lie within the bound
-    bound = f[-1] * (1 << (n // 2)) * (math.isqrt(sum(c * c for c in f)) + 1)
-    p = _choose_prime(f)
+    bound = _mignotte_bound(f)
+    p = _choose_prime(f, bound)
     l = 1
     pl = p
     while pl <= 2 * bound:

@@ -21,6 +21,7 @@ from semifactor.intfactor import (
     _hensel_lift,
     _lift,
     _lift_root,
+    _mignotte_bound,
     _mul,
     _p_divmod,
     _pow,
@@ -1035,6 +1036,77 @@ class TestModularFactorization:
             _edf([1, 1, 1], 1, 2, random.Random(_EDF_SEED))
 
 
+def is_prime(n):
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def least_good_prime(f, start=2):
+    """The least prime from ``start`` not dividing lc f with f mod p
+    squarefree, by the GF(p) arithmetic written out here."""
+    q = start
+    while True:
+        if is_prime(q) and f[-1] % q:
+            df = gf_trim([k * c for k, c in enumerate(f)][1:], q)
+            if df and len(gf_gcd(f, df, q)) == 1:
+                return q
+        q += 1
+
+
+def recorded_primes(monkeypatch):
+    """(f, bound, p) of every ``_choose_prime`` call while patched."""
+    log = []
+    choose = intfactor._choose_prime
+
+    def recording(f, bound):
+        p = choose(f, bound)
+        log.append((list(f), bound, p))
+        return p
+
+    monkeypatch.setattr(intfactor, "_choose_prime", recording)
+    return log
+
+
+class TestLiftPrime:
+    def test_cubic_products_match_sympy_modulo_the_rule_prime(self, monkeypatch):
+        # products of 5-9 cubics with coefficients in [-4, 4], as in the
+        # intfactor-corpus benchmark: the prime is the least good one with
+        # p^8 > 2B, and on many of them it is not the least good prime
+        log = recorded_primes(monkeypatch)
+        rng = random.Random(30)
+        for _ in range(40):
+            f = [1]
+            for _ in range(rng.randint(5, 9)):
+                f = _mul(f, random_cubic(rng))
+            intfactor.clear_cache()
+            check_against_sympy(f, 27)
+        moved = 0
+        for f, bound, p in log:
+            root = math.isqrt(math.isqrt(math.isqrt(2 * bound)))
+            assert p == least_good_prime(f, min(256, root + 1))
+            assert p**8 > 2 * bound
+            moved += p != least_good_prime(f)
+        assert len(log) >= 40 and 4 * moved >= len(log), (moved, len(log))
+
+    def test_large_bounds_take_the_first_prime_above_the_cap(self, monkeypatch):
+        # the 168-bit product of x^2 + c*x + 1000003 (c = 1..8) and the
+        # 30 KB h^2*g input of the CI: their Mignotte bounds are far above
+        # 256^8, so the search starts at the cap: 263 and 257
+        log = recorded_primes(monkeypatch)
+        wide = [1]
+        for c in range(1, 9):
+            wide = _mul(wide, [1000003, c, 1])
+        r = random.Random(24)
+        g = [r.randint(1, 2**4000) for _ in range(21)]
+        big = _mul(_mul([5, 3, 1], [5, 3, 1]), g)
+        for f, count in ((wide, 8), (big, 2)):
+            intfactor.clear_cache()
+            fac = factor_int_poly(IntPoly.of(f))
+            assert len(fac.factors) == count
+        large = [(f, p) for f, bound, p in log if bound > 2**100]
+        assert [p for _, p in large] == [263, 257]
+        assert all(p == least_good_prime(f, 256) for f, p in large)
+
+
 class TestHenselLift:
     def test_lifted_factors_reduce_and_multiply_back(self):
         rng = random.Random(71)
@@ -1048,7 +1120,7 @@ class TestHenselLift:
             f = list(IntPoly.of(f).coeffs)
             if f[-1] < 0:
                 f = [-c for c in f]
-            p = _choose_prime(f)
+            p = _choose_prime(f, _mignotte_bound(f))
             lc_inv = pow(f[-1], -1, p)
             fs = _factor_mod_p(gf_trim([c * lc_inv for c in f], p), p)
             for l in (1, 2, 3, 5, 11):
@@ -1075,7 +1147,7 @@ class TestHenselLift:
             f = list(IntPoly.of(f).coeffs)
             if f[-1] < 0:
                 f = [-c for c in f]
-            p = _choose_prime(f)
+            p = _choose_prime(f, _mignotte_bound(f))
             lc_inv = pow(f[-1], -1, p)
             fs = _factor_mod_p(gf_trim([c * lc_inv for c in f], p), p)
             for l in (1, 2, 3, 5, 11):
@@ -1116,8 +1188,9 @@ class TestRecombination:
         assert 0 < divisions[0] < subsets[0]
 
     def test_value_at_one_prunes_sparse_inputs(self, monkeypatch):
-        # x^40 + 1 = Phi_16 * Phi_80: every subset of its ten quartic
-        # factors mod 3 passes the trailing-coefficient test
+        # x^40 + 1 = Phi_16 * Phi_80: every subset of its factors mod 7
+        # (four quadratics from Phi_16, eight quartics from Phi_80) passes
+        # the trailing-coefficient test
         f = IntPoly.of([1] + [0] * 39 + [1])
         divisions, subsets, tests = [0], [0], [0]
 
@@ -1154,7 +1227,7 @@ class TestRecombination:
         # of size 2 and degree 4 > 7/2, found only through its complement
         a, b = [1, 0, -10, 0, 1], [-6, 2, 2, 1]
         f = _mul(a, b)
-        p = _choose_prime(f)
+        p = _choose_prime(f, _mignotte_bound(f))
         fs = _factor_mod_p(gf_trim([c * pow(f[-1], -1, p) for c in f], p), p)
         assert sorted(len(u) - 1 for u in fs) == [1, 1, 1, 2, 2]
         divisors = []

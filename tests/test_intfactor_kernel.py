@@ -4,7 +4,8 @@ every slot kept below 2m; the GF(p) Euclidean step, gcd and Bezout pair
 against sympy's ``gf_div``, ``gf_gcd`` and ``gf_gcdex``; the modular
 factorization against sympy's ``gf_factor_sqf``, the lifted factors
 against a reference quadratic Hensel lift, and the Bezout cofactors of the
-factor tree.  sympy and hypothesis are test-only dependencies."""
+factor tree, and the Hensel prime against a search over the primes below
+it.  sympy and hypothesis are test-only dependencies."""
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from semifactor.intfactor import (  # noqa: E402
     _choose_prime,
     _factor_mod_p,
     _lift,
+    _mignotte_bound,
     _p_gcd,
     _p_step,
     _Ring,
@@ -298,7 +300,7 @@ class TestLift:
         assume(F.degree >= 2)
         assume(len(squarefree_decompose(F)) == 1 and squarefree_decompose(F)[0][1] == 1)
         f = list(squarefree_decompose(F)[0][0].coeffs)  # primitive, positive lc
-        p = _choose_prime(f)
+        p = _choose_prime(f, _mignotte_bound(f))
         pl = p**l
         fs = _factor_mod_p([c * pow(f[-1], -1, p) % p for c in f], p)
         lifted = _lift(p, f, fs, l)
@@ -309,6 +311,41 @@ class TestLift:
         assert prod == [c % pl for c in f]
         if len(fs) > 1:
             assert lifted == [reference_lift(f, u, p, l) for u in fs]
+
+
+def root8(n):
+    """floor(n^(1/8)) by bisection."""
+    lo, hi = 0, 1
+    while hi**8 <= n:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**8 <= n else (lo, mid)
+    return lo
+
+
+class TestChoosePrime:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(small_polys, min_size=1, max_size=4), st.integers(1, 2**90))
+    def test_least_good_prime_from_the_start(self, parts, bound):
+        f = [1]
+        for u in parts:
+            f = school_mul(f, u)
+        F = IntPoly.of(f)
+        assume(F.degree >= 1)
+        assume(len(squarefree_decompose(F)) == 1 and squarefree_decompose(F)[0][1] == 1)
+        f = list(squarefree_decompose(F)[0][0].coeffs)
+        start = min(256, root8(2 * bound) + 1)
+
+        def good(q):
+            high = [ZZ(c % q) for c in reversed(f)]
+            return f[-1] % q != 0 and gf_sqf_p(high, q, ZZ)
+
+        p = _choose_prime(f, bound)
+        assert sympy.isprime(p) and p >= start and good(p)
+        # p**8 > 2*bound unless the cap set the start
+        assert start == 256 or p**8 > 2 * bound
+        assert not any(good(q) for q in sympy.primerange(start, p))
 
 
 class TestBezoutPair:
