@@ -44,13 +44,11 @@ _rational = _number("not a rational number: {!r}", rational=True)
 
 
 def _report_flags(p):
-    """--out and the budget flags; ``verify paper`` takes only these."""
+    """--out and one flag per ``Budgets`` field, named in its metadata;
+    ``verify paper`` takes only these."""
     p.add_argument("--out", default=None, help="write the report to this path")
-    # dest names are the Budgets fields they set
-    p.add_argument("--oracle-budget", dest="oracle_candidates", type=_positive_int)
-    p.add_argument("--z-budget", dest="z_nodes", type=_positive_int)
-    p.add_argument("--knapsack-budget", dest="knapsack_nodes", type=_positive_int)
-    p.add_argument("--degree-limit", dest="degree_limit", type=_positive_int)
+    for f in fields(Budgets):
+        p.add_argument(f.metadata["flag"], dest=f.name, type=_positive_int)
 
 
 def _common_flags(p, formats=("json", "pretty")):

@@ -5,7 +5,7 @@ budgets exit 2, broken internal invariants exit 3.  ``Budgets`` is the one
 place where budget defaults are written down; every layer reads them from
 ``DEFAULT_BUDGETS``.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -13,10 +13,10 @@ class Budgets:
     """Ceilings on oracle candidates, Z(f) recursion nodes, knapsack nodes
     and the degree of integer factorization; exceeding one is a BudgetError."""
 
-    oracle_candidates: int = 10**6
-    z_nodes: int = 10**5
-    knapsack_nodes: int = 10**6
-    degree_limit: int = 24
+    oracle_candidates: int = field(default=10**6, metadata={"flag": "--oracle-budget"})
+    z_nodes: int = field(default=10**5, metadata={"flag": "--z-budget"})
+    knapsack_nodes: int = field(default=10**6, metadata={"flag": "--knapsack-budget"})
+    degree_limit: int = field(default=24, metadata={"flag": "--degree-limit"})
 
 
 DEFAULT_BUDGETS = Budgets()

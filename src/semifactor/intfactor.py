@@ -12,7 +12,7 @@ modulo a prime p by distinct-degree factorization and Cantor-Zassenhaus
 equal-degree splitting (a seeded local random source; a product of linear
 factors over a small field by its roots instead), lifting to exactly p^l,
 the least prime power above twice a Mignotte bound B for factors of half
-the degree, and subset recombination.  p is the least prime from
+the degree, and subset recombination.  p is the least odd prime from
 min(256, floor((2B)^(1/8)) + 1) upward that does not divide the leading
 coefficient and keeps the part squarefree mod p, so that l <= 8 and each
 lift takes at most three quadratic steps unless 2B >= 2^64.  Linear modular
@@ -33,8 +33,8 @@ each slot kept lazily below twice the modulus by one Barrett step over the
 whole int; a product is one big-integer product, and a remainder takes two
 more from the precomputed reversed inverse of the modulus.  Distinct-
 degree factorization steps by one p-th power per degree, and equal-degree
-splitting takes one power a^((p^d-1)/2) per draw for odd p (Cantor and
-Zassenhaus, Math. Comp. 1981), both on packed ints until a gcd needs a
+splitting takes one power a^((p^d-1)/2) per draw (Cantor and Zassenhaus,
+Math. Comp. 1981), both on packed ints until a gcd needs a
 list; each Hensel step divides by the monic factor through its own series
 inverse, in the same kernel.  Euclidean steps, whose divisor changes at
 every step, stay on lists: a step that lowers the degree by one takes its
@@ -522,11 +522,19 @@ def _p_divmod(a, b, p):
     return _p_trim(quo, p), _p_trim(a[:db], p)
 
 
+def _p_cofactor(a, b, q, p):
+    """a - q*b over GF(p), in one pass when q = q1*x + q0."""
+    if len(q) != 2:
+        return _p_sub(a, _p_mul(q, b, p), p)
+    q0, q1 = q
+    return _trim([(x - q1 * y - q0 * z) % p for x, y, z in zip_longest(a, [0] + b, b, fillvalue=0)])
+
+
 def _p_step(a, b, p):
     """Quotient and remainder, reduced and trimmed, of a reduced a by a
     reduced nonzero b: a itself when deg a < deg b; for deg a = deg b + 1 > 1,
-    r = a - (q1*x + q0)*b coefficient by coefficient; else ``_p_divmod``,
-    which takes over a."""
+    the quotient q1*x + q0 from the top two coefficients and the remainder
+    by ``_p_cofactor``; else ``_p_divmod``, which takes over a."""
     n = len(b) - 1
     if len(a) <= n:
         return [], a
@@ -534,8 +542,8 @@ def _p_step(a, b, p):
         return _p_divmod(a, b, p)
     inv = pow(b[-1], -1, p)
     q1 = a[-1] * inv % p
-    q0 = (a[-2] - q1 * b[-2]) * inv % p
-    return [q0, q1], _trim([(x - q1 * y - q0 * z) % p for x, y, z in zip(a, [0] + b, b[:n])])
+    q = [(a[-2] - q1 * b[-2]) * inv % p, q1]
+    return q, _p_cofactor(a, b, q, p)
 
 
 def _p_gcd(a, b, p):
@@ -576,24 +584,9 @@ _EDF_MAX_FAILURES = 100
 _EDF_SEED = 0
 
 
-def _split_power(ring, A, d):
-    """For a random A modulo a product of irreducibles of degree d: the
-    trace A + A^2 + ... + A^(2^(d-1)) over GF(2), else A^((p^d-1)/2) - 1.
-    Modulo each factor the first lies in GF(2) and the second is 0 or -2
-    when A is prime to it."""
-    p = ring.m
-    if p == 2:
-        B = T = A
-        for _ in range(d - 1):
-            T = ring.mul(T, T)
-            B += T
-        return B
-    return ring.pow(A, (p**d - 1) // 2) + ring.off - 1
-
-
 def _edf(g, d, p, rng):
     """Cantor-Zassenhaus equal-degree splitting of a monic squarefree g over
-    GF(p) whose irreducible factors all have degree d.
+    GF(p), p odd, whose irreducible factors all have degree d.
 
     Every draw is powered modulo g, whatever part of g it is to split, so
     all draws share one ring.  Linear factors of g with p <= 64 deg g come
@@ -612,6 +605,7 @@ def _edf(g, d, p, rng):
             raise InternalError(f"{len(roots)} roots over GF({p}) for a product of {_deg(g)} linear factors")
         return [[-a % p, 1] for a in roots]
     ring = _Ring(g, p)
+    e = (p**d - 1) // 2
     out = []
     todo = [g]
     failures = 0
@@ -623,7 +617,8 @@ def _edf(g, d, p, rng):
         while True:
             a = _p_trim([rng.randrange(p) for _ in range(_deg(u))], p)
             if len(a) > 1:
-                s = _p_gcd(u, _trim(ring.reduce(_split_power(ring, ring.pack(a), d))), p)
+                # a^e - 1: modulo each factor prime to a, a^e is 1 or -1
+                s = _p_gcd(u, _trim(ring.reduce(ring.pow(ring.pack(a), e) + ring.off - 1)), p)
                 if 0 < _deg(s) < _deg(u):
                     todo += [s, _p_divmod(u, s, p)[0]]
                     break
@@ -634,8 +629,8 @@ def _edf(g, d, p, rng):
 
 
 def _factor_mod_p(f, p):
-    """Monic irreducible factors of a monic squarefree f over GF(p), sorted:
-    distinct-degree factorization, then equal-degree splitting with a
+    """Monic irreducible factors of a monic squarefree f over GF(p), p odd,
+    sorted: distinct-degree factorization, then equal-degree splitting with a
     seeded local random source."""
     rng = random.Random(_EDF_SEED)
     out = []
@@ -670,20 +665,22 @@ def _primes(start=2):
 # prime, and caps of 32, 64 or 128 no better than 8.  _PRIME_CAP keeps the
 # prime, and with it the cost of modular factoring, small when B is large:
 # a part with 4 000-bit coefficients takes 257, not a prime of 500 bits.
+# Only odd primes are taken, so that equal-degree splitting has the one
+# form a^((p^d-1)/2) - 1; p = 2 would need a trace map of its own.
 _LIFT_EXP = 8
 _PRIME_CAP = 256
 
 
 def _choose_prime(f, bound):
-    """Least prime p >= min(_PRIME_CAP, floor((2*bound)^(1/8)) + 1) that
-    does not divide lc f and keeps f mod p squarefree."""
+    """Least odd prime p >= min(_PRIME_CAP, floor((2*bound)^(1/8)) + 1)
+    that does not divide lc f and keeps f mod p squarefree."""
     # floor((2*bound)^(1/8)) as three nested integer square roots, since
     # floor(sqrt(floor(x))) = floor(sqrt(x))
     root = 2 * bound
     for _ in range(_LIFT_EXP.bit_length() - 1):
         root = math.isqrt(root)
     lc = f[-1]
-    for p in _primes(min(_PRIME_CAP, root + 1)):
+    for p in _primes(max(3, min(_PRIME_CAP, root + 1))):
         if lc % p == 0:
             continue
         fp = _p_trim(f, p)
@@ -804,14 +801,6 @@ def _lift(p, f, fs, l):
         for i, u in zip(others, _hensel_lift(p, g, [fs[i] for i in others], l)):
             lifted[i] = u
     return lifted
-
-
-def _p_cofactor(a, b, q, p):
-    """a - q*b over GF(p), in one pass when q = q1*x + q0."""
-    if len(q) != 2:
-        return _p_sub(a, _p_mul(q, b, p), p)
-    q0, q1 = q
-    return _trim([(x - q1 * y - q0 * z) % p for x, y, z in zip_longest(a, [0] + b, b, fillvalue=0)])
 
 
 def _bezout_pair(g, h, p):

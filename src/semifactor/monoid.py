@@ -268,7 +268,20 @@ class ExpMonoid:
         atom g in a factorization of d' - d, d + g divides d' and so is a
         common divisor too.
         """
-        commons = self._common_divisors(self._common_input(elems), node_budget)
+        nums = [self.num_of(e) for e in elems]
+        if not nums:
+            raise UsageError("common divisors of an empty list")
+        candidates = min(nums) + 1
+        if candidates > node_budget:
+            raise BudgetError(
+                f"common-divisor search needs {candidates} candidates, "
+                f"over the budget of {node_budget}"
+            )
+        commons = {
+            d
+            for d in range(candidates)
+            if self.member_num(d) and all(self.member_num(x - d) for x in nums)
+        }
         maximal = [d for d in commons if not any(d + g in commons for g in self.min_gens)]
         return frozenset(self.elem_of_num(d) for d in maximal)
 
@@ -280,25 +293,6 @@ class ExpMonoid:
         """
         maximal = self.mcd(elems, node_budget)
         return next(iter(maximal)) if len(maximal) == 1 else None
-
-    def _common_input(self, elems):
-        elems = list(elems)
-        if not elems:
-            raise UsageError("common divisors of an empty list")
-        return [self.num_of(e) for e in elems]
-
-    def _common_divisors(self, nums, node_budget) -> set:
-        candidates = min(nums) + 1
-        if candidates > node_budget:
-            raise BudgetError(
-                f"common-divisor search needs {candidates} candidates, "
-                f"over the budget of {node_budget}"
-            )
-        return {
-            d
-            for d in range(candidates)
-            if self.member_num(d) and all(self.member_num(x - d) for x in nums)
-        }
 
     def length(self, m, node_budget: int = DEFAULT_BUDGETS.knapsack_nodes) -> int:
         """Greatest factorization length of m; superadditive and 0 only at 0.

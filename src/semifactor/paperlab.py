@@ -33,23 +33,6 @@ class CheckResult:
     details: dict
 
 
-ANCHORS = {
-    "elasticity-family": "(x+n)^n (x^2-x+1) (x+1)^k has exactly two factorizations, "
-    "of lengths k+1 and k+n",
-    "hfs-witness": "(x^4+x^2+x+1)(x^6+x^5+x^3+1) = (x+1)(x^2+1)(x^7+2x^4+1): "
-    "a length-2 and a length>=3 factorization of one element",
-    "irreducible-family": "(x+n)^n (x^2-x+1) is an atom of the nonnegative polynomials",
-    "length-function-suite": "l(f) = l_c(lc f) + l_e(deg f) + |supp f| - 1 vanishes "
-    "exactly on units and is superadditive",
-    "lfs-witness": "(x+1)(x^4+x^2+1) = (x^3+1)(x^2+x+1): two distinct equal-length "
-    "factorizations",
-    "membership-family": "(x+n)^m (x^2-x+1) has nonnegative coefficients iff m >= n",
-    "monolithic-example": "x^2+x^3 splits only with a monomial side",
-    "puiseux-demo": "invariants of <1/2,3/4> and the truncation <1,3/2,9/4>",
-    "quad-sqrt6-suite": "divisors in N0[sqrt(6)] satisfy b'+c' <= b+c; 6 = 2*3 = sqrt(6)^2",
-}
-
-
 def expand_family(
     n: int, m: int, k: int = 0, degree_limit: int = DEFAULT_BUDGETS.degree_limit
 ) -> PolyExpr:
@@ -295,17 +278,26 @@ def _random_poly(rng, S, M, members):
     return PolyExpr._merge_nums(S, M, pairs)
 
 
+# check id -> (paper anchor, check)
 _CHECKS = {
-    "elasticity-family": _check_elasticity_family,
-    "hfs-witness": _check_hfs_witness,
-    "irreducible-family": _check_irreducible_family,
-    "length-function-suite": _check_length_function_suite,
-    "lfs-witness": _check_lfs_witness,
-    "membership-family": _check_membership_family,
-    "monolithic-example": _check_monolithic_example,
-    "puiseux-demo": _check_puiseux_demo,
-    "quad-sqrt6-suite": _check_quad_sqrt6,
+    "elasticity-family": ("(x+n)^n (x^2-x+1) (x+1)^k has exactly two factorizations, "
+                          "of lengths k+1 and k+n", _check_elasticity_family),
+    "hfs-witness": ("(x^4+x^2+x+1)(x^6+x^5+x^3+1) = (x+1)(x^2+1)(x^7+2x^4+1): "
+                    "a length-2 and a length>=3 factorization of one element", _check_hfs_witness),
+    "irreducible-family": ("(x+n)^n (x^2-x+1) is an atom of the nonnegative polynomials",
+                           _check_irreducible_family),
+    "length-function-suite": ("l(f) = l_c(lc f) + l_e(deg f) + |supp f| - 1 vanishes exactly "
+                              "on units and is superadditive", _check_length_function_suite),
+    "lfs-witness": ("(x+1)(x^4+x^2+1) = (x^3+1)(x^2+x+1): two distinct equal-length "
+                    "factorizations", _check_lfs_witness),
+    "membership-family": ("(x+n)^m (x^2-x+1) has nonnegative coefficients iff m >= n",
+                          _check_membership_family),
+    "monolithic-example": ("x^2+x^3 splits only with a monomial side", _check_monolithic_example),
+    "puiseux-demo": ("invariants of <1/2,3/4> and the truncation <1,3/2,9/4>", _check_puiseux_demo),
+    "quad-sqrt6-suite": ("divisors in N0[sqrt(6)] satisfy b'+c' <= b+c; 6 = 2*3 = sqrt(6)^2",
+                         _check_quad_sqrt6),
 }
+ANCHORS = {cid: anchor for cid, (anchor, _) in _CHECKS.items()}
 
 
 def run_paper_suite(budgets: Budgets = DEFAULT_BUDGETS, only=None):
@@ -319,8 +311,9 @@ def run_paper_suite(budgets: Budgets = DEFAULT_BUDGETS, only=None):
         selected = sorted(only)
     results = []
     for cid in selected:
+        anchor, check = _CHECKS[cid]
         try:
-            failures, details = _CHECKS[cid](budgets)
+            failures, details = check(budgets)
             status = "pass" if not failures else "fail"
             if failures:
                 details = dict(details)
@@ -328,7 +321,7 @@ def run_paper_suite(budgets: Budgets = DEFAULT_BUDGETS, only=None):
         except BudgetError as exc:
             status = "skipped"
             details = {"reason": str(exc)}
-        results.append(CheckResult(cid, ANCHORS[cid], status, details))
+        results.append(CheckResult(cid, anchor, status, details))
     return results
 
 

@@ -274,9 +274,8 @@ class TestVerifyAndSweep:
         assert "invalid choice: 'pretty'" in err
 
     def test_failed_check_exits_1_with_its_report(self, capsys, monkeypatch):
-        monkeypatch.setitem(
-            sf.paperlab._CHECKS, "lfs-witness", lambda budgets: (["broken on purpose"], {"x": 1})
-        )
+        broken = (sf.paperlab.ANCHORS["lfs-witness"], lambda b: (["broken on purpose"], {"x": 1}))
+        monkeypatch.setitem(sf.paperlab._CHECKS, "lfs-witness", broken)
         code, out, err = run(capsys, "verify", "paper", "--only", "lfs-witness")
         assert (code, err) == (1, "")
         (result,) = json.loads(out)["results"]
@@ -393,6 +392,28 @@ class TestExitCodes:
         assert _budgets(parser.parse_args(["poly", "lenfn", "x"])) == sf.Budgets()
         args = parser.parse_args(["poly", "lenfn", "--z-budget", "9", "x"])
         assert _budgets(args) == sf.Budgets(z_nodes=9)
+
+    @pytest.mark.parametrize(
+        "argv", [["poly", "divisors", "x"], ["monoid", "atoms"], ["verify", "paper"]]
+    )
+    def test_one_flag_per_budget_field(self, argv):
+        # the flags are read off the Budgets fields: exactly these four, each
+        # setting its own field
+        flags = {
+            "--oracle-budget": "oracle_candidates",
+            "--z-budget": "z_nodes",
+            "--knapsack-budget": "knapsack_nodes",
+            "--degree-limit": "degree_limit",
+        }
+        sub = build_parser()
+        for word in argv[:2]:
+            sub = sub._subparsers._group_actions[0].choices[word]
+        options = {o: a.dest for a in sub._actions for o in a.option_strings}
+        assert {o: d for o, d in options.items() if d in flags.values()} == flags
+        assert {o for o in options if o.endswith(("-budget", "-limit"))} == set(flags)
+        for flag, name in flags.items():
+            args = build_parser().parse_args([*argv[:2], flag, "7", *argv[2:]])
+            assert _budgets(args) == sf.Budgets(**{name: 7})
 
     @pytest.mark.parametrize(
         "argv",

@@ -311,6 +311,22 @@ def test_quad_divisor_scan_honours_the_oracle_budget(budget, code):
         assert json.loads(proc.stdout)["count"] == 6
 
 
+@pytest.mark.parametrize("strategy", ["auto", "oracle"])
+@pytest.mark.parametrize("op", ["divisors", "is-atom", "lengths", "factorizations"])
+def test_degree_is_refused_before_any_dense_list(op, strategy):
+    # a dense list of 10^20 coefficients cannot exist in 512 MB: the degree
+    # is checked before the zx and oracle paths allocate one
+    code = LIMITED_CLI.replace("2 << 30, 2 << 30", "512 << 20, 512 << 20")
+    start = time.perf_counter()
+    proc = run_child(["poly", op, "--strategy", strategy, "x^100000000000000000000+1"], code)
+    elapsed = time.perf_counter() - start
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2, (proc.returncode, proc.stderr[-400:])
+    assert len(lines) == 1 and lines[0].startswith("error[budget]: "), lines
+    assert proc.stdout == ""
+    assert elapsed < 2.0
+
+
 def test_factorization_longer_than_the_recursion_limit():
     # 2^1200: one factorization of length 1200
     proc = run_child(["poly", "factorizations", str(2**1200)])

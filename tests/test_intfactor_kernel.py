@@ -4,8 +4,9 @@ every slot kept below 2m; the GF(p) Euclidean step, gcd and Bezout pair
 against sympy's ``gf_div``, ``gf_gcd`` and ``gf_gcdex``; the modular
 factorization against sympy's ``gf_factor_sqf``, the lifted factors
 against a reference quadratic Hensel lift, and the Bezout cofactors of the
-factor tree, and the Hensel prime against a search over the primes below
-it.  sympy and hypothesis are test-only dependencies."""
+factor tree, the Hensel prime against a search over the odd primes below
+it, and factor_int_poly against sympy on inputs where the old prime rule
+began at 2.  sympy and hypothesis are test-only dependencies."""
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.galoistools import gf_div, gf_factor_sqf, gf_gcd, gf_gcdex, gf_sqf_p  # noqa: E402
 
+from semifactor import intfactor  # noqa: E402
 from semifactor.intfactor import (  # noqa: E402
     IntPoly,
     _bezout_pair,
@@ -26,6 +28,7 @@ from semifactor.intfactor import (  # noqa: E402
     _p_gcd,
     _p_step,
     _Ring,
+    factor_int_poly,
     squarefree_decompose,
 )
 
@@ -176,7 +179,7 @@ class TestPackedKernel:
 
     @settings(max_examples=60, deadline=None)
     @given(ring_inputs(moduli=[2, 3, 5, 17, 47], max_degree=20))
-    def test_frobenius_is_the_pth_power(self, args):
+    def test_pth_power_matches_schoolbook(self, args):
         p, f, a, _ = args
         ring = _Ring(f, p)
         assert trim(ring.reduce(ring.pow(ring.pack(a), p))) == school_pow(a, p, f, p)
@@ -232,7 +235,8 @@ class TestEuclidStep:
 
 
 class TestModularFactorizationCrossCheck:
-    @pytest.mark.parametrize("p", [2, 3, 5, 17, 47, 65537])
+    # the Hensel prime is odd, and so is every p here
+    @pytest.mark.parametrize("p", [3, 5, 17, 47, 65537])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_matches_gf_factor_sqf(self, p, data):
@@ -335,17 +339,52 @@ class TestChoosePrime:
         assume(F.degree >= 1)
         assume(len(squarefree_decompose(F)) == 1 and squarefree_decompose(F)[0][1] == 1)
         f = list(squarefree_decompose(F)[0][0].coeffs)
-        start = min(256, root8(2 * bound) + 1)
+        start = max(3, min(256, root8(2 * bound) + 1))
 
         def good(q):
             high = [ZZ(c % q) for c in reversed(f)]
             return f[-1] % q != 0 and gf_sqf_p(high, q, ZZ)
 
         p = _choose_prime(f, bound)
-        assert sympy.isprime(p) and p >= start and good(p)
+        assert sympy.isprime(p) and p % 2 and p >= start and good(p)
         # p**8 > 2*bound unless the cap set the start
         assert start == 256 or p**8 > 2 * bound
+        # the start is at least 3, so these are the odd primes below p
         assert not any(good(q) for q in sympy.primerange(start, p))
+
+    def test_factors_match_sympy_where_the_old_start_was_2(self, monkeypatch):
+        # products of 2-4 polynomials of degree <= 3 with coefficients in
+        # [-3, 3]: small Mignotte bounds, where the start before odd primes,
+        # min(256, floor((2B)^(1/8)) + 1), was 2
+        starts = []
+        choose = intfactor._choose_prime
+
+        def recording(f, bound):
+            starts.append(min(256, root8(2 * bound) + 1))
+            return choose(f, bound)
+
+        monkeypatch.setattr(intfactor, "_choose_prime", recording)
+        poly = st.lists(st.integers(-3, 3), min_size=2, max_size=4).filter(lambda c: c[-1] != 0)
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(st.lists(poly, min_size=2, max_size=4))
+        def check(parts):
+            f = [1]
+            for u in parts:
+                f = school_mul(f, u)
+            intfactor.clear_cache()
+            fac = factor_int_poly(IntPoly.of(f))
+            const, pairs = sympy.Poly(list(reversed(f)), sympy.Symbol("y")).factor_list()
+            want = sorted((tuple(int(c) for c in reversed(u.all_coeffs())), m) for u, m in pairs)
+            got = sorted((u.coeffs, m) for u, m in fac.factors)
+            unit = fac.sign
+            for q in fac.content:
+                unit *= q
+            assert (unit, got) == (int(const), want)
+
+        check()
+        intfactor.clear_cache()
+        assert starts and 4 * starts.count(2) >= len(starts), (starts.count(2), len(starts))
 
 
 class TestBezoutPair:

@@ -83,6 +83,9 @@ class TestSuite:
         ids = [r.check_id for r in run_paper_suite()]
         assert ids == sorted(ids)
 
+    def test_anchors_name_exactly_the_checks(self):
+        assert sorted(ANCHORS) == [r.check_id for r in run_paper_suite()]
+
 
 class TestFamily:
     def test_membership_boundary(self):
