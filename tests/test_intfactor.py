@@ -20,6 +20,7 @@ from semifactor.intfactor import (
     _gcd_cofactors,
     _hensel_lift,
     _lift,
+    _lift_exponent,
     _lift_root,
     _mignotte_bound,
     _mul,
@@ -1245,6 +1246,123 @@ class TestRecombination:
         assert [(p.coeffs, m) for p, m in fac.factors] == [(tuple(b), 1), (tuple(a), 1)]
         # the candidate was the cubic, the quartic its quotient
         assert divisors == [b]
+
+
+def record_searches(monkeypatch):
+    """(f, pl, smax, largest subset size tried, [(piece, number of modular
+    factors), ...]) of every ``_search`` call while patched."""
+    log, sizes = [], []
+
+    def counting_combinations(items, s):
+        sizes.append(s)
+        return combinations(items, s)
+
+    def entry(args, pieces):
+        f, _, pl, smax = args
+        largest = max(sizes, default=0)
+        sizes.clear()
+        return list(f), pl, smax, largest, [(g, len(idx)) for g, idx in pieces]
+
+    monkeypatch.setattr(intfactor, "combinations", counting_combinations)
+    record_calls(monkeypatch, "_search", log, entry)
+    return log
+
+
+def record_lifts(monkeypatch):
+    """(f, l) of every ``_lift`` call while patched."""
+    log = []
+    record_calls(monkeypatch, "_lift", log, lambda args, out: (list(args[1]), args[3]))
+    return log
+
+
+def rule_prime(f):
+    """(p, l) of ``_zassenhaus`` for a primitive squarefree f."""
+    bound = _mignotte_bound(f)
+    p = _choose_prime(f, bound)
+    return p, _lift_exponent(p, bound)
+
+
+class TestStagedLift:
+    def test_piece_of_two_linear_factors_is_split_by_its_own_bound(self, monkeypatch):
+        # with stage one at p^2 = 17^2 the search finds (x + 1)(x + 4) as one
+        # piece; 289 is above twice its own bound, so a search of its own at
+        # 289 splits it
+        f = [-16, -28, 142, 73, 389, 223, -928, 1764, -615, -1791, 1746, -405, -666, 324, 108]
+        assert rule_prime(f) == (17, 7)
+        monkeypatch.setattr(intfactor, "_STAGE_EXP", 2)
+        searches = record_searches(monkeypatch)
+        lifts = record_lifts(monkeypatch)
+        intfactor.clear_cache()
+        fac = factor_int_poly(IntPoly.of(f))
+        assert fac.expand() == IntPoly.of(f)
+        got = [p.coeffs for p, _ in fac.factors]
+        assert (1, 1) in got and (4, 1) in got and len(got) == 6
+        stage = searches[0]
+        assert stage[0] == f and stage[1:3] == (289, 3)
+        assert ([4, 5, 1], 2) in stage[4]
+        assert ([4, 5, 1], 289, 2, 1, [([1, 1], 1), ([4, 1], 1)]) in searches
+        # every piece is proved at 289: nothing is lifted again
+        assert [l for _, l in lifts] == [2]
+
+    def test_stage_one_tries_subsets_of_at_most_three_factors(self, monkeypatch):
+        # x^40 + 1 = Phi_16 * Phi_80 splits mod 7 into four quadratics and
+        # eight quartics, and its least true factor takes four of them: stage
+        # one at 7^4 stops at subsets of three, and the full search at 7^8
+        # finds it
+        f = [1] + [0] * 39 + [1]
+        assert rule_prime(f) == (7, 8)
+        searches = record_searches(monkeypatch)
+        lifts = record_lifts(monkeypatch)
+        intfactor.clear_cache()
+        fac = factor_int_poly(IntPoly.of(f), degree_limit=40)
+        assert sorted(p.degree for p, _ in fac.factors) == [8, 32]
+        assert [(pl, smax, largest, len(pieces)) for _, pl, smax, largest, pieces in searches] == [
+            (7**4, 3, 3, 1), (7**8, 12, 4, 2)]
+        assert lifts == [(f, 4), (f, 8)]
+        # and on products of cubics as in the intfactor-corpus benchmark: a
+        # search of a whole input below its lift exponent is stage one
+        inputs = []
+        record_calls(monkeypatch, "_zassenhaus", inputs, lambda args, out: args[0])
+        searches.clear()
+        rng = random.Random(32)
+        stages = 0
+        for _ in range(20):
+            g = [1]
+            for _ in range(rng.randint(5, 9)):
+                g = _mul(g, random_cubic(rng))
+            intfactor.clear_cache()
+            check_against_sympy(g, 27)
+        for h, pl, smax, largest, _ in searches:
+            p, l = rule_prime(h)
+            if pl < p**l and h in inputs:
+                assert smax == 3 and largest <= 3
+                stages += 1
+        assert stages >= 20
+
+    def test_large_leading_coefficient_lifts_once_to_p_l(self, monkeypatch):
+        # lc f = 2^33 >= 257^4 / 2: no candidate's lc could be read back at
+        # 257^4, so the lift goes straight to 257^l with the whole search
+        lifts = record_lifts(monkeypatch)
+        for parts in (([1, 1, 2**33], [3, 1, 1]), ([1, 1, 2**33], [3, 1, 1], [-1, 1, 0, 1])):
+            f = [1]
+            for u in parts:
+                f = _mul(f, u)
+            p, l = rule_prime(f)
+            assert p == 257 and 2 * f[-1] >= p**4
+            lifts.clear()
+            intfactor.clear_cache()
+            fac = factor_int_poly(IntPoly.of(f))
+            assert sorted(u.coeffs for u, _ in fac.factors) == sorted(map(tuple, parts))
+            assert lifts == [(f, l)]
+        # where lc f is small the first lift is to p^4
+        g = [1]
+        for u in ([1, 0, 2, 1], [1, 1, 3, 1], [1, 2, 0, 1], [1, 2, 3, 1], [1, 3, 1, 1]):
+            g = _mul(g, u)
+        assert rule_prime(g)[1] > 4
+        lifts.clear()
+        intfactor.clear_cache()
+        assert len(factor_int_poly(IntPoly.of(g)).factors) == 5
+        assert lifts[0] == (g, 4)
 
 
 class TestKroneckerProduct:

@@ -6,7 +6,8 @@ factorization against sympy's ``gf_factor_sqf``, the lifted factors
 against a reference quadratic Hensel lift, and the Bezout cofactors of the
 factor tree, the Hensel prime against a search over the odd primes below
 it, and factor_int_poly against sympy on inputs where the old prime rule
-began at 2.  sympy and hypothesis are test-only dependencies."""
+began at 2 and with the first stage of the lift forced down to p and p^2.
+sympy and hypothesis are test-only dependencies."""
 import random
 
 import pytest
@@ -328,6 +329,12 @@ def root8(n):
     return lo
 
 
+def sympy_factors(f):
+    """(unit, sorted (coefficients, multiplicity) pairs) from sympy."""
+    const, pairs = sympy.Poly(list(reversed(f)), sympy.Symbol("y")).factor_list()
+    return int(const), sorted((tuple(int(c) for c in reversed(u.all_coeffs())), m) for u, m in pairs)
+
+
 class TestChoosePrime:
     @settings(max_examples=120, deadline=None)
     @given(st.lists(small_polys, min_size=1, max_size=4), st.integers(1, 2**90))
@@ -374,17 +381,71 @@ class TestChoosePrime:
                 f = school_mul(f, u)
             intfactor.clear_cache()
             fac = factor_int_poly(IntPoly.of(f))
-            const, pairs = sympy.Poly(list(reversed(f)), sympy.Symbol("y")).factor_list()
-            want = sorted((tuple(int(c) for c in reversed(u.all_coeffs())), m) for u, m in pairs)
             got = sorted((u.coeffs, m) for u, m in fac.factors)
             unit = fac.sign
             for q in fac.content:
                 unit *= q
-            assert (unit, got) == (int(const), want)
+            assert (unit, got) == sympy_factors(f)
 
         check()
         intfactor.clear_cache()
         assert starts and 4 * starts.count(2) >= len(starts), (starts.count(2), len(starts))
+
+
+def record_stages(monkeypatch):
+    """Per ``_zassenhaus`` call, the moduli of its ``_search`` calls and the
+    exponents of its ``_lift`` calls, in order."""
+    log = []
+    zassenhaus, search, lift = intfactor._zassenhaus, intfactor._search, intfactor._lift
+
+    def recording_zassenhaus(f):
+        log.append({"searches": [], "lifts": []})
+        return zassenhaus(f)
+
+    def recording_search(f, lifted, pl, smax):
+        log[-1]["searches"].append(pl)
+        return search(f, lifted, pl, smax)
+
+    def recording_lift(p, f, fs, l):
+        log[-1]["lifts"].append(l)
+        return lift(p, f, fs, l)
+
+    monkeypatch.setattr(intfactor, "_zassenhaus", recording_zassenhaus)
+    monkeypatch.setattr(intfactor, "_search", recording_search)
+    monkeypatch.setattr(intfactor, "_lift", recording_lift)
+    return log
+
+
+class TestStagedRecombination:
+    def test_factors_match_sympy_with_stage_one_at_p_and_p2(self, monkeypatch):
+        # products of 3-6 monic polynomials of degree 1-3: with stage one
+        # at p or p^2, far below their lift exponents, the pieces it finds
+        # are proved by a full search at the stage modulus or lifted again
+        log = record_stages(monkeypatch)
+        monic = st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(lambda c: c + [1])
+        for exp in (1, 2):
+            monkeypatch.setattr(intfactor, "_STAGE_EXP", exp)
+            own, again = [0], [0]
+
+            @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+            @given(st.lists(monic, min_size=3, max_size=6))
+            def check(parts):
+                f = [1]
+                for u in parts:
+                    f = school_mul(f, u)
+                intfactor.clear_cache()
+                log.clear()
+                fac = factor_int_poly(IntPoly.of(f))
+                got = sorted((u.coeffs, m) for u, m in fac.factors)
+                assert (fac.sign, got) == sympy_factors(f)
+                # a search after the first at the same modulus proves a piece
+                # by its own bound; a second lift lifts one further
+                own[0] += any(pl == z["searches"][0] for z in log for pl in z["searches"][1:])
+                again[0] += any(len(z["lifts"]) > 1 for z in log)
+
+            check()
+            assert again[0] >= 10 and (exp == 1 or own[0] >= 10), (exp, own, again)
+        intfactor.clear_cache()
 
 
 class TestBezoutPair:
