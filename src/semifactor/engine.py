@@ -55,8 +55,11 @@ with g, h non-monomials exactly when a non-monomial atom a | t has a
 non-monomial t/a = (g/a)*h: the pass keeps the sort-least such a per t.
 
 The engine reads a polynomial's scaled exponent numerators ``nums`` and
-its ``coeffs`` and builds every divisor from them; it never builds an
-``ExpElem``.
+its ``coeffs`` and builds every divisor from them.  Lengths and common
+divisors come from the kernels of the monoid and the semiring on that
+canonical data (``_length_num``, ``_mcd_nums``, ``_length``, ``_mcd_set``);
+an ``ExpElem`` is built only for the maximal common divisors a certificate
+reports.
 
 Lattices are cached per canonical form, strategy and budgets by
 ``functools.lru_cache``, at most 1024 of them (the least recently used is
@@ -472,12 +475,16 @@ def atomic_certificate(
 ) -> CertificateReport:
     """Per-part check that coefficient and exponent lists admit maximal
     common divisors, over some monolithic decomposition of f."""
+    if f.is_zero or f.is_one:
+        raise DomainError("atomicity certificates are defined for nonzero nonunits")
     budgets = budgets or DEFAULT_BUDGETS
     parts = monolithic_decompose(f, strategy, budgets)
+    S, M = f.semiring, f.monoid
     per = []
     for part in parts:
-        cm = frozenset(part.semiring.mcd_set(part.coeffs))
-        em = part.monoid.mcd((e for e, _ in part.terms), budgets.knapsack_nodes)
+        # canonical data: the kernels, without the checks of their wrappers
+        cm = frozenset(S._mcd_set(part.coeffs))
+        em = frozenset(map(M.elem_of_num, M._mcd_nums(part.nums, budgets.knapsack_nodes)))
         per.append(PartCertificate(part, cm, em, bool(cm) and bool(em)))
     return CertificateReport(
         target=f,
@@ -495,7 +502,7 @@ def length_fn(f: PolyExpr, budgets: Budgets = None) -> int:
     if f.is_zero:
         raise DomainError("the zero polynomial has no length")
     return (
-        f.semiring.length(f.coeffs[0])
+        f.semiring._length(f.coeffs[0])
         + f.monoid._length_num(f.nums[0], budgets.knapsack_nodes)
         + len(f.nums)
         - 1

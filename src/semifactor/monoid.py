@@ -6,7 +6,10 @@ computation reduces to integer arithmetic.  Between parsing and rendering an
 exponent is handled as its scaled numerator n = D * num / denom: ``num_of``
 checks that n is an integer and a member with integers only, and
 ``Fraction`` appears only where the input is a rational (``num_of``,
-``member``, ``make_monoid``) and in ``ExpElem.value``.
+``member``, ``make_monoid``) and in ``ExpElem.value``.  Library code calls
+the numerator kernels ``_length_num`` and ``_mcd_nums``; ``length``, ``mcd``
+and ``gcd`` are their boundary wrappers, which take members as ``ExpElem``
+or rationals and return ``ExpElem``.
 
 Membership reads the Apery table: the least member of each residue class
 modulo the smallest generator a, built at construction one generator at a
@@ -261,14 +264,20 @@ class ExpMonoid:
         return frozenset(out)
 
     def mcd(self, elems, node_budget: int = DEFAULT_BUDGETS.knapsack_nodes) -> frozenset[ExpElem]:
-        """All divisibility-maximal common divisors of a nonempty collection.
+        """All divisibility-maximal common divisors of a nonempty collection:
+        the boundary wrapper of ``_mcd_nums``."""
+        nums = self._mcd_nums([self.num_of(e) for e in elems], node_budget)
+        return frozenset(map(self.elem_of_num, nums))
+
+    def _mcd_nums(self, nums, node_budget: int) -> list[int]:
+        """``mcd`` of members given as scaled numerators, as scaled numerators.
 
         A common divisor d is maximal exactly when no d + g, g an atom, is
         one: if a common divisor d' has d' - d a nonzero member, then for an
         atom g in a factorization of d' - d, d + g divides d' and so is a
-        common divisor too.
+        common divisor too.  The min(nums) + 1 candidates count against
+        ``node_budget``.
         """
-        nums = [self.num_of(e) for e in elems]
         if not nums:
             raise UsageError("common divisors of an empty list")
         candidates = min(nums) + 1
@@ -282,8 +291,7 @@ class ExpMonoid:
             for d in range(candidates)
             if self.member_num(d) and all(self.member_num(x - d) for x in nums)
         }
-        maximal = [d for d in commons if not any(d + g in commons for g in self.min_gens)]
-        return frozenset(self.elem_of_num(d) for d in maximal)
+        return [d for d in commons if not any(d + g in commons for g in self.min_gens)]
 
     def gcd(self, elems, node_budget: int = DEFAULT_BUDGETS.knapsack_nodes):
         """The common divisor divisible by all others, when one exists.

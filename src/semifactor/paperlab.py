@@ -265,7 +265,8 @@ def _check_length_function_suite(budgets):
 
 
 def _random_poly(rng, S, M, members):
-    """Up to 4 terms at distinct scaled numerators drawn from ``members``."""
+    """Up to 4 terms at distinct scaled numerators drawn from ``members``,
+    with nonzero coefficients: canonical once sorted, so nothing is merged."""
     pairs = []
     for n in rng.sample(members, rng.randint(1, min(4, len(members)))):
         if isinstance(S, Nat):
@@ -275,7 +276,9 @@ def _random_poly(rng, S, M, members):
             if c == (0, 0):
                 c = (1, 0)
         pairs.append((n, c))
-    return PolyExpr._merge_nums(S, M, pairs)
+    pairs.sort(reverse=True)
+    nums, coeffs = zip(*pairs)
+    return PolyExpr(S, M, nums, coeffs)
 
 
 # check id -> (paper anchor, check)

@@ -9,9 +9,12 @@ A ``PolyExpr`` stores each exponent once, as its scaled numerator
 n = D * num / denom, D the monoid's denominator: ``nums`` and ``coeffs``
 are two parallel tuples, and equality and hashing compare them as tuples.
 Products, division and the divisor code add and compare integers and check
-them with ``ExpMonoid.member_num``.  An ``ExpElem`` is built only at the API
-boundary: by ``terms``, ``degree``, ``trailing_degree`` and ``support`` on
-request, and by ``format_poly`` while rendering.  ``Fraction`` remains only
+them with ``ExpMonoid.member_num``; exponent lengths and common divisors come
+from the numerator kernels ``ExpMonoid._length_num`` and
+``ExpMonoid._mcd_nums``, since ``length``, ``mcd`` and ``gcd`` are boundary
+wrappers.  An ``ExpElem`` is built only at the API boundary: by ``terms``,
+``degree``, ``trailing_degree`` and ``support`` on request, and by
+``format_poly`` while rendering.  ``Fraction`` remains only
 for exponents that arrive as rationals: the parser, and ``from_terms`` given
 a ``Fraction``, an ``int`` or a ``str``.
 

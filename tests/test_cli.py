@@ -341,6 +341,22 @@ class TestExitCodes:
         assert err == "error[domain]: no supported length function for quad:3 (need d >= 5)\n"
         assert run_json(capsys, "poly", "lenfn", "--coeffs", "quad:5", "x+1")["length"] == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lenfn", "0"], "the zero polynomial has no length"),
+            (["lenfn", "--coeffs", "quad:2", "x+1"],
+             "no supported length function for quad:2 (need d >= 5)"),
+            (["certify", "0"], "atomicity certificates are defined for nonzero nonunits"),
+            (["certify", "1"], "atomicity certificates are defined for nonzero nonunits"),
+            (["certify", "--coeffs", "quad:6", "(1,0)"],
+             "atomicity certificates are defined for nonzero nonunits"),
+        ],
+    )
+    def test_lenfn_and_certify_name_their_domain(self, capsys, argv, message):
+        code, out, err = run(capsys, "poly", *argv)
+        assert (code, out, err) == (1, "", f"error[domain]: {message}\n")
+
     def test_domain_error(self, capsys):
         code, out, err = run(capsys, "poly", "lengths", "0")
         assert code == 1

@@ -444,6 +444,9 @@ class TestExponentsStayNumerators:
         assert sf.monolithic_decompose(f)
         assert sf.length_fn(f) > 0
         assert calls == []
+        # a certificate builds an ExpElem for each maximal common divisor only
+        rep = sf.atomic_certificate(f)
+        assert len(calls) == sum(len(p.exp_mcd) for p in rep.per_part)
 
 
 class TestOraclePruning:

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from semifactor import Nat, PolyExpr, paperlab
 from semifactor.errors import Budgets, DomainError, UsageError
 from semifactor.paperlab import (
     ANCHORS,
@@ -73,6 +75,36 @@ class TestSuite:
         assert result.details == {
             "reason": "divisors of 6*r need 27 candidate pairs, over the budget of 26"
         }
+
+    def test_random_polys_are_the_merged_draws(self, monkeypatch):
+        # each draw of the length-function suite, replayed from the same
+        # generator state, merged like terms into the same canonical poly
+        seen = []
+        draw = paperlab._random_poly
+
+        def recorded(rng, S, M, members):
+            before = rng.getstate()
+            f = draw(rng, S, M, members)
+            seen.append((before, rng.getstate(), S, M, members, f))
+            return f
+
+        monkeypatch.setattr(paperlab, "_random_poly", recorded)
+        (result,) = run_paper_suite(only=("length-function-suite",))
+        assert result.status == "pass" and len(seen) == 720
+        rng = random.Random()
+        for before, after, S, M, members, f in seen:
+            rng.setstate(before)
+            pairs = []
+            for n in rng.sample(members, rng.randint(1, min(4, len(members)))):
+                if isinstance(S, Nat):
+                    c = rng.randint(1, 5)
+                else:
+                    c = (rng.randint(0, 3), rng.randint(0, 3))
+                    if c == (0, 0):
+                        c = (1, 0)
+                pairs.append((n, c))
+            assert rng.getstate() == after
+            assert f == PolyExpr._merge_nums(S, M, pairs)
 
     def test_anchors_registered_and_nonempty(self):
         for r in run_paper_suite():
