@@ -13,7 +13,8 @@ or for ``oracle``; ``DivisorSet.strategy_used`` names the one that ran:
   exponent monoid.  The box is built a factor at a time on Kronecker-packed
   integers (the slot codec of ``intfactor._Slots``): each point costs one
   big-integer product, its two tests are masks, and the packed values order
-  the kept points as ``sort_key`` does, so each is decoded once, in order.
+  the kept points as ``sort_key`` does, so each is decoded once, in order,
+  and at most once per session for all the lattices that share it.
 
 * ``oracle``: enumerate candidate divisors directly.  A candidate support is
   a set of monoid members that each additively divide some support element
@@ -61,11 +62,15 @@ canonical data (``_length_num``, ``_mcd_nums``, ``_length``, ``_mcd_set``);
 an ``ExpElem`` is built only for the maximal common divisors a certificate
 reports.
 
-Lattices are cached per canonical form, strategy and budgets by
-``functools.lru_cache``, at most 1024 of them (the least recently used is
-evicted first).  Each keeps its atoms, length sets, splits and Z(f) once
-computed, and the ``DivisorSet`` that only ``divisors`` builds, on its
-first call.  All returned values are immutable.
+Two ``functools.lru_cache``s, at most ``_CACHE_SIZE`` (1024) entries each
+(the least recently used is evicted first), hold the engine's state.
+Lattices are cached per canonical form, strategy and budgets; each keeps
+its atoms, length sets, splits and Z(f) once computed, and the
+``DivisorSet`` that only ``divisors`` builds, on its first call.  Decoded
+zx divisors are cached per semiring, monoid, slot width and packed value
+(``_decoded``), so the lattices of one session that share a divisor share
+one ``PolyExpr`` and decode it once.  ``clear_caches`` empties both.  All
+returned values are immutable.
 """
 from __future__ import annotations
 
@@ -85,6 +90,7 @@ from .polyexpr import PolyExpr, ambient_exact_div
 STRATEGY_AUTO = "auto"
 STRATEGY_ORACLE = "oracle"
 STRATEGY_ZX = "zx_fastpath"
+_CACHE_SIZE = 1024  # entries of each lru_cache below
 
 
 @dataclass(eq=False)
@@ -155,6 +161,7 @@ def sort_key(f: PolyExpr):
 
 def clear_caches():
     _divisor_set.cache_clear()
+    _decoded.cache_clear()
 
 
 def divisors(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None) -> DivisorSet:
@@ -171,7 +178,7 @@ def _lattice_of(f, strategy, budgets):
     return _divisor_set(f, _resolve_strategy(f, strategy), budgets or DEFAULT_BUDGETS)
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _divisor_set(f, strat, budgets):
     """The ``_Lattice`` of f for a resolved strategy and budgets."""
     if strat == STRATEGY_ZX:
@@ -204,7 +211,8 @@ def _zx_divisors(f, budgets):
     (y^2-y+1)(y+1) = y^3+1.  The kept points are sorted by G = g(2^w):
     with nonnegative coefficients in fixed slots the top slot compares
     first and 0 sorts below any coefficient, which is ``sort_key`` order,
-    so 1 comes first and f last; each is decoded once, in that order."""
+    so 1 comes first and f last; each is decoded, in that order, through
+    the session's cache ``_decoded``."""
     n = f.nums[0]
     check_degree(n, budgets.degree_limit)
     dense = [0] * (n + 1)
@@ -238,12 +246,21 @@ def _zx_divisors(f, budgets):
     top = max(inside)  # f's vector, the componentwise hence packed maximum
     vecs = sorted((v for v in inside if top - v in inside), key=inside.__getitem__)
     S, M = f.semiring, f.monoid
-    ordered, down = [], range(n, -1, -1)
-    for v in vecs:
-        cs = slots.unpack(inside[v], n + 1)[::-1]
-        ordered.append(PolyExpr(S, M, tuple(compress(down, cs)), tuple(filter(None, cs))))
+    ordered = tuple(_decoded(S, M, w, inside[v]) for v in vecs)
     pos = {v: i for i, v in enumerate(vecs)}
-    return _Lattice(STRATEGY_ZX, tuple(ordered), tuple(vecs), pos, 0, len(vecs) - 1, guard=guard)
+    return _Lattice(STRATEGY_ZX, ordered, tuple(vecs), pos, 0, len(vecs) - 1, guard=guard)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _decoded(S, M, w, G):
+    """The polynomial over S and M whose coefficients lie in the w-bit slots
+    of G = g(2^w), the top slot first.  Each slot of a kept point holds a
+    nonnegative coefficient below 2^(w-1), so (M, w, G) names one
+    polynomial, whatever the degree of the element it divides; lattices of
+    one session share it."""
+    count = -(-G.bit_length() // w)
+    cs = _Slots(1 << (w - 1)).unpack(G, count)[::-1]
+    return PolyExpr(S, M, tuple(compress(range(count - 1, -1, -1), cs)), tuple(filter(None, cs)))
 
 
 def _at_one(S, coeffs):

@@ -108,7 +108,7 @@ def _with_gen(least, g):
 class ExpMonoid:
     """A reduced, finitely generated submonoid of (Q>=0, +)."""
 
-    __slots__ = ("denom", "gens", "min_gens", "_amin", "_apery", "_stairs", "_suffix")
+    __slots__ = ("denom", "gens", "min_gens", "_amin", "_apery", "_window", "_stairs", "_suffix")
 
     def __init__(self, denom: int, gens):
         gens = frozenset(gens)
@@ -131,6 +131,7 @@ class ExpMonoid:
                 least = _with_gen(least, g)
         self.min_gens = frozenset(atoms)
         self._apery = [None if r == inf else r for r in least]
+        self._window = a + max(r for r in least if r != inf)  # see _mcd_nums
         self._stairs = None  # built by the first length() call
         self._suffix = None  # built by the first factorizations() call that prunes
 
@@ -275,8 +276,12 @@ class ExpMonoid:
         A common divisor d is maximal exactly when no d + g, g an atom, is
         one: if a common divisor d' has d' - d a nonzero member, then for an
         atom g in a factorization of d' - d, d + g divides d' and so is a
-        common divisor too.  The min(nums) + 1 candidates count against
-        ``node_budget``.
+        common divisor too.  Only the window of the top a + W candidates
+        (``_window``), min(nums) - a - W < d <= min(nums), is scanned, a the
+        smallest atom and W the largest Apery value: below it, each
+        x - d - a is at least W and in the class of the member x - d, hence
+        a member, so d + a is a common divisor and d is not maximal.  All min(nums) + 1 candidates
+        still count against ``node_budget``, which overstates the work.
         """
         if not nums:
             raise UsageError("common divisors of an empty list")
@@ -288,7 +293,7 @@ class ExpMonoid:
             )
         commons = {
             d
-            for d in range(candidates)
+            for d in range(max(candidates - self._window, 0), candidates)
             if self.member_num(d) and all(self.member_num(x - d) for x in nums)
         }
         return [d for d in commons if not any(d + g in commons for g in self.min_gens)]

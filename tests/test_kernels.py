@@ -1,10 +1,13 @@
 """The numerator and semiring kernels against their boundary wrappers:
 ``ExpMonoid.mcd`` and ``gcd`` (through ``_mcd_nums``) against the definition
-of a maximal common divisor, and ``atomic_certificate``, which calls
+of a maximal common divisor, ``_mcd_nums`` on members near 10^6 against a
+scan of every candidate, and ``atomic_certificate``, which calls
 ``_mcd_nums`` and ``_mcd_set`` on canonical data, against the certificate
 built through ``mcd`` and ``mcd_set``.  hypothesis is a test-only
 dependency."""
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -58,6 +61,55 @@ def test_mcd_and_gcd_match_the_definition(gens, data):
     assert {e.value for e in M.mcd(elems)} == {Fraction(d, D) for d in maximal}
     g = M.gcd(elems)
     assert (None if g is None else g.value) == (Fraction(greatest[0], D) if greatest else None)
+
+
+def reachable_bits(scaled_gens, limit):
+    """Membership of 0..limit as the bits of one int: the closure of {0}
+    under adding each generator, any number of times, by doubling shifts."""
+    mask = (1 << limit + 1) - 1
+    reach = 1
+    for g in scaled_gens:
+        step = g
+        while step <= limit:
+            reach |= (reach << step) & mask
+            step *= 2
+    return reach
+
+
+def reversed_bits(bits, x):
+    """The int whose bit d is bit x - d of ``bits``, for 0 <= d <= x."""
+    return int(format(bits & ((1 << x + 1) - 1), f"0{x + 1}b")[::-1], 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rational_gens, st.data())
+def test_mcd_of_large_members_matches_the_full_scan(gens, data):
+    # members near 10^5 to 10^6: every candidate 0..min(nums) is tested on
+    # bit sets, and a common divisor d is kept when no d + g, g a
+    # generator, is one (the rule the test above pins to the definition);
+    # the kernel scans only its window, well within the wall-clock bound
+    M = sf.make_monoid(gens)
+    scaled = [int(g * M.denom) for g in gens]
+    step = gcd(*scaled)
+    draws = data.draw(st.lists(st.integers(10**5, 10**6), min_size=1, max_size=4))
+    nums = [n - n % step for n in draws]
+    low = min(nums)
+    reach = reachable_bits(scaled, max(nums))
+    assert all(reach >> n & 1 for n in nums)
+    commons = reach & ((1 << low + 1) - 1)
+    for x in nums:
+        commons &= reversed_bits(reach, x)
+    below = 0
+    for g in scaled:
+        below |= commons >> g
+    keep = commons & ~below
+    want = [d for d, bit in enumerate(reversed(format(keep, "b"))) if bit == "1"]
+    start = time.perf_counter()
+    got = M._mcd_nums(nums, low + 1)
+    assert time.perf_counter() - start < 0.25
+    assert sorted(got) == want
+    with pytest.raises(sf.BudgetError):
+        M._mcd_nums(nums, low)
 
 
 # (coefficients, monoid, members below, most factors)
