@@ -12,8 +12,10 @@ from semifactor import intfactor
 from semifactor.errors import BudgetError, DomainError, InternalError, UsageError
 from semifactor.intfactor import (
     _EDF_SEED,
+    _SWEEP,
     IntPoly,
     _choose_prime,
+    _ddf,
     _div_exact,
     _edf,
     _factor_mod_p,
@@ -1030,12 +1032,128 @@ class TestModularFactorization:
         assert random.getstate() == state
 
     def test_failed_draws_are_capped(self):
-        # x^2 + 1 is irreducible over GF(3) and GF(131): it has no roots, and
-        # over GF(131), above the root path's cut-off, no draw splits it
-        with pytest.raises(InternalError, match="0 roots"):
-            _edf([1, 0, 1], 1, 3, random.Random(_EDF_SEED))
-        with pytest.raises(InternalError, match="splitting failed 101 times"):
-            _edf([1, 0, 1], 1, 131, random.Random(_EDF_SEED))
+        # x^2 + 1 is irreducible over GF(3) and GF(131), so no shift or draw
+        # splits it as a product of linear factors: over GF(3) the 3 shifts
+        # and 98 draws fail, over GF(131) the first 101 shifts
+        for p in (3, 131):
+            with pytest.raises(InternalError, match="splitting failed 101 times"):
+                _edf([1, 0, 1], 1, p, random.Random(_EDF_SEED))
+        # below the root sweep's cut-off the sweep finds no root, and
+        # distinct-degree factorization from degree 2 returns it whole
+        assert 3 <= _SWEEP * 2 < 131
+        assert _factor_mod_p([1, 0, 1], 3) == [[1, 0, 1]]
+
+    def test_a_linear_block_without_roots_is_caught(self, monkeypatch):
+        # the roots of a block of linear factors are read off, not checked
+        # against its degree there: a block that has too few fails the
+        # degree check of the whole factorization
+        monkeypatch.setattr(intfactor, "_ddf", lambda f, p, start=1: [([1, 0, 1], 1)])
+        with pytest.raises(InternalError, match="do not add up to 2"):
+            _factor_mod_p([1, 0, 1], 3)
+
+    def test_arguments_are_left_unchanged(self):
+        # (x^2 - 2x + 3)(x^2 + x - 4)(x^2 + 5) mod 29: its degree-2 block is
+        # a product of two quadratics, and the first split divides the block
+        # itself
+        p = 29
+        f = gf_mul(gf_mul([3, -2 % p, 1], [-4 % p, 1, 1], p), [5, 0, 1], p)
+        block = [g for g, d in _ddf(f, p) if d == 2][0]
+        assert len(block) == 5
+        g = list(block)
+        factors = _edf(g, 2, p, random.Random(_EDF_SEED))
+        assert g == block
+        assert gf_mul(factors[0], factors[1], p) == block
+        g = list(f)
+        factors = _factor_mod_p(g, p)
+        assert g == f
+        assert [len(u) - 1 for u in factors] == [1, 1, 2, 2]
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_every_irreducible_of_degree_dividing_k(self, p, k):
+        # x^(p^k) - x is the product of the monic irreducibles of degree 1
+        # and k: p linear ones and (p^k - p)/k of degree k, all in one block
+        f = [0, p - 1] + [0] * (p**k - 2) + [1]
+        factors = _factor_mod_p(list(f), p)
+        assert [len(u) - 1 for u in factors] == [1] * p + [k] * ((p**k - p) // k)
+        assert len({tuple(u) for u in factors}) == len(factors)
+        prod = [1]
+        for u in factors:
+            assert gf_irreducible(u, p), u
+            prod = gf_mul(prod, u, p)
+        assert prod == f
+
+    def test_random_draws_follow_the_shifts(self):
+        # the 10 monic irreducible quadratics over GF(5) against 5 shifts:
+        # the block (x^25 - x) / (x^5 - x) needs the random fallback
+        p = 5
+        block = [1 if i % 4 == 0 else 0 for i in range(21)]  # x^20 + x^16 + ... + 1
+        assert gf_mul(block, [0, p - 1, 0, 0, 0, 1], p) == [0, p - 1] + [0] * 23 + [1]
+
+        class Counting(random.Random):
+            draws = 0
+
+            def randrange(self, *args):
+                Counting.draws += 1
+                return super().randrange(*args)
+
+        factors = _edf(list(block), 2, p, Counting(_EDF_SEED))
+        assert len(factors) == 10 and all(gf_irreducible(u, p) for u in factors)
+        assert Counting.draws > 0
+        # over GF(31) the shifts alone split a block of five quadratics
+        p = 31
+        qs = [u for u in ([c, 1, 1] for c in range(1, p)) if gf_irreducible(u, p)][:5]
+        f = [1]
+        for u in qs:
+            f = gf_mul(f, u, p)
+        Counting.draws = 0
+        assert sorted(_edf(f, 2, p, Counting(_EDF_SEED))) == sorted(qs)
+        assert Counting.draws == 0
+
+    def test_root_sweep_on_both_sides_of_its_cut_off(self, monkeypatch):
+        # products of linear factors and a random part, at the largest prime
+        # the sweep takes and the least one above it: the same factors, and
+        # distinct-degree factorization starts at 2 only after the sweep
+        starts = []
+        ddf = intfactor._ddf
+
+        def recording(f, p, start=1):
+            starts.append(start)
+            return ddf(f, p, start)
+
+        monkeypatch.setattr(intfactor, "_ddf", recording)
+        rng = random.Random(35)
+        for n in (2, 4, 6, 9):
+            below = max(q for q in range(3, _SWEEP * n + 1) if is_prime(q))
+            above = min(q for q in range(_SWEEP * n + 1, 2 * _SWEEP * n) if is_prime(q))
+            for p, start in ((below, 2), (above, 1)):
+                for _ in range(5):
+                    roots = rng.sample(range(p), rng.randint(0, n // 2))
+                    f = random_monic_squarefree(rng, p, n - len(roots)) if len(roots) < n else [1]
+                    for a in roots:
+                        f = gf_mul(f, [-a % p, 1], p)
+                    if len(gf_gcd(f, gf_trim([k * c for k, c in enumerate(f)][1:], p), p)) > 1:
+                        continue
+                    del starts[:]
+                    factors = _factor_mod_p(list(f), p)
+                    assert starts == [start]
+                    assert {(-a) % p for a in roots} <= {u[0] for u in factors if len(u) == 2}
+                    prod = [1]
+                    for u in factors:
+                        assert gf_irreducible(u, p), (f, p, u)
+                        prod = gf_mul(prod, u, p)
+                    assert prod == f
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 31, 257])
+    def test_ddf_from_degree_two_on_root_free_inputs(self, p):
+        rng = random.Random(350 + p)
+        tried = 0
+        while tried < 30:
+            f = random_monic_squarefree(rng, p, rng.randint(2, 14))
+            if any(sum(c * pow(r, k, p) for k, c in enumerate(f)) % p == 0 for r in range(p)):
+                continue
+            tried += 1
+            assert _ddf(list(f), p, 2) == _ddf(list(f), p)
 
 
 def is_prime(n):
