@@ -286,6 +286,13 @@ class Nat(CoeffSemiring):
     zero = 0
     one = 1
 
+    # no fields: every Nat is equal, and these skip the generated tuple compare
+    def __eq__(self, other):
+        return type(other) is Nat
+
+    def __hash__(self):
+        return 0
+
     def validate(self, v):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise UsageError(f"not a nonnegative integer: {v!r}")
@@ -368,6 +375,12 @@ class Quad(CoeffSemiring):
             raise UsageError(f"quadratic radicand must be an integer >= 2, got {self.d!r}")
         if math.isqrt(self.d) ** 2 == self.d:
             raise UsageError(f"quadratic radicand must not be a perfect square, got {self.d}")
+
+    def __eq__(self, other):
+        return type(other) is Quad and other.d == self.d
+
+    def __hash__(self):
+        return self.d
 
     def validate(self, v):
         # unrolled: this runs on both arguments of every checked add and mul

@@ -62,15 +62,17 @@ canonical data (``_length_num``, ``_mcd_nums``, ``_length``, ``_mcd_set``);
 an ``ExpElem`` is built only for the maximal common divisors a certificate
 reports.
 
-Two ``functools.lru_cache``s, at most ``_CACHE_SIZE`` (1024) entries each
-(the least recently used is evicted first), hold the engine's state.
+Three ``functools.lru_cache``s, at most ``_CACHE_SIZE`` (1024) entries
+each (the least recently used is evicted first), hold the engine's state.
 Lattices are cached per canonical form, strategy and budgets; each keeps
 its atoms, length sets, splits and Z(f) once computed, and the
 ``DivisorSet`` that only ``divisors`` builds, on its first call.  Decoded
 zx divisors are cached per semiring, monoid, slot width and packed value
 (``_decoded``), so the lattices of one session that share a divisor share
-one ``PolyExpr`` and decode it once.  ``clear_caches`` empties both.  All
-returned values are immutable.
+one ``PolyExpr`` and decode it once.  The certificate of a monolithic part
+is cached per part and knapsack budget (``_part_certificate``), so the
+elements of a session that share a part check it once.  ``clear_caches``
+empties all three.  All returned values are immutable.
 """
 from __future__ import annotations
 
@@ -162,6 +164,7 @@ def sort_key(f: PolyExpr):
 def clear_caches():
     _divisor_set.cache_clear()
     _decoded.cache_clear()
+    _part_certificate.cache_clear()
 
 
 def divisors(f: PolyExpr, strategy: str = STRATEGY_AUTO, budgets: Budgets = None) -> DivisorSet:
@@ -496,19 +499,24 @@ def atomic_certificate(
         raise DomainError("atomicity certificates are defined for nonzero nonunits")
     budgets = budgets or DEFAULT_BUDGETS
     parts = monolithic_decompose(f, strategy, budgets)
-    S, M = f.semiring, f.monoid
-    per = []
-    for part in parts:
-        # canonical data: the kernels, without the checks of their wrappers
-        cm = frozenset(S._mcd_set(part.coeffs))
-        em = frozenset(map(M.elem_of_num, M._mcd_nums(part.nums, budgets.knapsack_nodes)))
-        per.append(PartCertificate(part, cm, em, bool(cm) and bool(em)))
+    per = tuple(_part_certificate(part, budgets.knapsack_nodes) for part in parts)
     return CertificateReport(
         target=f,
         monolithic_parts=tuple(parts),
-        per_part=tuple(per),
+        per_part=per,
         passes=all(p.passes for p in per),
     )
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _part_certificate(part, knapsack_nodes):
+    """The certificate of one part, from the kernels on its canonical data;
+    ``knapsack_nodes`` is the only budget it spends, and a refusal raises,
+    so it is never cached."""
+    S, M = part.semiring, part.monoid
+    cm = frozenset(S._mcd_set(part.coeffs))
+    em = frozenset(map(M.elem_of_num, M._mcd_nums(part.nums, knapsack_nodes)))
+    return PartCertificate(part, cm, em, bool(cm) and bool(em))
 
 
 def length_fn(f: PolyExpr, budgets: Budgets = None) -> int:

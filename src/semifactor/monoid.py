@@ -108,7 +108,9 @@ def _with_gen(least, g):
 class ExpMonoid:
     """A reduced, finitely generated submonoid of (Q>=0, +)."""
 
-    __slots__ = ("denom", "gens", "min_gens", "_amin", "_apery", "_window", "_stairs", "_suffix")
+    __slots__ = (
+        "denom", "gens", "min_gens", "_amin", "_apery", "_window", "_stairs", "_suffix", "_hash"
+    )
 
     def __init__(self, denom: int, gens):
         gens = frozenset(gens)
@@ -130,6 +132,7 @@ class ExpMonoid:
                 atoms.append(g)
                 least = _with_gen(least, g)
         self.min_gens = frozenset(atoms)
+        self._hash = hash((denom, self.min_gens))
         self._apery = [None if r == inf else r for r in least]
         self._window = a + max(r for r in least if r != inf)  # see _mcd_nums
         self._stairs = None  # built by the first length() call
@@ -141,7 +144,7 @@ class ExpMonoid:
         return self.denom == other.denom and self.min_gens == other.min_gens
 
     def __hash__(self):
-        return hash((self.denom, self.min_gens))
+        return self._hash
 
     def __repr__(self):
         return f"ExpMonoid({self.literal()!r})"

@@ -7,7 +7,7 @@ cancellation: the support of a product is the sumset of the supports.
 
 A ``PolyExpr`` stores each exponent once, as its scaled numerator
 n = D * num / denom, D the monoid's denominator: ``nums`` and ``coeffs``
-are two parallel tuples, and equality and hashing compare them as tuples.
+are parallel tuples; equality also compares the context, the hash does not.
 Products, division and the divisor code add and compare integers and check
 them with ``ExpMonoid.member_num``; exponent lengths and common divisors come
 from the numerator kernels ``ExpMonoid._length_num`` and
@@ -137,12 +137,17 @@ class PolyExpr:
 
     # arithmetic ----------------------------------------------------------
 
+    def __hash__(self):
+        return hash((self.nums, self.coeffs))
+
     def _same_context(self, other):
-        if self.semiring != other.semiring or self.monoid != other.monoid:
-            raise UsageError(
-                f"mismatched contexts: ({self.semiring.literal()}, {self.monoid.literal()})"
-                f" vs ({other.semiring.literal()}, {other.monoid.literal()})"
-            )
+        S, M = other.semiring, other.monoid  # identity first: the contexts are shared
+        if (self.semiring is S or self.semiring == S) and (self.monoid is M or self.monoid == M):
+            return
+        raise UsageError(
+            f"mismatched contexts: ({self.semiring.literal()}, {self.monoid.literal()})"
+            f" vs ({S.literal()}, {M.literal()})"
+        )
 
     def __add__(self, other):
         self._same_context(other)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import semifactor as sf
+from semifactor import engine
 from semifactor.errors import (
     DomainError,
     ExponentNotInMonoidError,
@@ -171,6 +172,12 @@ class TestOps:
         with pytest.raises(UsageError):
             P("x") * parse("x", Q6, sf.nat_monoid())
 
+    def test_equal_contexts_built_apart_mix(self):
+        M1, M2 = sf.monoid_from_literal("gens:2,3"), sf.make_monoid([3, 2, 5])
+        assert M1 is not M2
+        f = parse("x^3+1", NAT, M1) * parse("x^2+1", sf.Nat(), M2)
+        assert f == parse("x^5+x^3+x^2+1", NAT, M2)
+
     def test_power_needs_a_nonnegative_int(self):
         f = P("x+1")
         assert f**0 == P("1") and f**3 == f * f * f
@@ -212,6 +219,68 @@ class TestOps:
                 got = {e.value for e in (f * g).support}
                 assert got == sumset
                 assert len(got) >= len(f.support) + len(g.support) - 1
+
+
+class TestContextHashing:
+    """Semirings, monoids and polynomials are values: equal ones built apart
+    compare and hash equal, and a polynomial hashes on its terms alone."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            sf.Nat,
+            lambda: sf.Quad(6),
+            sf.nat_monoid,
+            lambda: sf.monoid_from_literal("gens:2,3"),
+            lambda: sf.make_monoid([Fraction(3, 4), Fraction(1, 2), Fraction(5, 4)]),
+        ],
+    )
+    def test_equal_when_built_apart(self, build):
+        a, b = build(), build()
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_distinct_contexts_differ(self):
+        assert NAT != Q6 and Q6 != NAT
+        assert Q6 != sf.Quad(7) and Q6 == sf.Quad(6)
+        assert NAT != 0 and Q6 != 6 and NAT != sf.nat_monoid()
+        assert sf.monoid_from_literal("gens:2,3") != sf.nat_monoid()
+        assert len({NAT, Q6, sf.Quad(7), sf.Nat(), sf.Quad(6)}) == 3
+
+    @pytest.mark.parametrize(
+        "S_text, M_text, f_text, g_text",
+        [
+            ("nat", "nat", "x^3+2x^2+2x+1", "x+1"),
+            ("nat", "gens:2,3", "x^5+x^3+x^2+1", "x^2+1"),
+            ("quad:6", "nat", "(0,1)*x^2+(0,3)*x+(0,2)", "x+(1,0)"),
+        ],
+    )
+    def test_polynomials_from_contexts_built_apart(self, S_text, M_text, f_text, g_text):
+        ctx1 = sf.semiring_from_literal(S_text), sf.monoid_from_literal(M_text)
+        ctx2 = sf.semiring_from_literal(S_text), sf.monoid_from_literal(M_text)
+        assert ctx1[1] is not ctx2[1]
+        f1, f2 = parse(f_text, *ctx1), parse(f_text, *ctx2)
+        g2 = parse(g_text, *ctx2)
+        assert f1 == f2 and hash(f1) == hash(f2)
+        assert {f1: "f"}[f2] == "f"
+        engine.clear_caches()
+        ds = sf.divisors(f1)
+        assert g2 in ds.divisors
+        assert ds._lattice.ordered[ds._lattice.base] == f2
+        # the session's lattice of f1 answers for f2
+        assert sf.divisors(f2)._lattice is ds._lattice
+        engine.clear_caches()
+
+    def test_same_terms_in_other_contexts_stay_unequal(self):
+        nat_f = sf.PolyExpr(NAT, sf.nat_monoid(), (3, 0), (1, 1))
+        gens_f = sf.PolyExpr(NAT, sf.monoid_from_literal("gens:2,3"), (3, 0), (1, 1))
+        assert nat_f == P("x^3+1") and nat_f != gens_f and hash(nat_f) == hash(gens_f)
+        assert len({nat_f: 1, gens_f: 2}) == 2
+        q6 = sf.PolyExpr(Q6, sf.nat_monoid(), (1, 0), ((1, 0), (0, 1)))
+        q7 = sf.PolyExpr(sf.Quad(7), sf.nat_monoid(), (1, 0), ((1, 0), (0, 1)))
+        assert q6 != q7 and len({q6, q7}) == 2
+        with pytest.raises(UsageError, match="mismatched contexts"):
+            q6 * q7
 
 
 class TestInspect:
