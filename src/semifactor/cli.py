@@ -221,13 +221,15 @@ def _run_poly(args):
         m = args.m if args.m is not None else args.n
         f = paperlab.expand_family(args.n, m, args.k, b.degree_limit)
         return {"n": args.n, "m": m, "k": args.k, "expr": str(f)}
-    f = parse_poly(args.expr, semiring_from_literal(args.coeffs), monoid_from_literal(args.monoid))
+    M = monoid_from_literal(args.monoid, b.knapsack_nodes)
+    f = parse_poly(args.expr, semiring_from_literal(args.coeffs), M)
     return {"expr": str(f), **_POLY_OPS[args.op](f, args, b)}
 
 
 def _run_monoid(args):
-    M = monoid_from_literal(args.monoid)
-    return {"monoid": M.literal(), **_MONOID_OPS[args.op][1](M, args, _budgets(args))}
+    b = _budgets(args)
+    M = monoid_from_literal(args.monoid, b.knapsack_nodes)
+    return {"monoid": M.literal(), **_MONOID_OPS[args.op][1](M, args, b)}
 
 
 def _run_verify(args):

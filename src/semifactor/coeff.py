@@ -216,7 +216,8 @@ class CoeffSemiring:
     ``values_with_components_at_most(bound)`` (the nonzero values with
     components <= bound, sized and listed only when iterated, so the oracle
     reads the size against its budget first) and the unchecked kernels
-    behind the checked entries below.
+    behind the checked entries below, whose divisor searches spend the
+    caller's ``budget`` (``Nat`` ignores it: its factoring has its own).
     """
 
     zero = None
@@ -236,9 +237,9 @@ class CoeffSemiring:
     def is_unit(self, v):
         return v == self.one
 
-    def divisors_of(self, a, budget=None):
+    def divisors_of(self, a, budget=DEFAULT_BUDGETS.oracle_candidates):
         """All divisors of a nonzero a; a search that tries candidates
-        counts them against budget first (default: the oracle budget)."""
+        counts them against budget first."""
         if self.validate(a) == self.zero:
             raise DomainError("0 has no divisor set")
         return self._divisors_of(a, budget)
@@ -252,13 +253,13 @@ class CoeffSemiring:
             raise DomainError("division by 0")
         return self._exact_div(a, b)
 
-    def atom_factorizations(self, a):
+    def atom_factorizations(self, a, budget=DEFAULT_BUDGETS.oracle_candidates):
         """Complete set of atom multisets with product a, as sorted tuples."""
         if self.validate(a) in (self.zero, self.one):
             raise DomainError(f"{self.render(a)} has no factorization into atoms")
-        return self._atom_factorizations(a)
+        return self._atom_factorizations(a, budget)
 
-    def mcd_set(self, vals):
+    def mcd_set(self, vals, budget=DEFAULT_BUDGETS.oracle_candidates):
         """All maximal common divisors of a nonempty list of nonzero values.
 
         Maximality is taken under the divisibility preorder: d is kept when
@@ -271,7 +272,7 @@ class CoeffSemiring:
         for v in vals:
             if self.validate(v) == self.zero:
                 raise DomainError("mcd undefined when 0 is among the values")
-        return self._mcd_set(vals)
+        return self._mcd_set(vals, budget)
 
     def length(self, a):
         if self.validate(a) == self.zero:
@@ -318,10 +319,10 @@ class Nat(CoeffSemiring):
         q, r = divmod(a, b)
         return q if r == 0 and q >= 0 else None
 
-    def _atom_factorizations(self, a):
+    def _atom_factorizations(self, a, budget):
         return frozenset({tuple(prime_factors(a))})
 
-    def _mcd_set(self, vals):
+    def _mcd_set(self, vals, budget):
         return {math.gcd(*vals)}
 
     def _length(self, a):
@@ -411,10 +412,9 @@ class Quad(CoeffSemiring):
         # cofactor is nonzero, so each of its components contributes at least
         # once (or d >= 2 times) to the componentwise sums of the product.
         # The scan tries every such pair, so it is counted against the
-        # budget (default: the oracle budget) before it starts.
+        # budget before it starts.
         total = a[0] + a[1]
         pairs = (total + 1) * (total + 2) // 2 - 1
-        budget = budget or DEFAULT_BUDGETS.oracle_candidates
         if pairs > budget:
             raise BudgetError(
                 f"divisors of {self.render(a)} need {pairs} candidate pairs, "
@@ -437,9 +437,11 @@ class Quad(CoeffSemiring):
             return None
         return (p, q)
 
-    def _atom_factorizations(self, a):
-        divs = self._divisors_of(a, None)
-        atoms = sorted(s for s in divs if s != self.one and len(self._divisors_of(s, None)) == 2)
+    def _atom_factorizations(self, a, budget):
+        # divs holds every divisor of each of its members: an atom is one
+        # that no other member divides
+        divs = self._divisors_of(a, budget) - {self.one}
+        atoms = sorted(s for s in divs if all(self._exact_div(s, t) is None for t in divs - {s}))
 
         results = set()
 
@@ -457,10 +459,10 @@ class Quad(CoeffSemiring):
         rec(a, 0, [])
         return frozenset(results)
 
-    def _mcd_set(self, vals):
+    def _mcd_set(self, vals, budget):
         commons = [
             s
-            for s in self._divisors_of(vals[0], None)
+            for s in self._divisors_of(vals[0], budget)
             if all(self._exact_div(v, s) is not None for v in vals[1:])
         ]
         return {

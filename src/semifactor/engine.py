@@ -70,7 +70,7 @@ its atoms, length sets, splits and Z(f) once computed, and the
 zx divisors are cached per semiring, monoid, slot width and packed value
 (``_decoded``), so the lattices of one session that share a divisor share
 one ``PolyExpr`` and decode it once.  The certificate of a monolithic part
-is cached per part and knapsack budget (``_part_certificate``), so the
+is cached per part and its two budgets (``_part_certificate``), so the
 elements of a session that share a part check it once.  ``clear_caches``
 empties all three.  All returned values are immutable.
 """
@@ -499,7 +499,8 @@ def atomic_certificate(
         raise DomainError("atomicity certificates are defined for nonzero nonunits")
     budgets = budgets or DEFAULT_BUDGETS
     parts = monolithic_decompose(f, strategy, budgets)
-    per = tuple(_part_certificate(part, budgets.knapsack_nodes) for part in parts)
+    k, o = budgets.knapsack_nodes, budgets.oracle_candidates
+    per = tuple(_part_certificate(part, k, o) for part in parts)
     return CertificateReport(
         target=f,
         monolithic_parts=tuple(parts),
@@ -509,12 +510,12 @@ def atomic_certificate(
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _part_certificate(part, knapsack_nodes):
+def _part_certificate(part, knapsack_nodes, oracle_candidates):
     """The certificate of one part, from the kernels on its canonical data;
-    ``knapsack_nodes`` is the only budget it spends, and a refusal raises,
-    so it is never cached."""
+    it spends only these two budgets, and a refusal raises, so it is never
+    cached."""
     S, M = part.semiring, part.monoid
-    cm = frozenset(S._mcd_set(part.coeffs))
+    cm = frozenset(S._mcd_set(part.coeffs, oracle_candidates))
     em = frozenset(map(M.elem_of_num, M._mcd_nums(part.nums, knapsack_nodes)))
     return PartCertificate(part, cm, em, bool(cm) and bool(em))
 

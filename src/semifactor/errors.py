@@ -2,8 +2,8 @@
 
 The CLI maps these onto exit codes: usage/domain problems exit 1, exhausted
 budgets exit 2, broken internal invariants exit 3.  ``Budgets`` is the one
-place where budget defaults are written down; every layer reads them from
-``DEFAULT_BUDGETS``.
+place where budget defaults are written down; only public entry points read
+``DEFAULT_BUDGETS``, and each passes the caller's values to every loop below.
 """
 from dataclasses import dataclass, field
 

@@ -109,19 +109,21 @@ class ExpMonoid:
     """A reduced, finitely generated submonoid of (Q>=0, +)."""
 
     __slots__ = (
-        "denom", "gens", "min_gens", "_amin", "_apery", "_window", "_stairs", "_suffix", "_hash"
+        "denom", "gens", "min_gens", "_amin", "_apery", "_window", "_stairs", "_npairs",
+        "_suffix", "_hash",
     )
 
-    def __init__(self, denom: int, gens):
+    def __init__(self, denom: int, gens, node_budget: int = DEFAULT_BUDGETS.knapsack_nodes):
         gens = frozenset(gens)
         if denom < 1 or not gens or any(not isinstance(g, int) or g <= 0 for g in gens):
             raise UsageError("monoid needs a positive denominator and positive integer generators")
         self.denom = denom
         self.gens = gens
         self._amin = a = min(gens)
-        budget = DEFAULT_BUDGETS.knapsack_nodes
-        if a > budget:
-            raise BudgetError(f"Apery table needs {a} residue classes, over the budget of {budget}")
+        if a > node_budget:
+            raise BudgetError(
+                f"Apery table needs {a} residue classes, over the budget of {node_budget}"
+            )
         # the least sums of the generators so far, ascending: g is an atom
         # exactly when they do not reach it, since a sum of two or more
         # generators equal to g has only smaller parts
@@ -136,6 +138,7 @@ class ExpMonoid:
         self._apery = [None if r == inf else r for r in least]
         self._window = a + max(r for r in least if r != inf)  # see _mcd_nums
         self._stairs = None  # built by the first length() call
+        self._npairs = 0  # the pairs in _stairs
         self._suffix = None  # built by the first factorizations() call that prunes
 
     def __eq__(self, other):
@@ -315,30 +318,34 @@ class ExpMonoid:
 
         With a the smallest atom, L(n) = (n - w)/a for n = D*m and (r, w)
         the last pair with r <= n of n's class staircase.  The staircases are
-        built at the first call, their a classes and then their pairs counted
-        against ``node_budget``.
+        built at the first call, and each call counts their a classes and
+        then their pairs against ``node_budget``.
         """
         return self._length_num(self.num_of(m), node_budget)
 
     def _length_num(self, n: int, node_budget: int) -> int:
         """``length`` of the member with scaled numerator n."""
         a = self._amin
-        if self._stairs is None:
+        if self._stairs is None or max(a, self._npairs) > node_budget:
+            # cold; or the kept table is over this budget, and the build refuses
             pairs = _staircase(a, self.min_gens, node_budget)
             stairs = [[] for _ in range(a)]
             for pair in pairs:
                 stairs[pair[0] % a].append(pair)
+            # the count first, so a thread that sees the table sees its count
+            self._npairs = sum(map(len, stairs))
             self._stairs = stairs
         # n is a member, so the first pair of its class has r <= n, and w <= r
         stair = self._stairs[n % a]
         return (n - stair[bisect_right(stair, (n, n)) - 1][1]) // a
 
 
-def make_monoid(rational_gens) -> ExpMonoid:
+def make_monoid(rational_gens, node_budget: int = DEFAULT_BUDGETS.knapsack_nodes) -> ExpMonoid:
     """Normalize rational generators into an ExpMonoid.
 
     The denominator is the least common denominator of the reduced input
-    fractions; generators are stored scaled by it.
+    fractions; generators are stored scaled by it.  The Apery table's
+    classes count against ``node_budget``.
     """
     gens = list(rational_gens)
     if not gens:
@@ -350,7 +357,7 @@ def make_monoid(rational_gens) -> ExpMonoid:
             raise UsageError(f"generators must be positive, got {q}")
         fracs.append(q)
     denom = lcm(*(q.denominator for q in fracs))
-    return ExpMonoid(denom, frozenset(int(q * denom) for q in fracs))
+    return ExpMonoid(denom, frozenset(int(q * denom) for q in fracs), node_budget)
 
 
 def nat_monoid() -> ExpMonoid:

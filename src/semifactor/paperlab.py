@@ -60,13 +60,8 @@ def family_int(n: int, m: int, k: int = 0) -> IntPoly:
     return IntPoly.of([n, 1]) ** m * IntPoly.of([1, -1, 1]) * IntPoly.of([1, 1]) ** k
 
 
-def _nat_ctx():
-    return Nat(), nat_monoid()
-
-
 def _parse_nat(text):
-    S, M = _nat_ctx()
-    return parse(text, S, M)
+    return parse(text, Nat(), nat_monoid())
 
 
 # -- individual checks -------------------------------------------------------
@@ -176,7 +171,7 @@ def _check_quad_sqrt6(budgets):
                 checked += 1
                 if s[0] + s[1] > total:
                     failures.append(f"divisor {S.render(s)} of {S.render(a)} breaks the bound")
-    zs = S.atom_factorizations((6, 0))
+    zs = S.atom_factorizations((6, 0), budgets.oracle_candidates)
     got = sorted(sorted(S.render(v) for v in z) for z in zs)
     want = [["2", "3"], ["r", "r"]]
     if got != want:
@@ -206,8 +201,8 @@ def _check_monolithic_example(budgets):
 
 def _check_puiseux_demo(budgets):
     failures = []
-    m1 = make_monoid([Fraction(1, 2), Fraction(3, 4)])
-    m2 = make_monoid([2, 3])
+    m1 = make_monoid([Fraction(1, 2), Fraction(3, 4)], budgets.knapsack_nodes)
+    m2 = make_monoid([2, 3], budgets.knapsack_nodes)
     if sorted(str(a) for a in m1.atoms()) != ["1/2", "3/4"]:
         failures.append(f"atoms of {m1.literal()} are {sorted(str(a) for a in m1.atoms())}")
     # scaling m -> m/4 must preserve factorization counts and lengths
@@ -218,7 +213,7 @@ def _check_puiseux_demo(budgets):
         z1 = m1.factorizations(Fraction(num, 4), node_budget=budgets.knapsack_nodes)
         if len(z1) != len(z2) or sorted(len(t) for t in z1) != sorted(len(t) for t in z2):
             failures.append(f"scaling mismatch at {num}/4")
-    trunc = make_monoid([1, Fraction(3, 2), Fraction(9, 4)])
+    trunc = make_monoid([1, Fraction(3, 2), Fraction(9, 4)], budgets.knapsack_nodes)
     if sorted(str(a) for a in trunc.atoms()) != ["1", "3/2", "9/4"]:
         failures.append(f"atoms of truncation are {sorted(str(a) for a in trunc.atoms())}")
     zs = trunc.factorizations(Fraction(9, 2), node_budget=budgets.knapsack_nodes)
@@ -241,7 +236,7 @@ def _check_length_function_suite(budgets):
     failures = []
     contexts = [
         (Nat(), nat_monoid(), "nat/nat"),
-        (Nat(), make_monoid([2, 3]), "nat/<2,3>"),
+        (Nat(), make_monoid([2, 3], budgets.knapsack_nodes), "nat/<2,3>"),
         (Quad(6), nat_monoid(), "quad6/nat"),
     ]
     pairs = 0
@@ -334,15 +329,7 @@ def report_json(results, budgets: Budgets = DEFAULT_BUDGETS, only=None) -> str:
     doc = {
         "suite_version": SUITE_VERSION,
         "config": dict(asdict(budgets), only=sorted(only) if only else None),
-        "results": [
-            {
-                "check_id": r.check_id,
-                "paper_anchor": r.paper_anchor,
-                "status": r.status,
-                "details": r.details,
-            }
-            for r in results
-        ],
+        "results": [asdict(r) for r in results],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import CoeffSemiring, Nat, Quad
-from .errors import DomainError, ExponentNotInMonoidError, ParseError, UsageError
+from .errors import DEFAULT_BUDGETS, DomainError, ExponentNotInMonoidError, ParseError, UsageError
 from .monoid import ExpElem, ExpMonoid, make_monoid, nat_monoid
 
 
@@ -310,8 +310,8 @@ def semiring_from_literal(text: str) -> CoeffSemiring:
     raise UsageError(f"unknown coefficient semiring literal {text!r} (want nat or quad:<d>)")
 
 
-def monoid_from_literal(text: str) -> ExpMonoid:
-    """Parse "nat" or "gens:q1,q2,..." into an ExpMonoid."""
+def monoid_from_literal(text: str, node_budget=DEFAULT_BUDGETS.knapsack_nodes) -> ExpMonoid:
+    """Parse "nat" or "gens:q1,q2,..." into an ExpMonoid built under node_budget."""
     if text == "nat":
         return nat_monoid()
     if text.startswith("gens:"):
@@ -319,7 +319,7 @@ def monoid_from_literal(text: str) -> ExpMonoid:
             gens = [read_number(part, rational=True) for part in text[5:].split(",")]
         except ParseError:
             raise UsageError(f"bad generator list in {text!r}") from None
-        return make_monoid(gens)
+        return make_monoid(gens, node_budget)
     raise UsageError(f"unknown monoid literal {text!r} (want nat or gens:q1,q2,...)")
 
 

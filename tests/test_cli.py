@@ -93,15 +93,15 @@ class TestPolyCommands:
         assert payload["length"] == expected
 
     def test_lenfn_budget(self, capsys):
-        # the length table's 500 classes are counted before it is allocated
+        # the monoid's 500 classes are counted before its Apery table is allocated
         argv = ["poly", "lenfn", "--monoid", "gens:500,501,999", "--knapsack-budget"]
         start = time.perf_counter()
         code, out, err = run(capsys, *argv, "10", "x^248998")
         assert time.perf_counter() - start < 0.5
         assert code == 2
         assert out == ""
-        assert err == "error[budget]: length table needs 500 residue classes, over the budget of 10\n"
-        # then its 665 staircase pairs
+        assert err == "error[budget]: Apery table needs 500 residue classes, over the budget of 10\n"
+        # then the length table's 665 staircase pairs
         code, out, err = run(capsys, *argv, "664", "x^248998")
         assert (code, out) == (2, "")
         assert err == "error[budget]: length table exceeded the budget of 664 pairs\n"
@@ -474,6 +474,27 @@ class TestExitCodes:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error[budget]: "), err
         assert run_json(capsys, *argv)["passes"] is True
+
+    def test_certify_spends_the_oracle_budget(self, capsys):
+        # the coefficient mcd scans the 1127250 pairs under 1500, over the
+        # default oracle budget, so it answers only under the flag's larger one
+        argv = ["poly", "certify", "--coeffs", "quad:6", "(1500,0)*x+(1500,0)"]
+        payload = run_json(capsys, *argv, "--oracle-budget", "5000000")
+        assert payload["parts"][0]["coeff_mcd"] == ["1500"] and payload["passes"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error[budget]: divisors of 1500 need 1127250 candidate pairs, "
+            "over the budget of 1000000\n"
+        )
+
+    def test_monoid_spends_the_knapsack_budget(self, capsys):
+        # the Apery table of <51, 52> has 51 classes
+        argv = ["monoid", "atoms", "--monoid", "gens:51,52", "--knapsack-budget"]
+        code, out, err = run(capsys, *argv, "50")
+        assert (code, out) == (2, "")
+        assert err == "error[budget]: Apery table needs 51 residue classes, over the budget of 50\n"
+        assert run_json(capsys, *argv, "51")["atoms"] == [51, 52]
 
     @pytest.mark.parametrize(
         "argv",

@@ -103,12 +103,11 @@ class TestDivisors:
         assert got == {(1, 0), (2, 0), (3, 0), (0, 1), (6, 0)}
         assert got == brute_quad_divisors(Q6, (6, 0))
 
-    def test_quad_scan_budget(self, monkeypatch):
+    def test_quad_scan_budget(self):
         # the scan over b' + c' <= t tries (t+1)(t+2)/2 - 1 pairs: 20 at t = 5
-        monkeypatch.setattr(coeff, "DEFAULT_BUDGETS", sf.Budgets(oracle_candidates=20))
-        assert Q6.divisors_of((5, 0)) == {(1, 0), (5, 0)}
+        assert Q6.divisors_of((5, 0), 20) == {(1, 0), (5, 0)}
         with pytest.raises(BudgetError, match="need 27 candidate pairs"):
-            Q6.divisors_of((6, 0))
+            Q6.divisors_of((6, 0), 20)
 
     def test_quad_scan_takes_the_callers_budget(self):
         assert Q6.divisors_of((6, 0), 27) == Q6.divisors_of((6, 0))
@@ -187,6 +186,30 @@ class TestAtomFactorizations:
         Q5 = sf.Quad(5)
         for v in ((2, 0), (0, 1)):
             assert Q5.atom_factorizations(v) == {(v,)}
+
+    def test_quad_atoms_come_from_one_divisor_scan(self, monkeypatch):
+        # every divisor of a divisor of 6 is a divisor of 6, so the atoms
+        # are read off the one scan of 6
+        scans = []
+        divisors_of = sf.Quad._divisors_of
+
+        def counted(self, a, budget):
+            scans.append(a)
+            return divisors_of(self, a, budget)
+
+        monkeypatch.setattr(sf.Quad, "_divisors_of", counted)
+        assert Q6.atom_factorizations((6, 0)) == {((2, 0), (3, 0)), ((0, 1), (0, 1))}
+        assert scans == [(6, 0)]
+
+    def test_quad_scans_take_the_callers_budget(self):
+        # the scan of 6 tries 27 pairs, whichever operation runs it
+        assert Q6.atom_factorizations((6, 0), 27) == Q6.atom_factorizations((6, 0))
+        assert Q6.mcd_set([(6, 0), (0, 6)], 27) == {(6, 0)}
+        refusal = "^divisors of 6 need 27 candidate pairs, over the budget of 26$"
+        with pytest.raises(BudgetError, match=refusal):
+            Q6.atom_factorizations((6, 0), 26)
+        with pytest.raises(BudgetError, match=refusal):
+            Q6.mcd_set([(6, 0), (0, 6)], 26)
 
     def test_units_rejected(self):
         for bad in (0, 1):

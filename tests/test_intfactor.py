@@ -190,6 +190,19 @@ def rational_quotient(a, b):
     return None if any(rem) else quo
 
 
+class TestIntPolyText:
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [([1, -1, 1], "x^2-x+1"), ([-3, 0, -1], "-x^2-3"), ([0, -1], "-x"), ([], "0")],
+    )
+    def test_negative_coefficients(self, coeffs, text):
+        assert str(IntPoly.of(coeffs)) == text
+
+    def test_of_refuses_a_bool(self):
+        with pytest.raises(UsageError, match="integer coefficients required"):
+            IntPoly.of([1, True])
+
+
 class TestIntPolyPower:
     def test_matches_repeated_products(self):
         rng = random.Random(57)

@@ -82,6 +82,10 @@ class TestMakeMonoid:
         assert sf.make_monoid([2, 3, 7]) == sf.make_monoid([3, 2])
         assert sf.make_monoid([1]) != sf.make_monoid([2, 3])
 
+    def test_equality_with_a_non_monoid(self):
+        assert sf.nat_monoid().__eq__("nat") is NotImplemented
+        assert sf.nat_monoid() != "nat"
+
     def test_literal_round_trip(self):
         for gens in ([1], [2, 3], [Fraction(1, 2), Fraction(3, 4)]):
             m = sf.make_monoid(gens)
@@ -525,13 +529,27 @@ class TestTableBudgets:
             sf.make_monoid([20000000, 20000001])
         assert time.perf_counter() - start < 0.5
 
-    def test_table_at_the_budget(self, monkeypatch):
-        monkeypatch.setattr(monoid, "DEFAULT_BUDGETS", sf.Budgets(knapsack_nodes=50))
-        m = sf.make_monoid([50, 51])
+    def test_table_at_the_budget(self):
+        m = sf.make_monoid([50, 51], node_budget=50)
         assert m.member(101) and not m.member(52)
         assert m.length(101) == 2
         with pytest.raises(BudgetError, match="Apery table needs 51 residue classes"):
-            sf.make_monoid([51, 52])
+            sf.make_monoid([51, 52], node_budget=50)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda budget: sf.make_monoid([51, 52], node_budget=budget),
+            lambda budget: sf.monoid_from_literal("gens:51,52", node_budget=budget),
+            lambda budget: monoid.ExpMonoid(1, {51, 52}, node_budget=budget),
+        ],
+        ids=["make_monoid", "monoid_from_literal", "ExpMonoid"],
+    )
+    def test_construction_takes_the_callers_budget(self, build):
+        assert build(51).min_gens == frozenset({51, 52})
+        with pytest.raises(BudgetError) as info:
+            build(50)
+        assert str(info.value) == "Apery table needs 51 residue classes, over the budget of 50"
 
     def test_small_generator_needs_no_large_table(self):
         # only the smallest generator sizes a table, whatever the others are
@@ -552,8 +570,16 @@ class TestTableBudgets:
         assert m._stairs is None
         assert m.length(18, node_budget=7) == 3
         assert sum(map(len, m._stairs)) == 7
-        # once built, the table answers whatever the budget
-        assert m.length(18, node_budget=1) == 3
+        # once built, a budget below its 5 classes or 7 pairs refuses as the
+        # cold build does, and keeps the table
+        with pytest.raises(BudgetError) as info:
+            m.length(18, node_budget=1)
+        assert str(info.value) == "length table needs 5 residue classes, over the budget of 1"
+        with pytest.raises(BudgetError) as info:
+            m.length(18, node_budget=6)
+        assert str(info.value) == "length table exceeded the budget of 6 pairs"
+        assert sum(map(len, m._stairs)) == 7
+        assert m.length(18, node_budget=7) == 3
 
     def test_length_budget_counts_classes_before_allocation(self):
         m = sf.make_monoid([500, 501, 999])
@@ -564,6 +590,19 @@ class TestTableBudgets:
         assert time.perf_counter() - start < 0.1
         with pytest.raises(BudgetError, match="^length table exceeded the budget of 664 pairs$"):
             m.length(248998, node_budget=664)
+        assert m.length(248998, node_budget=665) == 496
+
+    def test_warm_table_refuses_as_a_cold_one(self):
+        # a refusal depends only on the input and the caller's budget, not
+        # on what earlier calls left in the monoid
+        m = sf.make_monoid([500, 501, 999])
+        assert m.length(248998) == 496
+        with pytest.raises(BudgetError) as info:
+            m.length(248998, node_budget=10)
+        assert str(info.value) == "length table needs 500 residue classes, over the budget of 10"
+        with pytest.raises(BudgetError) as info:
+            m.length(248998, node_budget=664)
+        assert str(info.value) == "length table exceeded the budget of 664 pairs"
         assert m.length(248998, node_budget=665) == 496
 
 
